@@ -24,7 +24,7 @@ import numpy as np
 
 from .environment import Environment
 from .errors import DomainError
-from .kernel import confined_log_prob
+from .kernel import _propagate, confined_log_prob
 
 __all__ = [
     "ScalingFit",
@@ -167,23 +167,18 @@ def exit_mgf_dp(ell: int, lam: float, tail_tol: float = 1e-12) -> float:
         raise DomainError(
             f"lam={lam!r} at or beyond the critical point for ell={ell}"
         )
-    mass = np.zeros(width)
-    mass[0] = 1.0
     total = 0.0
     factor = 1.0
     # tail after step k: sum_{j>=1} m_k radius^(j-1) exp(lam (k+j))
     tail_coeff = growth / (1.0 - radius * growth)
-    for _ in range(50_000_000):
-        exit_mass = 0.5 * (mass[0] + mass[-1])
+    states = _propagate(np.full(width, 0.5), 0, 50_000_000)
+    for k, (mass, scale, _) in enumerate(states):
+        f = math.exp(scale)
+        if k and float(mass.sum()) * f * factor * tail_coeff < tail_tol:
+            return total
+        exit_mass = 0.5 * (mass[0] + mass[-1]) * f
         factor *= growth
         total += exit_mass * factor
-        new = np.zeros(width)
-        new[1:] = 0.5 * mass[:-1]
-        new[:-1] += 0.5 * mass[1:]
-        mass = new
-        remaining = float(mass.sum())
-        if remaining * factor * tail_coeff < tail_tol:
-            return total
     raise DomainError("series failed to converge")  # pragma: no cover
 
 

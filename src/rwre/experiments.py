@@ -6,8 +6,9 @@ over seeds and walk lengths, and writes headered CSV files plus a
 ``manifest.json`` sidecar into a fresh run directory named
 ``<experiment>-<UTC timestamp>-<config hash prefix>``.  Identical
 configs produce byte-identical CSVs; the manifest records the config
-hash, package versions, and wall time, and is flipped from
-``incomplete`` to ``complete`` only when every output has been written.
+hash, parameter echo, effective seeds, package versions, and wall time,
+and is flipped from ``incomplete`` to ``complete`` only when every
+output has been written.
 
 Floats are written with 17 significant digits (``%.17g``) and ``\\n``
 line endings so outputs are bit-reproducible across platforms.  The one
@@ -57,7 +58,7 @@ from .environment import (
     solve_kappa,
     speed,
 )
-from .errors import ConfigError, RegimeError, RwreError
+from .errors import ConfigError, DomainError, RegimeError, RwreError
 from .io import load_distribution
 from .kernel import (
     bridge_log_prob,
@@ -178,7 +179,10 @@ def _dist_parser(key: str, raw: str, config_dir: Path) -> SiteDistribution:
         path = config_dir / path
     if not path.exists():
         raise ConfigError(f"{key}: file not found: {path}")
-    return load_distribution(path)
+    try:
+        return load_distribution(path)
+    except (DomainError, OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{key}: {exc}") from None
 
 
 def _simple(parser: Callable[[str, str], Any]) -> Callable[..., Any]:
@@ -299,7 +303,7 @@ def load_config(path: str | Path, experiment: str) -> dict[str, Any]:
     try:
         with open(path, encoding="utf-8") as fh:
             cp.read_file(fh)
-    except configparser.Error as exc:
+    except (configparser.Error, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from None
     if not cp.has_section(experiment):
         raise ConfigError(f"{path}: missing section [{experiment}]")
@@ -418,6 +422,10 @@ def _hashable(value: Any) -> Any:
     return value
 
 
+def _param_echo(config: ExperimentConfig) -> dict[str, Any]:
+    return {k: _hashable(v) for k, v in sorted(config.params.items())}
+
+
 def config_hash(config: ExperimentConfig) -> str:
     """SHA-256 over everything that determines the data outputs.
 
@@ -427,7 +435,7 @@ def config_hash(config: ExperimentConfig) -> str:
     payload = {
         "experiment": config.experiment,
         "seed_offset": config.seed_offset,
-        "params": {k: _hashable(v) for k, v in sorted(config.params.items())},
+        "params": _param_echo(config),
     }
     blob = json.dumps(payload, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
@@ -448,21 +456,17 @@ def _derived_seed(*parts: int) -> int:
 def _versions() -> dict[str, str]:
     import platform
 
-    try:
-        from importlib.metadata import version
+    from . import __version__
 
-        own = version("rwre")
-    except Exception:  # pragma: no cover - editable-install edge
-        own = "unknown"
-    return {"python": platform.python_version(), "numpy": np.__version__, "rwre": own}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "rwre": __version__,
+    }
 
 
 # ---------------------------------------------------------------------------
 # experiment bodies (each returns the list of CSV file names it wrote)
-
-
-def _env_for(dist: SiteDistribution, seed: int, lo: int, hi: int):
-    return sample_environment(dist, seed, lo, hi)
 
 
 def _run_kappa(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
@@ -476,12 +480,16 @@ def _run_kappa(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
         rate0 = rate_I0(dist)
     except RegimeError:
         rate0 = math.nan
+    try:
+        velocity = speed(dist)
+    except RegimeError:
+        velocity = math.nan
     rows = [
         ("regime", regime.tag.value),
         ("alpha", regime.alpha),
         ("eta", regime.eta),
         ("kappa", "%.12f" % kappa),
-        ("speed", speed(dist)),
+        ("speed", velocity),
         ("rate0", rate0),
     ]
     _write_csv(run_dir / "kappa.csv", "quantity,value", rows)
@@ -496,7 +504,7 @@ def _run_bridge_prob(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
 
     def work(task: tuple[int, int]) -> float:
         seed, n = task
-        env = _env_for(dist, seed, -2 * n, 2 * n)
+        env = sample_environment(dist, seed, -2 * n, 2 * n)
         return bridge_log_prob(env, n, truncation=trunc)
 
     values = _map_tasks(work, tasks, cfg.threads)
@@ -520,7 +528,7 @@ def _run_confined(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
 
     def work(task: tuple[int, int, int]) -> float:
         seed, n, m = task
-        env = _env_for(dist, seed, -2 * n, 2 * n)
+        env = sample_environment(dist, seed, -2 * n, 2 * n)
         steps = 2 * n if bridge else n
         return confined_log_prob(env, steps, m, require_bridge=bridge)
 
@@ -538,7 +546,7 @@ def _run_max_disp_exact(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
 
     def work(task: tuple[int, int]):
         seed, n = task
-        env = _env_for(dist, seed, -2 * n, 2 * n)
+        env = sample_environment(dist, seed, -2 * n, 2 * n)
         quantiles = [bridge_max_quantile(env, n, q) for q in (0.05, 0.5, 0.95)]
         cdf_rows = []
         if cdf_points > 0:
@@ -575,7 +583,7 @@ def _run_sample_bridge(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
 
     def work(task: tuple[int, int]):
         seed, n = task
-        env = _env_for(dist, seed, -2 * n, 2 * n)
+        env = sample_environment(dist, seed, -2 * n, 2 * n)
         table = backward_table(env, n)
         draws = max_disp_samples(
             env, n, n_samples, _derived_seed(base, seed, n, 0), table=table
@@ -635,7 +643,7 @@ def _run_scaling(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
 
     def work(task: tuple[int, int]) -> float:
         seed, n = task
-        env = _env_for(dist, seed, -2 * n, 2 * n)
+        env = sample_environment(dist, seed, -2 * n, 2 * n)
         if gamma is None:
             return bridge_log_prob(env, n, truncation=trunc)
         m = max(2, round(n**gamma))
@@ -725,7 +733,7 @@ def _run_com_check(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
     files = []
     for seed in cfg.effective_seeds():
         for n in cfg.params["n_grid"]:
-            env = _env_for(dist, seed, -2 * n, 2 * n)
+            env = sample_environment(dist, seed, -2 * n, 2 * n)
             report = verify_com_identity(env, n, events, dist)
             name = f"com-s{seed}-n{n}.csv"
             _write_csv(
@@ -748,7 +756,7 @@ def _run_longest_run(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
     seeds = cfg.effective_seeds()
 
     def work(seed: int) -> tuple[int, int | None]:
-        env = _env_for(dist, seed, 0, max(r - 1, 0))
+        env = sample_environment(dist, seed, 0, max(r - 1, 0))
         if transform:
             env = mn_transform(env, dist)
         return longest_fair_run(env, r, value)
@@ -787,7 +795,7 @@ def _run_conjecture(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
 
     def work(task: tuple[int, int]) -> list[tuple]:
         seed, n = task
-        env = _env_for(dist, seed, -2 * n, 2 * n)
+        env = sample_environment(dist, seed, -2 * n, 2 * n)
         bridge = bridge_log_prob(env, n)
         out = []
         for beta in betas:
@@ -843,8 +851,8 @@ def run(config: ExperimentConfig) -> tuple[int, Path | None]:
     The run directory is created eagerly with an ``incomplete`` manifest;
     the manifest flips to ``complete`` only after every CSV has been
     written, so interrupted runs are detectable.  Exit code 0 means
-    complete, 1 means a domain/runtime failure (message on stderr via
-    the raised error's text in the manifest).
+    complete; any exception raised by the experiment is recorded in the
+    manifest's ``error`` field and re-raised.
     """
     digest = config_hash(config)
     run_dir = _make_run_dir(config, digest)
@@ -853,6 +861,8 @@ def run(config: ExperimentConfig) -> tuple[int, Path | None]:
         "config_hash": digest,
         "seed_offset": config.seed_offset,
         "threads": config.threads,
+        "params": _param_echo(config),
+        "effective_seeds": config.effective_seeds(),
         "status": "incomplete",
         "versions": _versions(),
         "started_utc": datetime.now(timezone.utc).isoformat(),
@@ -862,9 +872,8 @@ def run(config: ExperimentConfig) -> tuple[int, Path | None]:
     start = time.perf_counter()
     try:
         files = _RUNNERS[config.experiment](config, run_dir)
-    except RwreError as exc:
-        manifest["status"] = "incomplete"
-        manifest["error"] = str(exc)
+    except BaseException as exc:
+        manifest["error"] = f"{type(exc).__name__}: {exc}"
         manifest["wall_time_s"] = time.perf_counter() - start
         _write_manifest(run_dir, manifest)
         raise

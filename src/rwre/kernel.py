@@ -16,6 +16,7 @@ step count.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,9 +78,7 @@ class DpTable:
     """Occupation or backward-probability table in the log domain.
 
     ``log_mass[k, i]`` is the fully folded log value at step ``k`` and site
-    ``site_lo + i``; unreachable cells hold ``-inf``.  ``total_log_scale``
-    records any rescaling not yet folded into the stored values; tables
-    built by this package always fold eagerly, so it is 0.
+    ``site_lo + i``; unreachable cells hold ``-inf``.
 
     For ``kind == "occupation"`` row ``k`` is the mass distribution after
     ``k`` steps (summing to at most 1, and to exactly 1 for an
@@ -93,7 +92,6 @@ class DpTable:
     site_lo: int
     site_hi: int
     log_mass: np.ndarray
-    total_log_scale: float = 0.0
 
     def __post_init__(self):
         expected = (self.n_steps + 1, self.site_hi - self.site_lo + 1)
@@ -120,24 +118,23 @@ class DpTable:
         return self.log_mass[k]
 
     def row_mass_sums(self) -> np.ndarray:
-        """Per-row sums of ``exp(log_mass)`` plus the outstanding scale."""
-        with np.errstate(over="ignore"):
-            return np.exp(self.log_mass + self.total_log_scale).sum(axis=1)
+        """Per-row sums of ``exp(log_mass)``."""
+        return np.exp(self.log_mass).sum(axis=1)
 
 
-def _forward_killing(
-    om: np.ndarray,
-    start: int,
-    steps: int,
-    trunc: float = 0.0,
-    record: bool = False,
-):
-    """Propagate mass through ``om`` with killing outside its index range.
+def _propagate(om: np.ndarray, start: int, steps: int, trunc: float = 0.0):
+    """Propagate unit mass from index ``start`` through ``om``, killing any
+    mass that steps outside its index range.
 
-    Returns ``(mass, log_scale, disc_log, rows)``: the final scaled linear
-    mass vector, the log factor to add back, a log-domain upper bound on
-    all truncated mass (``-inf`` when nothing was dropped), and the
-    fully folded log rows when ``record`` is set.
+    Yields ``(mass, log_scale, disc_log)`` for the initial state and then
+    after each of up to ``steps`` steps: the scaled linear mass vector,
+    the log factor to add back, and a log-domain upper bound on all mass
+    dropped by the relative floor ``trunc`` (``-inf`` when nothing was
+    dropped).  The mass of state ``k`` leaving on step ``k + 1`` is
+    ``(1 - om[0]) * mass[0]`` on the left and ``om[-1] * mass[-1]`` on the
+    right, times ``exp(log_scale)``.  Stops early after yielding an
+    all-zero state.  The yielded vector is overwritten by the next step,
+    so callers read it before advancing.
     """
     w = om.size
     p = om
@@ -149,14 +146,7 @@ def _forward_killing(
     new = np.empty(w)
     scale = 0.0
     disc_log = -np.inf
-    rows = []
-
-    def snapshot():
-        with np.errstate(divide="ignore"):
-            rows.append(np.log(mass) + scale)
-
-    if record:
-        snapshot()
+    yield mass, scale, disc_log
     for _ in range(steps):
         np.multiply(mass, p, out=right)
         np.multiply(mass, q, out=left)
@@ -166,11 +156,9 @@ def _forward_killing(
         mass, new = new, mass
         m = mass.max()
         if m == 0.0:
-            # everything was killed; later rows stay empty
-            if record:
-                for _ in range(len(rows), steps + 1):
-                    rows.append(np.full(w, -np.inf))
-            return mass, scale, disc_log, rows
+            # everything was killed; later states stay empty
+            yield mass, scale, disc_log
+            return
         if trunc > 0.0:
             small = mass < m * trunc
             if small.any():
@@ -181,39 +169,7 @@ def _forward_killing(
         if m < _RESCALE_LO or m > _RESCALE_HI:
             mass /= m
             scale += float(np.log(m))
-        if record:
-            snapshot()
-    return mass, scale, disc_log, rows
-
-
-def _forward_absorbing(om_interior: np.ndarray, start: int, steps: int):
-    """Propagate with sticky endpoints just outside the interior range.
-
-    Returns per-step arrays of mass newly absorbed at the left and right
-    endpoints (index k = mass absorbed on step k+1), plus the final
-    interior mass vector.  Runs in plain linear arithmetic; callers keep
-    horizons modest so no rescaling is needed.
-    """
-    w = om_interior.size
-    p = om_interior
-    q = 1.0 - om_interior
-    mass = np.zeros(w)
-    mass[start] = 1.0
-    right = np.empty(w)
-    left = np.empty(w)
-    new = np.empty(w)
-    absorbed_left = np.zeros(steps)
-    absorbed_right = np.zeros(steps)
-    for k in range(steps):
-        np.multiply(mass, p, out=right)
-        np.multiply(mass, q, out=left)
-        absorbed_left[k] = left[0]
-        absorbed_right[k] = right[-1]
-        new[0] = 0.0
-        new[1:] = right[:-1]
-        new[:-1] += left[1:]
-        mass, new = new, mass
-    return absorbed_left, absorbed_right, mass
+        yield mass, scale, disc_log
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -251,54 +207,29 @@ def forward_table(
         raise DomainError("steps must be nonnegative")
     if interval is None:
         lo, hi = start - steps, start + steps
-        env.require_window(lo, hi)
-        om = env.slice(lo, hi)
-        _check_table_size(steps, om.size)
-        mass, scale, _, rows = _forward_killing(
-            om, start - lo, steps, record=True
-        )
-        return DpTable("occupation", steps, lo, hi, np.asarray(rows))
-
-    if start <= interval.lo or start >= interval.hi:
-        raise OrderingError(
-            f"start {start} not inside interval ({interval.lo}, {interval.hi})"
-        )
-    if interval.boundary == "killing":
+    else:
+        if start <= interval.lo or start >= interval.hi:
+            raise OrderingError(
+                f"start {start} not inside interval ({interval.lo}, {interval.hi})"
+            )
         lo, hi = interval.lo + 1, interval.hi - 1
-        env.require_window(lo, hi)
-        om = env.slice(lo, hi)
-        _check_table_size(steps, om.size)
-        _, _, _, rows = _forward_killing(om, start - lo, steps, record=True)
-        return DpTable("occupation", steps, lo, hi, np.asarray(rows))
-
-    # absorbing: interior scan plus sticky boundary columns
-    lo, hi = interval.lo, interval.hi
-    env.require_window(lo + 1, hi - 1)
-    om = env.slice(lo + 1, hi - 1)
-    _check_table_size(steps, om.size + 2)
-    w = om.size
-    p, q = om, 1.0 - om
-    mass = np.zeros(w)
-    mass[start - (lo + 1)] = 1.0
-    frozen_lo = 0.0
-    frozen_hi = 0.0
-    rows = np.full((steps + 1, w + 2), -np.inf)
+    env.require_window(lo, hi)
+    om = env.slice(lo, hi)
+    absorbing = interval is not None and interval.boundary == "absorbing"
+    pad = 1 if absorbing else 0
+    _check_table_size(steps, om.size + 2 * pad)
+    rows = np.full((steps + 1, om.size + 2 * pad), -np.inf)
+    exits = np.zeros((steps + 1, 2))
     with np.errstate(divide="ignore"):
-        rows[0, 1:-1] = np.log(mass)
-    for k in range(1, steps + 1):
-        right = mass * p
-        left = mass * q
-        frozen_lo += left[0]
-        frozen_hi += right[-1]
-        new = np.zeros(w)
-        new[1:] = right[:-1]
-        new[:-1] += left[1:]
-        mass = new
-        with np.errstate(divide="ignore"):
-            rows[k, 1:-1] = np.log(mass)
-            rows[k, 0] = np.log(frozen_lo) if frozen_lo > 0.0 else -np.inf
-            rows[k, -1] = np.log(frozen_hi) if frozen_hi > 0.0 else -np.inf
-    return DpTable("occupation", steps, lo, hi, rows)
+        for k, (mass, scale, _) in enumerate(_propagate(om, start - lo, steps)):
+            rows[k, pad : pad + om.size] = np.log(mass) + scale
+            if absorbing:
+                f = math.exp(scale)
+                exits[k] = (1.0 - om[0]) * mass[0] * f, om[-1] * mass[-1] * f
+        if absorbing:
+            # a sticky endpoint holds all mass that earlier states sent to it
+            rows[1:, [0, -1]] = np.log(np.cumsum(exits[:-1], axis=0))
+    return DpTable("occupation", steps, lo - pad, hi + pad, rows)
 
 
 def _check_table_size(steps: int, width: int) -> None:
@@ -349,7 +280,8 @@ def bridge_log_prob(
     if truncation is None:
         truncation = _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
     om = env.slice(-n, n)
-    mass, scale, disc_log, _ = _forward_killing(om, n, 2 * n, trunc=truncation)
+    for mass, scale, disc_log in _propagate(om, n, 2 * n, trunc=truncation):
+        pass
     logp = _final_log(mass, scale, n)
     return (logp, disc_log) if with_error_bound else logp
 
@@ -387,7 +319,8 @@ def confined_log_prob(
         raise ParityError(f"bridge event needs an even step count, got {steps}")
     env.require_window(-M, M)
     om = env.slice(-(M - 1), M - 1)
-    mass, scale, _, _ = _forward_killing(om, M - 1, steps)
+    for mass, scale, _ in _propagate(om, M - 1, steps):
+        pass
     return _final_log(mass, scale, M - 1 if require_bridge else None)
 
 
@@ -468,9 +401,9 @@ def hitting_cdf(env: Environment, target: int, horizon: int) -> np.ndarray:
     """CDF of the first passage time to ``target``: entry k is P(T <= k).
 
     The hitting time counts from 0, so ``P(T <= 0) = 1`` exactly when the
-    target is the origin.  Probabilities are accumulated in plain linear
-    arithmetic; values below roughly 1e-300 underflow to 0, which is far
-    outside the supported horizons.
+    target is the origin.  Each step's first-passage mass is read off the
+    rescaled propagation, so only entries whose own value lies below the
+    smallest double (about 1e-308) round to 0.
 
     Parameters
     ----------
@@ -492,12 +425,16 @@ def hitting_cdf(env: Environment, target: int, horizon: int) -> np.ndarray:
     if target > 0:
         env.require_window(-horizon, target)
         om = env.slice(-horizon, target - 1)
-        _, absorbed, _ = _forward_absorbing(om, horizon, horizon)
+        start, end, out = horizon, -1, om[-1]
     else:
         env.require_window(target, horizon)
         om = env.slice(target + 1, horizon)
-        absorbed, _, _ = _forward_absorbing(om, -target - 1, horizon)
-    cdf[1:] = np.cumsum(absorbed)
+        start, end, out = -target - 1, 0, 1.0 - om[0]
+    # mass of state k stepping onto the target on step k + 1
+    first = np.zeros(horizon)
+    for k, (mass, scale, _) in enumerate(_propagate(om, start, horizon - 1)):
+        first[k] = out * mass[end] * math.exp(scale)
+    cdf[1:] = np.cumsum(first)
     return cdf
 
 

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import rwre
+from rwre import experiments
 from rwre.cli import main as cli_main
 from rwre.experiments import ExperimentConfig, config_hash, load_config, run
 
@@ -238,6 +239,41 @@ class TestConfigErrors:
         assert code == 2
         assert "seed-offset" in err
 
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "unnormalized-law",
+            "malformed-law",
+            "non-utf8-law",
+            "law-is-directory",
+            "non-utf8-config",
+            "config-is-directory",
+        ],
+    )
+    def test_bad_input_file_exits_two(self, workdir, capsys, case):
+        dist = write_dist(workdir, FIG1)
+        if case == "unnormalized-law":
+            dist = write_dist(workdir, "0.25 0.1\n0.75 0.8\n", name="law.txt")
+        elif case == "malformed-law":
+            dist = write_dist(workdir, "0.25 0.1 7\n", name="law.txt")
+        elif case == "non-utf8-law":
+            dist = workdir / "law.txt"
+            dist.write_bytes(b"0.25 0.1\n0.75 0.9 # \xff\n")
+        elif case == "law-is-directory":
+            dist = workdir / "law.d"
+            dist.mkdir()
+        cfg = write_config(workdir, "kappa", {"distribution": dist.name})
+        if case == "non-utf8-config":
+            cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+        elif case == "config-is-directory":
+            cfg = workdir / "cfg.d"
+            cfg.mkdir()
+        code, out, err = run_cli(capsys, "kappa", cfg, workdir / "runs")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+
     def test_unknown_experiment_is_a_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:
             cli_main(["frobnicate", "--config", "x.ini"])
@@ -269,7 +305,62 @@ class TestRuntimeErrors:
         assert "n_samples" in manifest["error"]
 
 
+class TestManifest:
+    def test_echoes_params_effective_seeds_and_version(self, workdir, capsys):
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(
+            workdir,
+            "bridge-prob",
+            {"distribution": dist.name, "n_grid": "2,3", "seeds": "0,1"},
+        )
+        out_root = workdir / "runs"
+        code, _, _ = run_cli(
+            capsys, "bridge-prob", cfg, out_root, extra=("--seed-offset", "5")
+        )
+        assert code == 0
+        (run_dir,) = out_root.iterdir()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        params = manifest["params"]
+        assert params["seeds"] == [0, 1]
+        assert params["n_grid"] == [2, 3]
+        assert params["distribution"] == load_config(cfg, "bridge-prob")[
+            "distribution"
+        ].canonical_id()
+        assert manifest["effective_seeds"] == [5, 6]
+        assert manifest["versions"]["rwre"] == rwre.__version__
+
+    def test_records_any_runner_exception(self, workdir, monkeypatch):
+        def boom(cfg, run_dir):
+            raise RuntimeError("boom")
+
+        monkeypatch.setitem(experiments._RUNNERS, "kappa", boom)
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(workdir, "kappa", {"distribution": dist.name})
+        config = ExperimentConfig(
+            experiment="kappa",
+            params=load_config(cfg, "kappa"),
+            out_root=workdir / "runs",
+        )
+        with pytest.raises(RuntimeError, match="boom"):
+            run(config)
+        (run_dir,) = (workdir / "runs").iterdir()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "incomplete"
+        assert manifest["error"] == "RuntimeError: boom"
+
+
 class TestKappaExperiment:
+    def test_non_transient_law_writes_nan(self, workdir, capsys):
+        dist = write_dist(workdir, FAIR_POINT)
+        cfg = write_config(workdir, "kappa", {"distribution": dist.name})
+        out_root = workdir / "runs"
+        code, _, err = run_cli(capsys, "kappa", cfg, out_root)
+        assert code == 0 and err == ""
+        (run_dir,) = out_root.iterdir()
+        table = dict(read_rows(run_dir / "kappa.csv")[1])
+        assert table["speed"] == "nan"
+        assert table["rate0"] == "nan"
+
     def test_fig1_table(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)
         cfg = write_config(
@@ -769,15 +860,24 @@ class TestEveryCsvHasHeader:
             assert first and not first[0].isdigit()
 
 
-def console_script_target(name):
-    """The ``module:attr`` target of ``name`` in the repo's ``[project.scripts]``."""
+def load_pyproject():
+    """The repo's ``pyproject.toml`` as a dict."""
     try:
         import tomllib
     except ModuleNotFoundError:  # Python 3.10
         tomllib = pytest.importorskip("tomli")
     pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
     with pyproject.open("rb") as fh:
-        return tomllib.load(fh)["project"]["scripts"][name]
+        return tomllib.load(fh)
+
+
+def console_script_target(name):
+    """The ``module:attr`` target of ``name`` in the repo's ``[project.scripts]``."""
+    return load_pyproject()["project"]["scripts"][name]
+
+
+def test_pyproject_version_matches_package():
+    assert load_pyproject()["project"]["version"] == rwre.__version__
 
 
 def run_kappa(tmp_path, argv0):

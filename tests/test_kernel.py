@@ -211,6 +211,16 @@ class TestForwardTable:
         exact = oracles.exit_prob_dp(env, -3, 0, 4)
         assert absorbed_left == pytest.approx(exact, abs=1e-12)
 
+    @pytest.mark.parametrize("steps", [2000, 20000])
+    def test_absorbing_interior_equals_killing_table(self, steps):
+        # both boundary behaviors share one rescaled propagation, so the
+        # absorbing interior does not underflow on long horizons (at 20000
+        # steps its log-mass is below -3900, past the smallest double)
+        env = sample_environment(NESTLING_K2, 8, -4, 4)
+        absorbing = forward_table(env, steps, IntervalSpec(-3, 4, "absorbing"))
+        killing = forward_table(env, steps, IntervalSpec(-3, 4, "killing"))
+        assert np.array_equal(absorbing.log_mass[:, 1:-1], killing.log_mass)
+
     def test_start_must_be_interior(self):
         env = random_env(4, -5, 5)
         with pytest.raises(OrderingError):
