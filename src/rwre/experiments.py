@@ -337,6 +337,16 @@ def _validate(experiment: str, params: dict[str, Any]) -> None:
                 f"expect_regime: distribution classifies as {actual.value}, "
                 f"expected {expected.value}"
             )
+    trunc = params.get("truncation")
+    if trunc is not None and not 0.0 <= trunc < 1.0:
+        raise ConfigError("truncation must be auto, off or a number in [0, 1)")
+    if params.get("n_samples", 1) < 1:
+        raise ConfigError("n_samples must be at least 1")
+    if not 0 <= params.get("sampler_seed", 0) < _U64:
+        raise ConfigError("sampler_seed must lie in [0, 2^64)")
+    for key in ("export_paths", "cdf_points"):
+        if params.get(key, 0) < 0:
+            raise ConfigError(f"{key} must be nonnegative")
     if experiment == "confined":
         if ("m_grid" in params) == ("gamma" in params):
             raise ConfigError("confined: set exactly one of m_grid and gamma")
@@ -528,7 +538,8 @@ def _run_confined(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
 
     def work(task: tuple[int, int, int]) -> float:
         seed, n, m = task
-        env = sample_environment(dist, seed, -2 * n, 2 * n)
+        r = max(2 * n, m)
+        env = sample_environment(dist, seed, -r, r)
         steps = 2 * n if bridge else n
         return confined_log_prob(env, steps, m, require_bridge=bridge)
 
@@ -573,8 +584,6 @@ def _run_max_disp_exact(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
 def _run_sample_bridge(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
     dist = cfg.params[_DIST]
     n_samples = cfg.params.get("n_samples", 1000)
-    if n_samples < 1:
-        raise ConfigError("n_samples must be at least 1")
     base = cfg.params.get("sampler_seed", 0)
     export = cfg.params.get("export_paths", 1)
     seeds = cfg.effective_seeds()
@@ -796,14 +805,9 @@ def _run_conjecture(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
     def work(task: tuple[int, int]) -> list[tuple]:
         seed, n = task
         env = sample_environment(dist, seed, -2 * n, 2 * n)
-        bridge = bridge_log_prob(env, n)
-        out = []
-        for beta in betas:
-            m = max(1, round(n / math.log(n) ** beta))
-            conf = confined_log_prob(env, 2 * n, m, require_bridge=True)
-            p_exceed = min(1.0, max(0.0, 1.0 - math.exp(conf - bridge)))
-            out.append((seed, n, beta, m, p_exceed))
-        return out
+        ms = [max(1, round(n / math.log(n) ** beta)) for beta in betas]
+        cdf = max_disp_bridge_cdf(env, n, ms)
+        return [(seed, n, b, m, 1.0 - c) for b, m, c in zip(betas, ms, cdf)]
 
     results = _map_tasks(work, tasks, cfg.threads)
     rows = [row for chunk in results for row in chunk]

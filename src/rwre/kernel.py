@@ -84,7 +84,9 @@ class DpTable:
     ``k`` steps (summing to at most 1, and to exactly 1 for an
     unrestricted walk).  For ``kind == "backward"`` cell ``(k, x)`` is the
     probability that a walk sitting at ``x`` with ``n_steps - k`` steps
-    remaining finishes at the origin, and rows are not distributions.
+    remaining finishes at the origin, and rows are not distributions; a
+    backward table for a 2n-step bridge spans ``[-n - 1, n + 1]``, whose
+    two outer columns are ``-inf`` guards.
     """
 
     kind: str
@@ -324,6 +326,27 @@ def confined_log_prob(
     return _final_log(mass, scale, M - 1 if require_bridge else None)
 
 
+def _max_disp_cdf(env: Environment, n: int):
+    """``M -> P(max_k |X_k| < M | X_{2n} = 0)``: one bridge probability,
+    then one confined propagation per ``M <= n`` (``M > n`` gives 1)."""
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    env.require_window(-2 * n, 2 * n)
+    bridge_lp = bridge_log_prob(env, n)
+    if bridge_lp == -np.inf:
+        raise DegenerateBridgeError(
+            "conditioning event X_{2n} = 0 has zero probability"
+        )
+
+    def cdf(m: int) -> float:
+        if m > n:
+            return 1.0
+        joint = confined_log_prob(env, 2 * n, m, require_bridge=True)
+        return min(1.0, float(np.exp(joint - bridge_lp)))
+
+    return cdf
+
+
 def max_disp_bridge_cdf(
     env: Environment, n: int, m_values: np.ndarray | None = None
 ) -> np.ndarray:
@@ -341,28 +364,14 @@ def max_disp_bridge_cdf(
         If the bridge event itself has zero probability, which uniform
         ellipticity rules out for genuine environments.
     """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    env.require_window(-2 * n, 2 * n)
-    bridge_lp = bridge_log_prob(env, n)
-    if bridge_lp == -np.inf:
-        raise DegenerateBridgeError(
-            "conditioning event X_{2n} = 0 has zero probability"
-        )
     if m_values is None:
         ms = np.arange(1, 2 * n + 2)
     else:
         ms = np.asarray(m_values, dtype=np.int64)
         if ms.size == 0 or np.any(ms < 1):
             raise DomainError("m_values must be positive integers")
-    out = np.empty(ms.size)
-    for i, m in enumerate(ms):
-        if m > n:
-            out[i] = 1.0
-        else:
-            joint = confined_log_prob(env, 2 * n, int(m), require_bridge=True)
-            out[i] = min(1.0, float(np.exp(joint - bridge_lp)))
-    return out
+    cdf = _max_disp_cdf(env, n)
+    return np.array([cdf(int(m)) for m in ms])
 
 
 def bridge_max_quantile(env: Environment, n: int, q: float) -> int:
@@ -374,23 +383,11 @@ def bridge_max_quantile(env: Environment, n: int, q: float) -> int:
     """
     if not (0.0 < q < 1.0):
         raise DomainError("q must lie strictly between 0 and 1")
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    env.require_window(-2 * n, 2 * n)
-    bridge_lp = bridge_log_prob(env, n)
-    if bridge_lp == -np.inf:
-        raise DegenerateBridgeError(
-            "conditioning event X_{2n} = 0 has zero probability"
-        )
-
-    def cdf_at(m: int) -> float:
-        joint = confined_log_prob(env, 2 * n, m + 1, require_bridge=True)
-        return float(np.exp(joint - bridge_lp))
-
+    cdf = _max_disp_cdf(env, n)
     lo, hi = 1, n
     while lo < hi:
         mid = (lo + hi) // 2
-        if cdf_at(mid) >= q:
+        if cdf(mid + 1) >= q:
             hi = mid
         else:
             lo = mid + 1

@@ -32,7 +32,8 @@ from .environment import (
     mn_transform,
     rate_I0,
 )
-from .errors import DomainError, GapError, NotABridgeError, RegimeError
+from .errors import DomainError, GapError, RegimeError
+from .sampling import _bridge_sites
 
 __all__ = [
     "ComConstants",
@@ -47,19 +48,6 @@ __all__ = [
 # Exhaustive verification enumerates C(2n, n) paths; beyond this the count
 # is large enough that the check belongs in a sampler, not here.
 _MAX_ENUM_N = 8
-
-
-def _bridge_sites(path) -> np.ndarray:
-    sites = np.asarray(getattr(path, "sites", path), dtype=np.int64)
-    if sites.ndim != 1 or sites.size < 3 or sites.size % 2 == 0:
-        raise NotABridgeError(
-            f"a 2n-step bridge has an odd number of sites >= 3, got {sites.size}"
-        )
-    if sites[0] != 0 or sites[-1] != 0:
-        raise NotABridgeError("bridge must start and end at the origin")
-    if np.any(np.abs(np.diff(sites)) != 1):
-        raise NotABridgeError("consecutive sites must differ by exactly 1")
-    return sites
 
 
 def b_count(env: Environment, path) -> int:

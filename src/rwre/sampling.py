@@ -50,26 +50,40 @@ class BridgePath:
     seed: int
 
     def __post_init__(self):
-        s = np.asarray(self.sites, dtype=np.int64)
-        if s.size != 2 * self.n + 1:
+        object.__setattr__(self, "sites", _bridge_sites(self.sites, self.n))
+
+
+def _bridge_sites(path, n: int | None = None) -> np.ndarray:
+    """Validated sites of a :class:`BridgePath` or raw site sequence: a
+    unit-step walk from 0 to 0 with ``2n + 1`` sites (any odd count >= 3
+    when ``n`` is None)."""
+    sites = np.asarray(getattr(path, "sites", path), dtype=np.int64)
+    if n is not None:
+        if sites.shape != (2 * n + 1,):
             raise NotABridgeError(
-                f"expected {2 * self.n + 1} sites for n={self.n}, got {s.size}"
+                f"expected {2 * n + 1} sites for n={n}, got {sites.size}"
             )
-        if s[0] != 0 or s[-1] != 0:
-            raise NotABridgeError("bridge must start and end at the origin")
-        if np.any(np.abs(np.diff(s)) != 1):
-            raise NotABridgeError("consecutive sites must differ by exactly 1")
-        object.__setattr__(self, "sites", s)
+    elif sites.ndim != 1 or sites.size < 3 or sites.size % 2 == 0:
+        raise NotABridgeError(
+            f"a 2n-step bridge has an odd number of sites >= 3, got {sites.size}"
+        )
+    if sites[0] != 0 or sites[-1] != 0:
+        raise NotABridgeError("bridge must start and end at the origin")
+    if np.any(np.abs(np.diff(sites)) != 1):
+        raise NotABridgeError("consecutive sites must differ by exactly 1")
+    return sites
 
 
 def backward_table(env: Environment, n: int) -> DpTable:
     """Log probabilities of finishing at the origin, for every step and site.
 
     Cell ``(k, x)`` holds ``log P(X_{2n} = 0 | X_k = x)`` for sites in
-    ``[-n, n]``.  Values are exact for every cell inside the double cone
-    ``|x| <= min(k, 2n - k)`` -- the only cells a bridge can occupy; cells
-    outside it may be underestimated because their walks would need sites
-    beyond the stored range.
+    ``[-n - 1, n + 1]``.  Values are exact for every cell inside the double
+    cone ``|x| <= min(k, 2n - k)`` -- the only cells a bridge can occupy;
+    cells outside it may be underestimated because their walks would need
+    sites beyond ``[-n, n]``.  The two guard columns at ``+-(n + 1)``, which
+    no bridge reaches, hold ``-inf``, so the sampler reads the neighbours
+    ``x +- 1`` of any bridge site in place.
 
     The environment window must cover ``[-2n, 2n]``.
     """
@@ -77,25 +91,21 @@ def backward_table(env: Environment, n: int) -> DpTable:
         raise DomainError("n must be at least 1")
     env.require_window(-2 * n, 2 * n)
     om = env.slice(-n, n)
-    w = om.size
+    w = om.size + 2
     _check_table_size(2 * n, w)
     with np.errstate(divide="ignore"):
         log_p = np.log(om)
         log_q = np.log1p(-om)
     h = np.full((2 * n + 1, w), -np.inf)
-    h[2 * n, n] = 0.0
-    via_right = np.full(w, -np.inf)
-    via_left = np.full(w, -np.inf)
+    h[2 * n, n + 1] = 0.0
     for k in range(2 * n - 1, -1, -1):
         nxt = h[k + 1]
-        via_right[:-1] = log_p[:-1] + nxt[1:]
-        via_left[1:] = log_q[1:] + nxt[:-1]
-        np.logaddexp(via_right, via_left, out=h[k])
-    if h[0, n] == -np.inf:
+        np.logaddexp(log_p + nxt[2:], log_q + nxt[:-2], out=h[k, 1:-1])
+    if h[0, n + 1] == -np.inf:
         raise DegenerateBridgeError(
             "conditioning event X_{2n} = 0 has zero probability"
         )
-    return DpTable("backward", 2 * n, -n, n, h)
+    return DpTable("backward", 2 * n, -n - 1, n + 1, h)
 
 
 def _sample_batch(
@@ -118,10 +128,8 @@ def _sample_batch(
         raise DomainError("table does not match the requested bridge length")
     om = env.slice(-n, n)
     omega_min = env.omega_min
-    w = om.size
-    # pad with -inf columns so x +- 1 lookups never leave the array
-    hpad = np.full((2 * n + 1, w + 2), -np.inf)
-    hpad[:, 1:-1] = table.log_mass
+    # the guard columns let x +- 1 lookups read the table in place
+    h = table.log_mass
     with np.errstate(divide="ignore"):
         log_p = np.log(om)
         log_q = np.log1p(-om)
@@ -135,9 +143,9 @@ def _sample_batch(
     with np.errstate(invalid="ignore"):
         for k in range(2 * n):
             i = pos + n
-            here = hpad[k, i + 1]
-            pr = np.exp(log_p[i] + hpad[k + 1, i + 2] - here)
-            pl = np.exp(log_q[i] + hpad[k + 1, i] - here)
+            here = h[k, i + 1]
+            pr = np.exp(log_p[i] + h[k + 1, i + 2] - here)
+            pl = np.exp(log_q[i] + h[k + 1, i] - here)
             pr = pr / (pr + pl)
             b_counts += om[i] > omega_min
             go_right = rng.random(n_samples) < pr

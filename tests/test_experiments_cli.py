@@ -274,6 +274,34 @@ class TestConfigErrors:
         assert err.startswith("error:")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "experiment,key,value",
+        [
+            ("sample-bridge", "n_samples", "0"),
+            ("sample-bridge", "sampler_seed", "-1"),
+            ("sample-bridge", "sampler_seed", str(2**64)),
+            ("sample-bridge", "export_paths", "-1"),
+            ("max-disp-exact", "cdf_points", "-1"),
+            ("bridge-prob", "truncation", "nan"),
+            ("bridge-prob", "truncation", "-1"),
+            ("bridge-prob", "truncation", "5"),
+        ],
+    )
+    def test_out_of_range_value_exits_two(self, workdir, capsys, experiment, key, value):
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(
+            workdir,
+            experiment,
+            {"distribution": dist.name, "n_grid": "2", "seeds": "0", key: value},
+        )
+        out_root = workdir / "runs"
+        code, out, err = run_cli(capsys, experiment, cfg, out_root)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert key in err
+        assert not out_root.exists()
+
     def test_unknown_experiment_is_a_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:
             cli_main(["frobnicate", "--config", "x.ini"])
@@ -288,9 +316,8 @@ class TestRuntimeErrors:
             "sample-bridge",
             {
                 "distribution": dist.name,
-                "n_grid": "2",
+                "n_grid": "7000",
                 "seeds": "0",
-                "n_samples": "0",
             },
         )
         out_root = workdir / "runs"
@@ -302,7 +329,7 @@ class TestRuntimeErrors:
         (run_dir,) = out_root.iterdir()
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
-        assert "n_samples" in manifest["error"]
+        assert "materialization cap" in manifest["error"]
 
 
 class TestManifest:
@@ -560,6 +587,22 @@ class TestConfinedExperiment:
         (run_dir,) = out_root.iterdir()
         _, rows = read_rows(run_dir / "confined.csv")
         assert [r[2] for r in rows] == ["4", "8"]  # round(n**0.5)
+
+    def test_strip_wider_than_the_bridge_window(self, workdir, capsys):
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(
+            workdir,
+            "confined",
+            {"distribution": dist.name, "n_grid": "4", "seeds": "0", "m_grid": "3,100"},
+        )
+        out_root = workdir / "runs"
+        assert run_cli(capsys, "confined", cfg, out_root)[0] == 0
+        (run_dir,) = out_root.iterdir()
+        _, rows = read_rows(run_dir / "confined.csv")
+        env = rwre.sample_environment(rwre.load_distribution(dist), 0, -8, 8)
+        assert rows[0] == ["0", "4", "3", "%.17g" % rwre.confined_log_prob(env, 4, 3)]
+        assert rows[1][2] == "100"
+        assert abs(float(rows[1][3])) < 1e-12  # 4 steps never reach +-100
 
 
 class TestMaxDispExperiment:
@@ -843,6 +886,50 @@ class TestConjectureExperiment:
         for row in rows:
             assert 0.0 <= float(row[4]) <= 1.0
 
+    def test_strip_beyond_n_never_exceeded(self, workdir, capsys):
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(
+            workdir,
+            "conjecture-explore",
+            {
+                "distribution": dist.name,
+                "n_grid": "2,3",
+                "seeds": "0",
+                "beta_grid": "0.5,3.0",
+            },
+        )
+        out_root = workdir / "runs"
+        assert run_cli(capsys, "conjecture-explore", cfg, out_root)[0] == 0
+        (run_dir,) = out_root.iterdir()
+        _, rows = read_rows(run_dir / "conjecture.csv")
+        beyond = [r for r in rows if int(r[3]) > int(r[1])]
+        assert [r[:4] for r in beyond] == [["0", "2", "3", "6"]]
+        assert beyond[0][4] == "0"
+
+    def test_p_exceed_is_one_minus_the_exact_cdf(self, workdir, capsys):
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(
+            workdir,
+            "conjecture-explore",
+            {
+                "distribution": dist.name,
+                "n_grid": "2,5,9",
+                "seeds": "0,3",
+                "beta_grid": "0.5,1.0,2.0",
+            },
+        )
+        out_root = workdir / "runs"
+        assert run_cli(capsys, "conjecture-explore", cfg, out_root)[0] == 0
+        (run_dir,) = out_root.iterdir()
+        _, rows = read_rows(run_dir / "conjecture.csv")
+        law = rwre.load_distribution(dist)
+        assert len(rows) == 18
+        for seed, n, _, m, p_exceed in rows:
+            seed, n, m = int(seed), int(n), int(m)
+            env = rwre.sample_environment(law, seed, -2 * n, 2 * n)
+            cdf = rwre.max_disp_bridge_cdf(env, n, [m])
+            assert p_exceed == "%.17g" % (1.0 - cdf[0])
+
 
 class TestEveryCsvHasHeader:
     def test_headers_are_non_numeric(self, workdir, capsys):
@@ -858,6 +945,19 @@ class TestEveryCsvHasHeader:
         for csv in run_dir.glob("*.csv"):
             first = csv.read_text(encoding="utf-8").splitlines()[0]
             assert first and not first[0].isdigit()
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted((Path(__file__).resolve().parents[1] / "demos" / "configs").glob("*.ini")),
+    ids=lambda p: p.name,
+)
+def test_shipped_config_loads(path):
+    (section,) = [
+        line.strip("[]") for line in path.read_text(encoding="utf-8").splitlines()
+        if line.startswith("[")
+    ]
+    assert load_config(path, section)
 
 
 def load_pyproject():

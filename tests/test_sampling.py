@@ -61,6 +61,14 @@ class TestBackwardTable:
                 if abs(x) > remaining or (x - k) % 2 != 0:
                     assert table.log_at(k, x) == -np.inf
 
+    def test_guard_columns_are_impossible(self):
+        env = random_env(5, -10, 10)
+        n = 5
+        table = backward_table(env, n)
+        for k in range(2 * n + 1):
+            assert table.log_at(k, -n - 1) == -np.inf
+            assert table.log_at(k, n + 1) == -np.inf
+
     def test_terminal_row(self):
         env = random_env(2, -6, 6)
         table = backward_table(env, 3)
