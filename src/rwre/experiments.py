@@ -67,7 +67,9 @@ from .kernel import (
     max_disp_bridge_cdf,
 )
 from .measure_change import verify_com_identity
-from .sampling import backward_table, max_disp_samples, sample_bridge
+# backward_table is no longer called here, but perfbench's tracer patches
+# the sampler's layers under these names
+from .sampling import _step_table, backward_table, max_disp_samples, sample_bridge
 
 __all__ = ["ExperimentConfig", "EXPERIMENT_NAMES", "load_config", "run"]
 
@@ -593,7 +595,7 @@ def _run_sample_bridge(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
     def work(task: tuple[int, int]):
         seed, n = task
         env = sample_environment(dist, seed, -2 * n, 2 * n)
-        table = backward_table(env, n)
+        table = _step_table(env, n)
         draws = max_disp_samples(
             env, n, n_samples, _derived_seed(base, seed, n, 0), table=table
         )

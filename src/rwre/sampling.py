@@ -1,15 +1,19 @@
 """Exact sampling of environment-conditioned bridges.
 
 A 2n-step bridge is a walk conditioned to return to the origin.  Sampling
-is done by the usual two-pass construction: a backward pass tabulates, for
-every step and site, the probability of finishing at the origin from
-there; the forward pass then walks step by step with transition
-probabilities reweighted by that table.  Both passes are exact, so the
+is done by the usual two-pass construction.  A backward recursion in the
+log domain gives, for every step and site, the probability of finishing
+at the origin from there; folding two consecutive rows of it gives the
+conditioned probability of stepping right, so the bridge becomes an
+ordinary forward Markov chain.  The forward pass walks that chain with one
+uniform draw and one comparison per step.  Both passes are exact, so the
 sampled paths follow the quenched conditional law with no approximation
 beyond floating point.
 
-The backward table costs O(n^2) time and memory once per (environment, n)
-and each sampled path costs O(n), with batches vectorized across samples.
+The step table costs O(n^2) time and memory once per (environment, n):
+the recursion keeps two rolling log rows and visits only the cells of the
+bridge's double cone.  Each sampled path costs O(n), with batches
+vectorized across samples.
 """
 
 from __future__ import annotations
@@ -82,8 +86,8 @@ def backward_table(env: Environment, n: int) -> DpTable:
     cone ``|x| <= min(k, 2n - k)`` -- the only cells a bridge can occupy;
     cells outside it may be underestimated because their walks would need
     sites beyond ``[-n, n]``.  The two guard columns at ``+-(n + 1)``, which
-    no bridge reaches, hold ``-inf``, so the sampler reads the neighbours
-    ``x +- 1`` of any bridge site in place.
+    no bridge reaches, hold ``-inf``, so the sampler's step-table fold
+    reads the neighbours ``x +- 1`` of any bridge site in place.
 
     The environment window must cover ``[-2n, 2n]``.
     """
@@ -108,12 +112,100 @@ def backward_table(env: Environment, n: int) -> DpTable:
     return DpTable("backward", 2 * n, -n - 1, n + 1, h)
 
 
+# Batch uniforms are drawn this many steps per rng call.  A (block,
+# n_samples) draw fills row by row, so paths do not depend on the block
+# size; a small block keeps the draw buffer, and peak memory, small.
+_DRAW_BLOCK = 8
+
+
+@dataclass(frozen=True, eq=False)
+class _StepTable:
+    """Conditioned right-step probabilities of a 2n-step bridge.
+
+    ``p_right[k, j]`` is the probability that the bridge steps right at
+    step ``k`` after ``j`` right steps, i.e. from site ``2j - k``.  Only the
+    cells of the double cone ``max(0, k - n) <= j <= min(k, n)`` (sites
+    ``|x| <= min(k, 2n - k)``) are filled; no bridge reads the others.
+    """
+
+    n: int
+    p_right: np.ndarray
+
+
+def _step_table(env: Environment, n: int, table: DpTable | None = None) -> _StepTable:
+    """Fold backward log rows into the step table of a 2n-step bridge.
+
+    Row k needs only the log rows k and k + 1.  They are read from
+    ``table`` when one is given; otherwise one backward recursion keeps
+    two rolling rows and computes only cone cells, which equal the
+    matching cells of :func:`backward_table` bit for bit.  Each row is
+    folded by the same expressions, so both sources give identical tables.
+    """
+    if n < 1:
+        raise DomainError("n must be at least 1")
+    if table is not None and (table.kind != "backward" or table.n_steps != 2 * n):
+        raise DomainError("table does not match the requested bridge length")
+    env.require_window(-2 * n, 2 * n)
+    # the step table is smaller than a backward table, but the sampler
+    # accepts the same bridge lengths
+    _check_table_size(2 * n, 2 * n + 3)
+    om = env.slice(-n, n)
+    p_right = np.empty((2 * n, n + 1))
+    # h[k % 2, j] holds log P(X_{2n} = 0 | X_k = 2j - k); column n + 1 and
+    # every cell outside the cone stay -inf
+    h = np.full((2, n + 2), -np.inf)
+    h[0, n] = 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p = np.log(om)
+        log_q = np.log1p(-om)
+        for k in range(2 * n - 1, -1, -1):
+            lo, hi = max(0, k - n), min(k, n)
+            # indices x + n of the row's sites x = 2j - k
+            i = slice(2 * lo - k + n, 2 * hi - k + n + 1, 2)
+            if table is None:
+                nxt, here = h[(k + 1) % 2, lo : hi + 2], h[k % 2, lo : hi + 1]
+            else:
+                # the table's column of site x is x + n + 1
+                nxt = table.log_mass[k + 1, i.start : i.stop + 2 : 2]
+                here = table.log_mass[k, i.start + 1 : i.stop + 1 : 2]
+            up = log_p[i] + nxt[1:]
+            down = log_q[i] + nxt[:-1]
+            if table is None:
+                np.logaddexp(up, down, out=here)
+            pr = np.exp(up - here)
+            pl = np.exp(down - here)
+            p_right[k, lo : hi + 1] = pr / (pr + pl)
+    if here[0] == -np.inf:
+        raise DegenerateBridgeError(
+            "conditioning event X_{2n} = 0 has zero probability"
+        )
+    return _StepTable(n, p_right)
+
+
+def _sampler_inputs(
+    env: Environment, n: int, seed: int, table: DpTable | _StepTable | None
+) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
+    """Validated ``(rng, p_right, trap)`` for sampling 2n-step bridges.
+
+    ``trap[x + n]`` flags the sites ``|x| <= n`` whose transition
+    probability exceeds the law's minimal support value.
+    """
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    if not isinstance(table, _StepTable):
+        table = _step_table(env, n, table)
+    elif table.n != n:
+        raise DomainError("table does not match the requested bridge length")
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    return rng, table.p_right, env.slice(-n, n) > env.omega_min
+
+
 def _sample_batch(
     env: Environment,
     n: int,
     n_samples: int,
     seed: int,
-    table: DpTable | None,
+    table: DpTable | _StepTable | None,
     keep_paths: bool,
 ):
     """Vectorized forward pass; returns (paths or None, max_abs, b_counts).
@@ -122,42 +214,28 @@ def _sample_batch(
     seed's stream, so results for a given (env, n, n_samples, seed) are
     reproducible and independent of batching by the caller.
     """
-    if table is None:
-        table = backward_table(env, n)
-    if table.kind != "backward" or table.n_steps != 2 * n:
-        raise DomainError("table does not match the requested bridge length")
-    om = env.slice(-n, n)
-    omega_min = env.omega_min
-    # the guard columns let x +- 1 lookups read the table in place
-    h = table.log_mass
-    with np.errstate(divide="ignore"):
-        log_p = np.log(om)
-        log_q = np.log1p(-om)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    pos = np.zeros(n_samples, dtype=np.int64)
+    rng, p_right, trap = _sampler_inputs(env, n, seed, table)
+    right = np.zeros(n_samples, dtype=np.int64)
+    site = np.zeros(n_samples, dtype=np.int64)
     max_abs = np.zeros(n_samples, dtype=np.int64)
     b_counts = np.zeros(n_samples, dtype=np.int64)
     paths = None
     if keep_paths:
         paths = np.zeros((n_samples, 2 * n + 1), dtype=np.int32)
-    with np.errstate(invalid="ignore"):
-        for k in range(2 * n):
-            i = pos + n
-            here = h[k, i + 1]
-            pr = np.exp(log_p[i] + h[k + 1, i + 2] - here)
-            pl = np.exp(log_q[i] + h[k + 1, i] - here)
-            pr = pr / (pr + pl)
-            b_counts += om[i] > omega_min
-            go_right = rng.random(n_samples) < pr
-            pos = pos + np.where(go_right, 1, -1)
-            np.maximum(max_abs, np.abs(pos), out=max_abs)
-            if keep_paths:
-                paths[:, k + 1] = pos
+    for k in range(2 * n):
+        if k % _DRAW_BLOCK == 0:
+            u = rng.random((min(_DRAW_BLOCK, 2 * n - k), n_samples))
+        b_counts += trap[site + n]
+        right += u[k % _DRAW_BLOCK] < p_right[k][right]
+        site = 2 * right - (k + 1)
+        np.maximum(max_abs, np.abs(site), out=max_abs)
+        if keep_paths:
+            paths[:, k + 1] = site
     return paths, max_abs, b_counts
 
 
 def sample_bridge(
-    env: Environment, n: int, seed: int, table: DpTable | None = None
+    env: Environment, n: int, seed: int, table: DpTable | _StepTable | None = None
 ) -> BridgePath:
     """Draw one 2n-step bridge from the quenched conditional law.
 
@@ -168,18 +246,27 @@ def sample_bridge(
     n : int
         Half length of the bridge.
     seed : int
-        Sampling stream key; environments and samplers use separate
-        streams, so reusing an environment seed here is harmless.
+        Sampling stream key in ``[0, 2^64)``; environments and samplers use
+        separate streams, so reusing an environment seed here is harmless.
     table : DpTable, optional
-        Precomputed :func:`backward_table` for this (env, n); passing it
-        amortizes the quadratic preparation across many samples.
+        Precomputed :func:`backward_table` for this (env, n), which spares
+        the log-domain recursion but is still folded, in O(n^2), into a
+        step table on every call; or the sampler's own step table for
+        (env, n), which is used as is.
     """
-    paths, max_abs, b_counts = _sample_batch(env, n, 1, seed, table, True)
+    rng, p_right, trap = _sampler_inputs(env, n, seed, table)
+    right = 0
+    sites = [0]
+    for k, u in enumerate(rng.random(2 * n).tolist()):
+        if u < p_right[k][right]:
+            right += 1
+        sites.append(2 * right - (k + 1))
+    sites = np.array(sites, dtype=np.int64)
     return BridgePath(
         n=n,
-        sites=paths[0].astype(np.int64),
-        max_abs=int(max_abs[0]),
-        b_count=int(b_counts[0]),
+        sites=sites,
+        max_abs=int(np.abs(sites).max()),
+        b_count=int(np.count_nonzero(trap[sites[:-1] + n])),
         seed=seed,
     )
 
@@ -189,7 +276,7 @@ def sample_bridge_paths(
     n: int,
     n_samples: int,
     seed: int,
-    table: DpTable | None = None,
+    table: DpTable | _StepTable | None = None,
 ) -> np.ndarray:
     """Draw a batch of bridges and return their full site sequences.
 
@@ -225,6 +312,8 @@ class MaxDispSamples:
 
     def quantile(self, q: float) -> int:
         """Smallest m whose empirical CDF reaches q (inverse-CDF convention)."""
+        if not 0.0 <= q <= 1.0:
+            raise DomainError(f"quantile level must lie in [0, 1], got {q!r}")
         return int(np.quantile(self._sorted, q, method="inverted_cdf"))
 
     @property
@@ -252,7 +341,7 @@ def max_disp_samples(
     n: int,
     n_samples: int,
     seed: int,
-    table: DpTable | None = None,
+    table: DpTable | _StepTable | None = None,
 ) -> MaxDispSamples:
     """Sample ``n_samples`` bridges and collect their maximal displacements.
 

@@ -684,6 +684,27 @@ class TestSampleBridgeExperiment:
             assert sites[0] == sites[-1] == 0
             assert all(abs(a - b) == 1 for a, b in zip(sites, sites[1:]))
 
+    def test_builds_no_backward_log_table(self, workdir, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sample-bridge built a backward log table")
+
+        monkeypatch.setattr(rwre.sampling, "backward_table", refuse)
+        monkeypatch.setattr(experiments, "backward_table", refuse)
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(
+            workdir,
+            "sample-bridge",
+            {
+                "distribution": dist.name,
+                "n_grid": "3, 5",
+                "seeds": "0, 1",
+                "n_samples": "20",
+                "export_paths": "2",
+            },
+        )
+        out_root = workdir / "runs"
+        assert run_cli(capsys, "sample-bridge", cfg, out_root)[0] == 0
+
     def test_thread_invariance_of_sampled_output(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)
         cfg = write_config(

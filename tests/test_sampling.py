@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,9 +10,12 @@ import pytest
 
 import oracles
 from conftest import NESTLING_K2, NON_NESTLING, homogeneous_env
+import rwre.kernel
 from rwre import (
     BridgePath,
+    DegenerateBridgeError,
     DomainError,
+    Environment,
     NotABridgeError,
     b_count,
     backward_table,
@@ -22,6 +26,7 @@ from rwre import (
     sample_bridge_paths,
     sample_environment,
 )
+from rwre.sampling import _step_table
 
 
 def random_env(seed: int, lo: int, hi: int):
@@ -79,6 +84,157 @@ class TestBackwardTable:
         env = random_env(2, -6, 6)
         with pytest.raises(DomainError):
             backward_table(env, 0)
+
+
+def stream_digest(*arrays) -> str:
+    """SHA-256 of integer arrays as little-endian int64, in order."""
+    digest = hashlib.sha256()
+    for a in arrays:
+        digest.update(np.asarray(a, dtype="<i8").tobytes())
+    return digest.hexdigest()
+
+
+def folded_row(env, n, h, k):
+    """Right-step probabilities of the cone sites of step k, by the
+    per-sample expressions of the log-table sampler on a backward table."""
+    om = env.slice(-n, n)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        log_p, log_q = np.log(om), np.log1p(-om)
+        c = min(k, 2 * n - k)
+        i = np.arange(-c, c + 1, 2) + n
+        here = h[k, i + 1]
+        pr = np.exp(log_p[i] + h[k + 1, i + 2] - here)
+        pl = np.exp(log_q[i] + h[k + 1, i] - here)
+        return pr / (pr + pl)
+
+
+class TestStepTable:
+    @pytest.mark.parametrize("n", [1, 2, 5, 40])
+    def test_cone_cells_match_the_backward_table_bit_for_bit(self, n):
+        rng = np.random.default_rng(n)
+        omegas = rng.uniform(0.05, 0.95, 4 * n + 1)
+        # one-way sites put NaN cells (never visited) inside the cone
+        omegas[rng.integers(0, 4 * n + 1, 2)] = 1.0
+        omegas[2 * n] = 0.5
+        envs = [
+            Environment(-2 * n, omegas),
+            sample_environment(NESTLING_K2, n, -2 * n, 2 * n),
+            homogeneous_env(0.5, -2 * n, 2 * n),
+        ]
+        for env in envs:
+            table = backward_table(env, n)
+            recursed = _step_table(env, n).p_right
+            folded = _step_table(env, n, table).p_right
+            for k in range(2 * n):
+                lo, hi = max(0, k - n), min(k, n)
+                expected = folded_row(env, n, table.log_mass, k)
+                assert np.array_equal(recursed[k, lo : hi + 1], expected, equal_nan=True)
+                assert np.array_equal(folded[k, lo : hi + 1], expected, equal_nan=True)
+
+    def test_degenerate_bridge_detected(self):
+        env = Environment(-4, np.ones(9))  # every step forced right
+        with pytest.raises(DegenerateBridgeError):
+            _step_table(env, 2)
+        with pytest.raises(DegenerateBridgeError):
+            sample_bridge(env, 2, 0)
+
+    def test_size_cap_matches_backward_table(self, monkeypatch):
+        env = random_env(3, -16, 16)
+        monkeypatch.setattr(rwre.kernel, "_MAX_TABLE_ENTRIES", 17 * 19)
+        backward_table(env, 8)
+        _step_table(env, 8)
+        monkeypatch.setattr(rwre.kernel, "_MAX_TABLE_ENTRIES", 17 * 19 - 1)
+        for build in (backward_table, _step_table):
+            with pytest.raises(DomainError, match="materialization cap"):
+                build(env, 8)
+
+
+class TestGoldenStream:
+    """Digests recorded from the log-table sampler that preceded the step
+    table; the same seeds must keep drawing the same bridges."""
+
+    N = 64
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        return sample_environment(NESTLING_K2, 0, -128, 128)
+
+    @pytest.mark.parametrize(
+        "seed,paths_digest,maxdisp_digest",
+        [
+            (
+                0,
+                "05cbd7dd495759db66c6548a8578749105ce336051c424c5ff79ba35e4d99598",
+                "46b2d013ec1b85ea60cfdc16a334ddb96439ee67672d38f832a09be6b77abcbd",
+            ),
+            (
+                2**64 - 1,
+                "4ce288a99dacde7cd7b824beff4f66965b4e7dd2317bf6a86efd4fc7a5f8a1f0",
+                "fffcfb207a235eda09868f43e7e15cef3726751eba456bd3c724bc3af89487a4",
+            ),
+        ],
+    )
+    def test_batches(self, env, seed, paths_digest, maxdisp_digest):
+        paths = sample_bridge_paths(env, self.N, 32, seed)
+        assert stream_digest(paths) == paths_digest
+        s = max_disp_samples(env, self.N, 32, seed)
+        assert stream_digest(s.max_abs, s.b_counts) == maxdisp_digest
+
+    @pytest.mark.parametrize(
+        "seed,digest,max_abs,b",
+        [
+            (1, "12d823b5ee8e66fd976efd9db56f1d7f6e503819772652b623853eac2aca0bf5", 7, 88),
+            (2, "3bf186fc7810723f7e22e5fc878c428eb135619a746cfa18322211feab4b655c", 5, 103),
+            (3, "3253347d5c7fa66d73589e3ae50aae0c60f125c6bc49265b6d0e15f88d2b2a58", 5, 95),
+        ],
+    )
+    def test_single_paths(self, env, seed, digest, max_abs, b):
+        path = sample_bridge(env, self.N, seed)
+        assert stream_digest(path.sites) == digest
+        assert (path.max_abs, path.b_count) == (max_abs, b)
+
+    def test_every_table_source_draws_the_same_paths(self, env):
+        n = self.N
+        sources = [None, backward_table(env, n), _step_table(env, n)]
+        batches = [sample_bridge_paths(env, n, 16, 11, table=t) for t in sources]
+        singles = [sample_bridge(env, n, 12, table=t).sites for t in sources]
+        draws = [max_disp_samples(env, n, 16, 13, table=t) for t in sources]
+        for i in (1, 2):
+            assert np.array_equal(batches[i], batches[0])
+            assert np.array_equal(singles[i], singles[0])
+            assert np.array_equal(draws[i].max_abs, draws[0].max_abs)
+            assert np.array_equal(draws[i].b_counts, draws[0].b_counts)
+
+    def test_step_table_for_another_length_rejected(self, env):
+        table = _step_table(env, self.N - 1)
+        with pytest.raises(DomainError):
+            sample_bridge(env, self.N, 0, table=table)
+        with pytest.raises(DomainError):
+            sample_bridge_paths(env, self.N, 2, 0, table=table)
+        with pytest.raises(DomainError):
+            max_disp_samples(env, self.N, 2, 0, table=table)
+
+
+class TestSeedContract:
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        env = random_env(2, -8, 8)
+        with pytest.raises(DomainError, match="seed"):
+            sample_bridge(env, 3, seed)
+        with pytest.raises(DomainError, match="seed"):
+            sample_bridge_paths(env, 3, 4, seed)
+        with pytest.raises(DomainError, match="seed"):
+            max_disp_samples(env, 3, 4, seed)
+
+    def test_numpy_integer_seed_is_the_same_stream(self):
+        env = random_env(2, -8, 8)
+        top = 2**64 - 1
+        assert np.array_equal(
+            sample_bridge(env, 3, np.uint64(top)).sites, sample_bridge(env, 3, top).sites
+        )
+        assert np.array_equal(
+            sample_bridge_paths(env, 3, 5, np.int64(7)), sample_bridge_paths(env, 3, 5, 7)
+        )
 
 
 class TestSampleBridge:
@@ -251,6 +407,12 @@ class TestMaxDispSamples:
         exact = max_disp_bridge_cdf(env, n, m_values=ms + 1)
         band = s.dkw_halfwidth(0.99)
         assert np.max(np.abs(s.ecdf(ms) - exact)) <= band
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01, float("nan")])
+    def test_quantile_level_outside_unit_interval_rejected(self, q):
+        s = max_disp_samples(random_env(2, -8, 8), 3, 10, seed=1)
+        with pytest.raises(DomainError):
+            s.quantile(q)
 
     def test_quantile_is_inverse_ecdf(self):
         env = sample_environment(NESTLING_K2, 23, -12, 12)
