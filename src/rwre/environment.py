@@ -466,6 +466,14 @@ class Environment:
         )
 
 
+def _check_seed(seed: int) -> int:
+    """The Philox key for ``seed``: an integer (not a bool) in ``[0, 2^64)``."""
+    if isinstance(seed, (int, np.integer)) and not isinstance(seed, bool):
+        if 0 <= int(seed) < 2**64:
+            return int(seed)
+    raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+
+
 def sample_environment(
     dist: SiteDistribution, seed: int, lo: int, hi: int
 ) -> Environment:
@@ -486,8 +494,7 @@ def sample_environment(
     """
     if lo > hi:
         raise DomainError(f"empty site range [{lo}, {hi}]")
-    if not (0 <= seed < 2**64):
-        raise DomainError("seed must fit in an unsigned 64-bit integer")
+    seed = _check_seed(seed)
     base = lo + _SITE_STREAM_OFFSET
     if base < 0:
         raise DomainError(f"site index {lo} below supported range")

@@ -1,24 +1,26 @@
 """Reproducible experiment harness behind the ``rwre`` command line.
 
 Each experiment reads a line-oriented ``key = value`` config file
-(INI sections named after the experiment), runs a deterministic sweep
-over seeds and walk lengths, and writes headered CSV files plus a
-``manifest.json`` sidecar into a fresh run directory named
-``<experiment>-<UTC timestamp>-<config hash prefix>``.  Identical
-configs produce byte-identical CSVs; the manifest records the config
-hash, parameter echo, effective seeds, package versions, and wall time,
-and is flipped from ``incomplete`` to ``complete`` only when every
-output has been written.
+(INI sections named after the experiment; one table maps every key to
+its parser), runs a deterministic sweep over seeds and walk lengths,
+and writes headered CSV files plus a ``manifest.json`` sidecar into a
+fresh run directory named ``<experiment>-<UTC timestamp>-<config hash
+prefix>``.  Identical configs produce byte-identical CSVs; the manifest
+records the config hash, parameter echo, effective seeds, package
+versions, wall time, any error, and (``bridge-prob``, ``scaling``) the
+largest truncation bound, and is flipped from ``incomplete`` to
+``complete`` only when every output has been written.
 
 Floats are written with 17 significant digits (``%.17g``) and ``\\n``
 line endings so outputs are bit-reproducible across platforms.  The one
 exception is the ``kappa`` row of the ``kappa`` experiment, which uses
 12 fixed decimals.
 
-Environments are sampled with counter-based per-site keying, so the
-realization attached to a seed is identical no matter which window an
-individual task requests: one environment per seed, reused across the
-whole n-grid.
+Every seeded experiment runs its ``(seed, ...)`` tasks through one loop,
+:func:`_map_seeded`, which samples each task's environment and keeps
+task order at any thread count.  Environments use counter-based
+per-site keying, so a seed's realization is the same whatever window
+a task requests.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -74,6 +77,7 @@ from .sampling import _step_table, backward_table, max_disp_samples, sample_brid
 __all__ = ["ExperimentConfig", "EXPERIMENT_NAMES", "load_config", "run"]
 
 _U64 = 1 << 64
+_MAX_LIST = 1_000_000  # entries an integer list may expand to
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +119,8 @@ def _parse_int_list(key: str, raw: str) -> list[int]:
             lo, hi = _parse_int(key, lo_s), _parse_int(key, hi_s)
             if hi < lo:
                 raise ConfigError(f"{key}: empty range {piece!r}")
+            if len(out) + hi - lo >= _MAX_LIST:
+                raise ConfigError(f"{key}: more than {_MAX_LIST} entries")
             out.extend(range(lo, hi + 1))
         else:
             out.append(_parse_int(key, piece))
@@ -169,92 +175,75 @@ def _parse_regime(key: str, raw: str) -> Regime:
 # ---------------------------------------------------------------------------
 # config schema
 
-# key -> (parser taking (key, raw, config_dir), required)
 _DIST = "distribution"
-
-_SCHEMAS: dict[str, dict[str, tuple[Callable[..., Any], bool]]] = {}
 
 
 def _dist_parser(key: str, raw: str, config_dir: Path) -> SiteDistribution:
-    path = Path(raw.strip())
-    if not path.is_absolute():
-        path = config_dir / path
-    if not path.exists():
-        raise ConfigError(f"{key}: file not found: {path}")
+    path = config_dir / raw.strip()  # an absolute path replaces config_dir
     try:
+        if not path.exists():
+            raise ConfigError(f"{key}: file not found: {path}")
         return load_distribution(path)
     except (DomainError, OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
-def _simple(parser: Callable[[str, str], Any]) -> Callable[..., Any]:
-    return lambda key, raw, _dir: parser(key, raw)
+# key -> parser taking (key, raw); load_config binds the distribution
+# parser to the config file's directory.  _REQUIRED keys must be set in
+# every section that allows them.
+_PARSERS: dict[str, Callable[..., Any]] = {
+    _DIST: _dist_parser,
+    "expect_regime": _parse_regime,
+    "n_grid": _parse_n_grid,
+    "seeds": _parse_seeds,
+    "truncation": _parse_truncation,
+    "m_grid": _parse_int_list,
+    "gamma": _parse_float,
+    "bridge": _parse_bool,
+    "cdf_points": _parse_int,
+    "n_samples": _parse_int,
+    "sampler_seed": _parse_int,
+    "export_paths": _parse_int,
+    "mode": lambda key, raw: raw.strip(),
+    "subtract_rate": _parse_bool,
+    "x": _parse_int,
+    "ell_grid": _parse_int_list,
+    "lam_frac": _parse_float,
+    "eps_grid": _parse_float_list,
+    "bound_ell_grid": _parse_int_list,
+    "m": _parse_int,
+    "r": _parse_int,
+    "value": _parse_float,
+    "transform": _parse_bool,
+    "beta_grid": _parse_float_list,
+}
 
+_REQUIRED = {_DIST, "n_grid", "seeds", "mode", "x", "beta_grid"}
 
-def _schema(name: str, **keys: tuple[Callable[..., Any], bool]) -> None:
-    _SCHEMAS[name] = keys
-
-
-_schema("kappa", distribution=(_dist_parser, True),
-        expect_regime=(_simple(_parse_regime), False))
-_schema("bridge-prob", distribution=(_dist_parser, True),
-        expect_regime=(_simple(_parse_regime), False),
-        n_grid=(_simple(_parse_n_grid), True),
-        seeds=(_simple(_parse_seeds), True),
-        truncation=(_simple(_parse_truncation), False))
-_schema("confined", distribution=(_dist_parser, True),
-        expect_regime=(_simple(_parse_regime), False),
-        n_grid=(_simple(_parse_n_grid), True),
-        seeds=(_simple(_parse_seeds), True),
-        m_grid=(_simple(_parse_int_list), False),
-        gamma=(_simple(_parse_float), False),
-        bridge=(_simple(_parse_bool), False))
-_schema("max-disp-exact", distribution=(_dist_parser, True),
-        expect_regime=(_simple(_parse_regime), False),
-        n_grid=(_simple(_parse_n_grid), True),
-        seeds=(_simple(_parse_seeds), True),
-        cdf_points=(_simple(_parse_int), False))
-_schema("sample-bridge", distribution=(_dist_parser, True),
-        expect_regime=(_simple(_parse_regime), False),
-        n_grid=(_simple(_parse_n_grid), True),
-        seeds=(_simple(_parse_seeds), True),
-        n_samples=(_simple(_parse_int), False),
-        sampler_seed=(_simple(_parse_int), False),
-        export_paths=(_simple(_parse_int), False))
-_schema("scaling", distribution=(_dist_parser, True),
-        expect_regime=(_simple(_parse_regime), False),
-        n_grid=(_simple(_parse_n_grid), True),
-        seeds=(_simple(_parse_seeds), True),
-        mode=(_simple(lambda k, r: r.strip()), True),
-        gamma=(_simple(_parse_float), False),
-        subtract_rate=(_simple(_parse_bool), False),
-        truncation=(_simple(_parse_truncation), False))
-_schema("srw-smalldev",
-        n_grid=(_simple(_parse_n_grid), True),
-        x=(_simple(_parse_int), True))
-_schema("mgf-check",
-        ell_grid=(_simple(_parse_int_list), False),
-        lam_frac=(_simple(_parse_float), False),
-        eps_grid=(_simple(_parse_float_list), False),
-        bound_ell_grid=(_simple(_parse_int_list), False))
-_schema("com-check", distribution=(_dist_parser, True),
-        expect_regime=(_simple(_parse_regime), False),
-        n_grid=(_simple(_parse_n_grid), True),
-        seeds=(_simple(_parse_seeds), True),
-        m=(_simple(_parse_int), False))
-_schema("longest-run", distribution=(_dist_parser, True),
-        expect_regime=(_simple(_parse_regime), False),
-        seeds=(_simple(_parse_seeds), True),
-        r=(_simple(_parse_int), False),
-        value=(_simple(_parse_float), False),
-        transform=(_simple(_parse_bool), False))
-_schema("conjecture-explore", distribution=(_dist_parser, True),
-        expect_regime=(_simple(_parse_regime), False),
-        n_grid=(_simple(_parse_n_grid), True),
-        seeds=(_simple(_parse_seeds), True),
-        beta_grid=(_simple(_parse_float_list), True))
+# experiment -> the keys its section may set
+_LAW = (_DIST, "expect_regime")
+_SWEEP = ("n_grid", "seeds")
+_SCHEMAS: dict[str, tuple[str, ...]] = {
+    "kappa": _LAW,
+    "bridge-prob": (*_LAW, *_SWEEP, "truncation"),
+    "confined": (*_LAW, *_SWEEP, "m_grid", "gamma", "bridge"),
+    "max-disp-exact": (*_LAW, *_SWEEP, "cdf_points"),
+    "sample-bridge": (*_LAW, *_SWEEP, "n_samples", "sampler_seed", "export_paths"),
+    "scaling": (*_LAW, *_SWEEP, "mode", "gamma", "subtract_rate", "truncation"),
+    "srw-smalldev": ("n_grid", "x"),
+    "mgf-check": ("ell_grid", "lam_frac", "eps_grid", "bound_ell_grid"),
+    "com-check": (*_LAW, *_SWEEP, "m"),
+    "longest-run": (*_LAW, "seeds", "r", "value", "transform"),
+    "conjecture-explore": (*_LAW, *_SWEEP, "beta_grid"),
+}
 
 EXPERIMENT_NAMES: tuple[str, ...] = tuple(_SCHEMAS)
+
+
+def _check_experiment(name: str) -> None:
+    if name not in _SCHEMAS:
+        names = ", ".join(EXPERIMENT_NAMES)
+        raise ConfigError(f"unknown experiment {name!r} (expected one of {names})")
 
 
 @dataclass(frozen=True)
@@ -273,11 +262,7 @@ class ExperimentConfig:
     seed_offset: int = 0
 
     def __post_init__(self) -> None:
-        if self.experiment not in _SCHEMAS:
-            names = ", ".join(EXPERIMENT_NAMES)
-            raise ConfigError(
-                f"unknown experiment {self.experiment!r} (expected one of {names})"
-            )
+        _check_experiment(self.experiment)
         if self.threads < 1:
             raise ConfigError("threads must be at least 1")
         if not (0 <= self.seed_offset < _U64):
@@ -294,9 +279,7 @@ def load_config(path: str | Path, experiment: str) -> dict[str, Any]:
     missing required keys, malformed values, missing referenced files,
     and a failed ``expect_regime`` assertion all raise :class:`ConfigError`.
     """
-    if experiment not in _SCHEMAS:
-        names = ", ".join(EXPERIMENT_NAMES)
-        raise ConfigError(f"unknown experiment {experiment!r} (expected one of {names})")
+    _check_experiment(experiment)
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
@@ -318,15 +301,20 @@ def load_config(path: str | Path, experiment: str) -> dict[str, Any]:
             f"allowed: {sorted(schema)}"
         )
     available = dict(cp.items(experiment))
-    config_dir = path.resolve().parent
+    parsers = {**_PARSERS, _DIST: partial(_dist_parser, config_dir=path.resolve().parent)}
     params: dict[str, Any] = {}
-    for key, (parser, required) in schema.items():
+    for key in schema:
         if key in available:
-            params[key] = parser(key, available[key], config_dir)
-        elif required:
+            params[key] = parsers[key](key, available[key])
+        elif key in _REQUIRED:
             raise ConfigError(f"[{experiment}]: missing required key {key!r}")
     _validate(experiment, params)
     return params
+
+
+# key -> least value it, or each of its entries, may take
+_LEAST = {"n_samples": 1, "export_paths": 0, "cdf_points": 0, "m_grid": 1, "x": 1,
+          "ell_grid": 2, "bound_ell_grid": 2, "m": 1, "r": 1}
 
 
 def _validate(experiment: str, params: dict[str, Any]) -> None:
@@ -342,28 +330,33 @@ def _validate(experiment: str, params: dict[str, Any]) -> None:
     trunc = params.get("truncation")
     if trunc is not None and not 0.0 <= trunc < 1.0:
         raise ConfigError("truncation must be auto, off or a number in [0, 1)")
-    if params.get("n_samples", 1) < 1:
-        raise ConfigError("n_samples must be at least 1")
     if not 0 <= params.get("sampler_seed", 0) < _U64:
         raise ConfigError("sampler_seed must lie in [0, 2^64)")
-    for key in ("export_paths", "cdf_points"):
-        if params.get(key, 0) < 0:
-            raise ConfigError(f"{key} must be nonnegative")
-    if experiment == "confined":
-        if ("m_grid" in params) == ("gamma" in params):
-            raise ConfigError("confined: set exactly one of m_grid and gamma")
-        if "gamma" in params and not (0.0 < params["gamma"] <= 1.0):
-            raise ConfigError("gamma must lie in (0, 1]")
-        if "m_grid" in params and any(m < 1 for m in params["m_grid"]):
-            raise ConfigError("m_grid entries must be at least 1")
+    for key, least in _LEAST.items():
+        value = params.get(key, least)
+        if (min(value) if isinstance(value, list) else value) < least:
+            raise ConfigError(f"{key} must be at least {least}")
+    if not 0.0 < params.get("gamma", 1.0) <= 1.0:
+        raise ConfigError("gamma must lie in (0, 1]")
+    if "lam_frac" in params and not (0.0 < params["lam_frac"] < 1.0):
+        raise ConfigError("lam_frac must lie strictly between 0 and 1")
+    if not all(0.0 < e < 1.0 for e in params.get("eps_grid", [])):
+        raise ConfigError("eps_grid entries must lie strictly between 0 and 1")
+    if not all(b > 0.0 for b in params.get("beta_grid", [])):  # nan too
+        raise ConfigError("beta_grid entries must be positive")
+    if experiment == "confined" and ("m_grid" in params) == ("gamma" in params):
+        raise ConfigError("confined: set exactly one of m_grid and gamma")
+    if experiment in ("scaling", "conjecture-explore"):
+        if any(n < 2 for n in params["n_grid"]):
+            raise ConfigError(f"{experiment} requires n_grid entries >= 2")
+    if experiment == "srw-smalldev" and any(n < 1 for n in params["n_grid"]):
+        raise ConfigError("n_grid entries must be at least 1")
+    if experiment == "com-check" and any(not 1 <= n <= 8 for n in params["n_grid"]):
+        raise ConfigError("com-check enumerates paths; n_grid entries must be in 1..8")
     if experiment == "scaling":
         mode = params["mode"]
         if mode not in ("exponent", "lnln"):
             raise ConfigError(f"scaling mode must be 'exponent' or 'lnln', got {mode!r}")
-        if "gamma" in params and not (0.0 < params["gamma"] <= 1.0):
-            raise ConfigError("gamma must lie in (0, 1]")
-        if any(n < 2 for n in params["n_grid"]):
-            raise ConfigError("scaling requires n_grid entries >= 2")
         if mode == "lnln":
             regime = classify(dist)
             if regime.tag not in (Regime.MARGINALLY_NESTLING, Regime.NON_NESTLING):
@@ -375,32 +368,6 @@ def _validate(experiment: str, params: dict[str, Any]) -> None:
                 raise ConfigError(
                     "scaling mode=lnln needs fair-site weight strictly inside (0, 1)"
                 )
-    if experiment == "srw-smalldev":
-        if params["x"] < 1:
-            raise ConfigError("x must be at least 1")
-        if any(n < 1 for n in params["n_grid"]):
-            raise ConfigError("n_grid entries must be at least 1")
-    if experiment == "mgf-check":
-        for key in ("ell_grid", "bound_ell_grid"):
-            if key in params and any(ell < 2 for ell in params[key]):
-                raise ConfigError(f"{key} entries must be at least 2")
-        if "lam_frac" in params and not (0.0 < params["lam_frac"] < 1.0):
-            raise ConfigError("lam_frac must lie strictly between 0 and 1")
-        if "eps_grid" in params and any(not 0.0 < e < 1.0 for e in params["eps_grid"]):
-            raise ConfigError("eps_grid entries must lie strictly between 0 and 1")
-    if experiment == "com-check":
-        if any(not 1 <= n <= 8 for n in params["n_grid"]):
-            raise ConfigError("com-check enumerates paths; n_grid entries must be in 1..8")
-        if params.get("m", 2) < 1:
-            raise ConfigError("m must be at least 1")
-    if experiment == "longest-run":
-        if params.get("r", 1_000_000) < 1:
-            raise ConfigError("r must be at least 1")
-    if experiment == "conjecture-explore":
-        if any(n < 2 for n in params["n_grid"]):
-            raise ConfigError("conjecture-explore requires n_grid entries >= 2")
-        if any(b <= 0.0 for b in params["beta_grid"]):
-            raise ConfigError("beta_grid entries must be positive")
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +382,30 @@ def _fmt(value: Any) -> str:
     return str(value)
 
 
-def _write_csv(path: Path, header: str, rows: Iterable[tuple]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+class _Outputs:
+    """A run directory as a runner writes it.
+
+    ``files`` lists the CSV files in the order they were written;
+    ``fields`` holds extra manifest entries, merged in when the run
+    completes.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.files: list[str] = []
+        self.fields: dict[str, Any] = {}
+
+    def csv(self, name: str, header: str, rows: Iterable[tuple]) -> None:
+        with open(self.path / name, "w", encoding="utf-8", newline="") as fh:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(_fmt(v) for v in row) + "\n")
+        self.files.append(name)
+
+    def truncation_bound(self, log_bounds: Iterable[float]) -> None:
+        """Record the largest log bound on mass dropped by truncation (null: none)."""
+        worst = max(log_bounds, default=-math.inf)
+        self.fields["log_discarded_bound"] = None if worst == -math.inf else float(worst)
 
 
 def _hashable(value: Any) -> Any:
@@ -453,11 +439,30 @@ def config_hash(config: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
-def _map_tasks(fn: Callable[[Any], Any], tasks: list, threads: int) -> list:
-    if threads <= 1 or len(tasks) <= 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, tasks))
+def _map_seeded(
+    cfg: ExperimentConfig,
+    work: Callable[..., Any],
+    tasks: list[tuple] | None = None,
+    window: Callable[..., tuple[int, int]] = lambda seed, n: (-2 * n, 2 * n),
+) -> list:
+    """``work(env, *task)`` for every task ``(seed, ...)``, in task order.
+
+    ``env`` is the seed's environment on the sites ``window(*task)``.  The
+    default tasks are seeds x ``n_grid``, seed-major.  Tasks run on
+    ``cfg.threads`` threads; each result depends on its task alone, so
+    the thread count never changes the output.
+    """
+    dist = cfg.params[_DIST]
+    if tasks is None:
+        tasks = [(s, n) for s in cfg.effective_seeds() for n in cfg.params["n_grid"]]
+
+    def one(task: tuple) -> Any:
+        return work(sample_environment(dist, task[0], *window(*task)), *task)
+
+    if cfg.threads <= 1 or len(tasks) <= 1:
+        return [one(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
+        return list(pool.map(one, tasks))
 
 
 def _derived_seed(*parts: int) -> int:
@@ -478,24 +483,20 @@ def _versions() -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# experiment bodies (each returns the list of CSV file names it wrote)
+# experiment bodies (each writes its CSV files through an _Outputs)
 
 
-def _run_kappa(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
+def _run_kappa(cfg: ExperimentConfig, out: _Outputs) -> None:
     dist = cfg.params[_DIST]
     regime = classify(dist)
-    try:
-        kappa = solve_kappa(dist)
-    except RegimeError:
-        kappa = math.nan
-    try:
-        rate0 = rate_I0(dist)
-    except RegimeError:
-        rate0 = math.nan
-    try:
-        velocity = speed(dist)
-    except RegimeError:
-        velocity = math.nan
+
+    def or_nan(solve: Callable[[SiteDistribution], float]) -> float:
+        try:
+            return solve(dist)
+        except RegimeError:
+            return math.nan
+
+    kappa, velocity, rate0 = map(or_nan, (solve_kappa, speed, rate_I0))
     rows = [
         ("regime", regime.tag.value),
         ("alpha", regime.alpha),
@@ -504,63 +505,48 @@ def _run_kappa(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
         ("speed", velocity),
         ("rate0", rate0),
     ]
-    _write_csv(run_dir / "kappa.csv", "quantity,value", rows)
-    return ["kappa.csv"]
+    out.csv("kappa.csv", "quantity,value", rows)
 
 
-def _run_bridge_prob(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
-    dist = cfg.params[_DIST]
+def _run_bridge_prob(cfg: ExperimentConfig, out: _Outputs) -> None:
     trunc = cfg.params.get("truncation")
-    n_grid = cfg.params["n_grid"]
-    tasks = [(s, n) for s in cfg.effective_seeds() for n in n_grid]
 
-    def work(task: tuple[int, int]) -> float:
-        seed, n = task
-        env = sample_environment(dist, seed, -2 * n, 2 * n)
-        return bridge_log_prob(env, n, truncation=trunc)
+    def work(env, seed: int, n: int) -> tuple:
+        return seed, n, *bridge_log_prob(env, n, truncation=trunc, with_error_bound=True)
 
-    values = _map_tasks(work, tasks, cfg.threads)
-    rows = [(s, n, lp) for (s, n), lp in zip(tasks, values)]
-    _write_csv(run_dir / "bridge_prob.csv", "seed,n,log_prob", rows)
-    return ["bridge_prob.csv"]
+    rows = _map_seeded(cfg, work)
+    out.csv("bridge_prob.csv", "seed,n,log_prob", [row[:3] for row in rows])
+    out.truncation_bound(row[3] for row in rows)
 
 
-def _run_confined(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
-    dist = cfg.params[_DIST]
+def _run_confined(cfg: ExperimentConfig, out: _Outputs) -> None:
     bridge = cfg.params.get("bridge", False)
     gamma = cfg.params.get("gamma")
-    n_grid = cfg.params["n_grid"]
 
     def m_values(n: int) -> list[int]:
         if gamma is not None:
             return [max(2, round(n**gamma))]
         return cfg.params["m_grid"]
 
-    tasks = [(s, n, m) for s in cfg.effective_seeds() for n in n_grid for m in m_values(n)]
-
-    def work(task: tuple[int, int, int]) -> float:
-        seed, n, m = task
-        r = max(2 * n, m)
-        env = sample_environment(dist, seed, -r, r)
+    def work(env, seed: int, n: int, m: int) -> tuple:
         steps = 2 * n if bridge else n
-        return confined_log_prob(env, steps, m, require_bridge=bridge)
+        return seed, n, m, confined_log_prob(env, steps, m, require_bridge=bridge)
 
-    values = _map_tasks(work, tasks, cfg.threads)
-    rows = [(s, n, m, lp) for (s, n, m), lp in zip(tasks, values)]
-    _write_csv(run_dir / "confined.csv", "seed,n,M,log_prob", rows)
-    return ["confined.csv"]
+    def window(seed: int, n: int, m: int) -> tuple[int, int]:
+        return -max(2 * n, m), max(2 * n, m)
+
+    tasks = [
+        (s, n, m) for s in cfg.effective_seeds() for n in cfg.params["n_grid"]
+        for m in m_values(n)
+    ]
+    out.csv("confined.csv", "seed,n,M,log_prob", _map_seeded(cfg, work, tasks, window))
 
 
-def _run_max_disp_exact(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
-    dist = cfg.params[_DIST]
+def _run_max_disp_exact(cfg: ExperimentConfig, out: _Outputs) -> None:
     cdf_points = cfg.params.get("cdf_points", 33)
-    n_grid = cfg.params["n_grid"]
-    tasks = [(s, n) for s in cfg.effective_seeds() for n in n_grid]
 
-    def work(task: tuple[int, int]):
-        seed, n = task
-        env = sample_environment(dist, seed, -2 * n, 2 * n)
-        quantiles = [bridge_max_quantile(env, n, q) for q in (0.05, 0.5, 0.95)]
+    def work(env, seed: int, n: int):
+        q05, med, q95 = [bridge_max_quantile(env, n, q) for q in (0.05, 0.5, 0.95)]
         cdf_rows = []
         if cdf_points > 0:
             grid = np.unique(
@@ -568,81 +554,59 @@ def _run_max_disp_exact(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
             )
             cdf = max_disp_bridge_cdf(env, n, grid)
             cdf_rows = [(seed, n, int(m), c) for m, c in zip(grid, cdf)]
-        return quantiles, cdf_rows
+        return (seed, n, med, q05, q95), cdf_rows
 
-    results = _map_tasks(work, tasks, cfg.threads)
-    summary = [
-        (s, n, qs[1], qs[0], qs[2]) for (s, n), (qs, _) in zip(tasks, results)
-    ]
-    _write_csv(run_dir / "maxdisp_summary.csv", "seed,n,median,q05,q95", summary)
-    files = ["maxdisp_summary.csv"]
+    results = _map_seeded(cfg, work)
+    out.csv("maxdisp_summary.csv", "seed,n,median,q05,q95", [s for s, _ in results])
     if cdf_points > 0:
-        all_cdf = [row for _, rows in results for row in rows]
-        _write_csv(run_dir / "maxdisp_cdf.csv", "seed,n,m,cdf", all_cdf)
-        files.append("maxdisp_cdf.csv")
-    return files
+        out.csv("maxdisp_cdf.csv", "seed,n,m,cdf", [r for _, rows in results for r in rows])
 
 
-def _run_sample_bridge(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
-    dist = cfg.params[_DIST]
+def _run_sample_bridge(cfg: ExperimentConfig, out: _Outputs) -> None:
     n_samples = cfg.params.get("n_samples", 1000)
     base = cfg.params.get("sampler_seed", 0)
     export = cfg.params.get("export_paths", 1)
     seeds = cfg.effective_seeds()
-    n_grid = cfg.params["n_grid"]
-    tasks = [(s, n) for n in n_grid for s in seeds]
 
-    def work(task: tuple[int, int]):
-        seed, n = task
-        env = sample_environment(dist, seed, -2 * n, 2 * n)
+    def work(env, seed: int, n: int):
         table = _step_table(env, n)
         draws = max_disp_samples(
             env, n, n_samples, _derived_seed(base, seed, n, 0), table=table
         )
         paths = []
-        if seed == seeds[0] and export > 0:
+        if seed == seeds[0]:
             paths = [
                 sample_bridge(env, n, _derived_seed(base, seed, n, 1 + i), table=table)
                 for i in range(export)
             ]
-        return draws, paths
+        return seed, n, draws, paths
 
-    results = _map_tasks(work, tasks, cfg.threads)
-    by_n = {n: [] for n in n_grid}
-    for (seed, n), (draws, _) in zip(tasks, results):
-        by_n[n].append(draws)
+    # seed-major, so the first seed's paths come first, in n order
+    results = _map_seeded(cfg, work)
     summary = []
-    for n in n_grid:
-        max_abs = np.concatenate([d.max_abs for d in by_n[n]])
-        b_counts = np.concatenate([d.b_counts for d in by_n[n]])
+    for n in cfg.params["n_grid"]:
+        draws = [d for _, m, d, _ in results if m == n]
+        max_abs = np.concatenate([d.max_abs for d in draws])
+        b_counts = np.concatenate([d.b_counts for d in draws])
         q05, med, q95 = np.quantile(max_abs, [0.05, 0.5, 0.95], method="inverted_cdf")
         summary.append(
             (n, len(seeds), int(med), int(q05), int(q95), float(b_counts.mean()))
         )
-    _write_csv(
-        run_dir / "sampler_summary.csv",
-        "n,seed_count,median,q05,q95,mean_b_count",
-        summary,
-    )
-    files = ["sampler_summary.csv"]
-    for (seed, n), (_, paths) in zip(tasks, results):
+    out.csv("sampler_summary.csv", "n,seed_count,median,q05,q95,mean_b_count", summary)
+    for seed, n, _, paths in results:
         for i, path in enumerate(paths):
-            name = f"path-s{seed}-n{n}-{i}.csv"
-            _write_csv(
-                run_dir / name, "k,x",
+            out.csv(
+                f"path-s{seed}-n{n}-{i}.csv", "k,x",
                 [(k, int(x)) for k, x in enumerate(path.sites)],
             )
-            files.append(name)
-    return files
 
 
-def _run_scaling(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
+def _run_scaling(cfg: ExperimentConfig, out: _Outputs) -> None:
     dist = cfg.params[_DIST]
     mode = cfg.params["mode"]
     gamma = cfg.params.get("gamma")
     trunc = cfg.params.get("truncation")
     n_grid = cfg.params["n_grid"]
-    seeds = cfg.effective_seeds()
     regime = classify(dist)
 
     rate0 = 0.0
@@ -650,68 +614,51 @@ def _run_scaling(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
         if regime.tag is Regime.NON_NESTLING:
             rate0 = rate_I0(dist)
 
-    tasks = [(s, n) for s in seeds for n in n_grid]
-
-    def work(task: tuple[int, int]) -> float:
-        seed, n = task
-        env = sample_environment(dist, seed, -2 * n, 2 * n)
+    def work(env, seed: int, n: int) -> tuple:
         if gamma is None:
-            return bridge_log_prob(env, n, truncation=trunc)
+            return seed, n, *bridge_log_prob(env, n, truncation=trunc, with_error_bound=True)
         m = max(2, round(n**gamma))
-        return confined_log_prob(env, 2 * n, m, require_bridge=True)
+        return seed, n, confined_log_prob(env, 2 * n, m, require_bridge=True), -math.inf
 
-    values = _map_tasks(work, tasks, cfg.threads)
-    _write_csv(
-        run_dir / "data.csv", "seed,n,log_prob",
-        [(s, n, lp) for (s, n), lp in zip(tasks, values)],
-    )
-    files = ["data.csv"]
+    rows = _map_seeded(cfg, work)
+    out.csv("data.csv", "seed,n,log_prob", [row[:3] for row in rows])
+    out.truncation_bound(row[3] for row in rows)
 
-    if mode == "exponent":
-        target = None
-        if regime.tag is Regime.NESTLING:
-            kappa = solve_kappa(dist)
-            target = kappa / (kappa + 1.0)
+    target = None
+    if mode == "exponent" and regime.tag is Regime.NESTLING:
+        kappa = solve_kappa(dist)
+        target = kappa / (kappa + 1.0)
     fit_rows = []
-    for seed in seeds:
-        lps = [lp for (s, _), lp in zip(tasks, values) if s == seed]
+    for seed in cfg.effective_seeds():
+        lps = [lp for s, _, lp, _ in rows if s == seed]
         if mode == "exponent":
             fit = fit_exponent(n_grid, lps, target)
         else:
             fit = fit_constant_lnln(n_grid, lps, regime.alpha, gamma, rate0)
         tgt = math.nan if fit.target is None else fit.target
         resid = fit.residuals()
-        name = f"fit-s{seed}.csv"
-        _write_csv(
-            run_dir / name, "n,raw,transformed,target,residual",
+        out.csv(
+            f"fit-s{seed}.csv", "n,raw,transformed,target,residual",
             [
                 (n, raw, float(fit.ys[i]), tgt, float(resid[i]))
                 for i, (n, raw) in enumerate(zip(n_grid, lps))
             ],
         )
-        files.append(name)
         fit_rows.append((seed, fit.slope, fit.intercept, fit.max_residual, tgt))
-    _write_csv(
-        run_dir / "fits.csv", "seed,slope,intercept,max_residual,target", fit_rows
-    )
-    files.append("fits.csv")
-    return files
+    out.csv("fits.csv", "seed,slope,intercept,max_residual,target", fit_rows)
 
 
-def _run_srw_smalldev(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
+def _run_srw_smalldev(cfg: ExperimentConfig, out: _Outputs) -> None:
     x = cfg.params["x"]
     target = -math.pi**2 / 8.0
     rows = []
     for steps in cfg.params["n_grid"]:
         logp, normalized = srw_smalldev_constant(steps, x)
         rows.append((steps, x, logp, normalized, target))
-    _write_csv(
-        run_dir / "smalldev.csv", "steps,x,log_prob,normalized,target", rows
-    )
-    return ["smalldev.csv"]
+    out.csv("smalldev.csv", "steps,x,log_prob,normalized,target", rows)
 
 
-def _run_mgf_check(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
+def _run_mgf_check(cfg: ExperimentConfig, out: _Outputs) -> None:
     ells = cfg.params.get("ell_grid", [2, 3, 5])
     frac = cfg.params.get("lam_frac", 0.9)
     rows = []
@@ -720,7 +667,7 @@ def _run_mgf_check(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
         closed = exit_mgf_closed(ell, lam)
         dp = exit_mgf_dp(ell, lam)
         rows.append((ell, lam, closed, dp, abs(closed - dp)))
-    _write_csv(run_dir / "mgf.csv", "ell,lambda,closed,dp,abs_diff", rows)
+    out.csv("mgf.csv", "ell,lambda,closed,dp,abs_diff", rows)
     bound_rows = []
     for eps in cfg.params.get("eps_grid", [0.05, 0.1, 0.2]):
         for ell in cfg.params.get("bound_ell_grid", [5, 10, 50, 200]):
@@ -728,56 +675,45 @@ def _run_mgf_check(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
             mgf = exit_mgf_closed(ell, lam)
             bound = 1.0 + c1_const(eps) / ell
             bound_rows.append((eps, ell, lam, mgf, bound, mgf < bound))
-    _write_csv(
-        run_dir / "mgf_bound.csv", "eps,ell,lambda,mgf,bound,holds", bound_rows
-    )
-    return ["mgf.csv", "mgf_bound.csv"]
+    out.csv("mgf_bound.csv", "eps,ell,lambda,mgf,bound,holds", bound_rows)
 
 
-def _run_com_check(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
+def _run_com_check(cfg: ExperimentConfig, out: _Outputs) -> None:
     dist = cfg.params[_DIST]
     m = cfg.params.get("m", 2)
     events = [
         ("bridge", None),
         (f"bridge_max_lt_{m}", lambda sites: int(np.max(np.abs(sites))) < m),
     ]
-    files = []
-    for seed in cfg.effective_seeds():
-        for n in cfg.params["n_grid"]:
-            env = sample_environment(dist, seed, -2 * n, 2 * n)
-            report = verify_com_identity(env, n, events, dist)
-            name = f"com-s{seed}-n{n}.csv"
-            _write_csv(
-                run_dir / name,
-                "event,lhs,rhs,lower,upper,max_abs_violation",
-                [
-                    (r.event, r.lhs, r.rhs, r.lower, r.upper, r.max_abs_violation)
-                    for r in report.rows
-                ],
-            )
-            files.append(name)
-    return files
+
+    def work(env, seed: int, n: int):
+        report = verify_com_identity(env, n, events, dist)
+        rows = [
+            (r.event, r.lhs, r.rhs, r.lower, r.upper, r.max_abs_violation)
+            for r in report.rows
+        ]
+        return seed, n, rows
+
+    for seed, n, rows in _map_seeded(cfg, work):
+        out.csv(f"com-s{seed}-n{n}.csv", "event,lhs,rhs,lower,upper,max_abs_violation", rows)
 
 
-def _run_longest_run(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
+def _run_longest_run(cfg: ExperimentConfig, out: _Outputs) -> None:
     dist = cfg.params[_DIST]
     r = cfg.params.get("r", 1_000_000)
     value = cfg.params.get("value", 0.5)
     transform = cfg.params.get("transform", False)
     seeds = cfg.effective_seeds()
 
-    def work(seed: int) -> tuple[int, int | None]:
-        env = sample_environment(dist, seed, 0, max(r - 1, 0))
+    def work(env, seed: int) -> tuple[int, int, int]:
         if transform:
             env = mn_transform(env, dist)
-        return longest_fair_run(env, r, value)
+        length, start = longest_fair_run(env, r, value)
+        return seed, r, length, -1 if start is None else start
 
-    results = _map_tasks(work, seeds, cfg.threads)
-    rows = [
-        (seed, r, length, -1 if start is None else start)
-        for seed, (length, start) in zip(seeds, results)
-    ]
-    _write_csv(run_dir / "runs.csv", "seed,r,length,start", rows)
+    tasks = [(s,) for s in seeds]
+    rows = _map_seeded(cfg, work, tasks, window=lambda seed: (0, max(r - 1, 0)))
+    out.csv("runs.csv", "seed,r,length,start", rows)
 
     law = mn_transform_law(dist) if transform else dist
     weight = 0.0
@@ -788,36 +724,27 @@ def _run_longest_run(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
     target = math.nan
     if 0.0 < weight < 1.0:
         target = 1.0 / abs(math.log(weight))
-    mean_length = float(np.mean([length for length, _ in results]))
+    mean_length = float(np.mean([length for _, _, length, _ in rows]))
     mean_ratio = mean_length / math.log(r) if r > 1 else math.nan
-    _write_csv(
-        run_dir / "runs_summary.csv",
-        "r,seed_count,mean_length,mean_ratio,target",
+    out.csv(
+        "runs_summary.csv", "r,seed_count,mean_length,mean_ratio,target",
         [(r, len(seeds), mean_length, mean_ratio, target)],
     )
-    return ["runs.csv", "runs_summary.csv"]
 
 
-def _run_conjecture(cfg: ExperimentConfig, run_dir: Path) -> list[str]:
-    dist = cfg.params[_DIST]
+def _run_conjecture(cfg: ExperimentConfig, out: _Outputs) -> None:
     betas = cfg.params["beta_grid"]
-    n_grid = cfg.params["n_grid"]
-    tasks = [(s, n) for s in cfg.effective_seeds() for n in n_grid]
 
-    def work(task: tuple[int, int]) -> list[tuple]:
-        seed, n = task
-        env = sample_environment(dist, seed, -2 * n, 2 * n)
+    def work(env, seed: int, n: int) -> list[tuple]:
         ms = [max(1, round(n / math.log(n) ** beta)) for beta in betas]
         cdf = max_disp_bridge_cdf(env, n, ms)
         return [(seed, n, b, m, 1.0 - c) for b, m, c in zip(betas, ms, cdf)]
 
-    results = _map_tasks(work, tasks, cfg.threads)
-    rows = [row for chunk in results for row in chunk]
-    _write_csv(run_dir / "conjecture.csv", "seed,n,beta,M,p_exceed", rows)
-    return ["conjecture.csv"]
+    rows = [row for chunk in _map_seeded(cfg, work) for row in chunk]
+    out.csv("conjecture.csv", "seed,n,beta,M,p_exceed", rows)
 
 
-_RUNNERS: dict[str, Callable[[ExperimentConfig, Path], list[str]]] = {
+_RUNNERS: dict[str, Callable[[ExperimentConfig, _Outputs], None]] = {
     "kappa": _run_kappa,
     "bridge-prob": _run_bridge_prob,
     "confined": _run_confined,
@@ -876,15 +803,17 @@ def run(config: ExperimentConfig) -> tuple[int, Path | None]:
     }
     _write_manifest(run_dir, manifest)
     start = time.perf_counter()
+    out = _Outputs(run_dir)
     try:
-        files = _RUNNERS[config.experiment](config, run_dir)
+        _RUNNERS[config.experiment](config, out)
     except BaseException as exc:
         manifest["error"] = f"{type(exc).__name__}: {exc}"
         manifest["wall_time_s"] = time.perf_counter() - start
         _write_manifest(run_dir, manifest)
         raise
+    manifest.update(out.fields)
     manifest["status"] = "complete"
-    manifest["files"] = files
+    manifest["files"] = out.files
     manifest["wall_time_s"] = time.perf_counter() - start
     manifest["finished_utc"] = datetime.now(timezone.utc).isoformat()
     _write_manifest(run_dir, manifest)

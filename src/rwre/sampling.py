@@ -23,7 +23,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .environment import Environment
+from .environment import Environment, _check_seed
 from .errors import DegenerateBridgeError, DomainError, NotABridgeError
 from .kernel import DpTable, _check_table_size
 
@@ -190,13 +190,12 @@ def _sampler_inputs(
     ``trap[x + n]`` flags the sites ``|x| <= n`` whose transition
     probability exceeds the law's minimal support value.
     """
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
-        raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
+    seed = _check_seed(seed)
     if not isinstance(table, _StepTable):
         table = _step_table(env, n, table)
     elif table.n != n:
         raise DomainError("table does not match the requested bridge length")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    rng = np.random.Generator(np.random.Philox(key=seed))
     return rng, table.p_right, env.slice(-n, n) > env.omega_min
 
 

@@ -353,6 +353,17 @@ class TestSampleEnvironment:
         with pytest.raises(DomainError):
             sample_environment(NESTLING_K2, 2**64, 0, 1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64, True, 1.5, "3", None])
+    def test_bad_seed_rejected(self, seed):
+        with pytest.raises(DomainError, match="seed"):
+            sample_environment(NESTLING_K2, seed, -2, 2)
+
+    def test_numpy_integer_seed_is_the_same_environment(self):
+        a = sample_environment(NESTLING_K2, np.uint64(2**64 - 1), -4, 4)
+        b = sample_environment(NESTLING_K2, 2**64 - 1, -4, 4)
+        assert np.array_equal(a.omegas, b.omegas)
+        assert a.provenance == b.provenance
+
 
 class TestEnvironmentAccess:
     def test_omega_rho_and_window(self):

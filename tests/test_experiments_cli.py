@@ -12,10 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import rwre
 from rwre import experiments
 from rwre.cli import main as cli_main
+from rwre.errors import ConfigError
 from rwre.experiments import ExperimentConfig, config_hash, load_config, run
 
 FIG1 = "0.25 0.1\n0.75 0.9\n"
@@ -966,6 +969,153 @@ class TestEveryCsvHasHeader:
         for csv in run_dir.glob("*.csv"):
             first = csv.read_text(encoding="utf-8").splitlines()[0]
             assert first and not first[0].isdigit()
+
+
+# One small, valid config per experiment: (law text or None, keys).
+SMALL_CONFIGS = {
+    "kappa": (FIG1, {}),
+    "bridge-prob": (FIG1, {"n_grid": "2,3,5", "seeds": "0,1"}),
+    "confined": (FIG1, {"n_grid": "3,4", "seeds": "0,1", "m_grid": "2,3", "bridge": "true"}),
+    "max-disp-exact": (FIG1, {"n_grid": "3,5", "seeds": "0,1", "cdf_points": "4"}),
+    "sample-bridge": (
+        FIG1, {"n_grid": "2,3", "seeds": "0,1", "n_samples": "20", "export_paths": "2"}
+    ),
+    "scaling": (FIG1, {"n_grid": "2,4,8", "seeds": "0,1", "mode": "exponent"}),
+    "srw-smalldev": (None, {"n_grid": "10,20", "x": "3"}),
+    "mgf-check": (None, {"ell_grid": "2,3", "bound_ell_grid": "5,10"}),
+    "com-check": (NON_NESTLING, {"n_grid": "2,3", "seeds": "0,1"}),
+    "longest-run": (MARGINAL, {"seeds": "0..3", "r": "1000"}),
+    "conjecture-explore": (MARGINAL, {"n_grid": "8,16", "seeds": "0,1", "beta_grid": "2.5"}),
+}
+
+
+def small_config(workdir, experiment, **overrides):
+    law, keys = SMALL_CONFIGS[experiment]
+    body = dict(keys)
+    if law is not None:
+        body = {"distribution": write_dist(workdir, law).name, **body}
+    body.update(overrides)
+    return write_config(workdir, experiment, body)
+
+
+def run_once(capsys, workdir, experiment, cfg, name, threads="1"):
+    """Run through the CLI into ``workdir/name``; returns (csv bytes, manifest)."""
+    out_root = workdir / name
+    code, _, err = run_cli(capsys, experiment, cfg, out_root, extra=("--threads", threads))
+    assert code == 0, err
+    (run_dir,) = out_root.iterdir()
+    return csv_bytes(run_dir), json.loads((run_dir / "manifest.json").read_text())
+
+
+@pytest.mark.parametrize("experiment", sorted(SMALL_CONFIGS))
+def test_every_experiment_is_thread_invariant(workdir, capsys, experiment):
+    cfg = small_config(workdir, experiment)
+    csv1, manifest1 = run_once(capsys, workdir, experiment, cfg, "runs1", threads="1")
+    csv2, manifest2 = run_once(capsys, workdir, experiment, cfg, "runs2", threads="2")
+    assert csv1 and csv1 == csv2
+    assert manifest1["files"] == manifest2["files"]
+    assert sorted(manifest1["files"]) == sorted(csv1)
+    assert manifest1.get("log_discarded_bound") == manifest2.get("log_discarded_bound")
+
+
+class TestTruncationBound:
+    def log_probs(self, csv):
+        _, *lines = csv["bridge_prob.csv"].decode().splitlines()
+        return [float(line.split(",")[2]) for line in lines]
+
+    def test_bridge_prob_bound_sandwiches_the_untruncated_probability(self, workdir, capsys):
+        keys = {"n_grid": "8,10,16", "seeds": "0,1"}
+        cut = small_config(workdir, "bridge-prob", truncation="1e-3", **keys)
+        csv, manifest = run_once(capsys, workdir, "bridge-prob", cut, "cut")
+        bound = manifest["log_discarded_bound"]
+        assert math.isfinite(bound)
+        exact_cfg = small_config(workdir, "bridge-prob", truncation="off", **keys)
+        exact_csv, exact_manifest = run_once(capsys, workdir, "bridge-prob", exact_cfg, "exact")
+        assert exact_manifest["log_discarded_bound"] is None
+        for lp, exact in zip(self.log_probs(csv), self.log_probs(exact_csv)):
+            assert math.exp(lp) <= math.exp(exact) <= math.exp(lp) + math.exp(bound)
+            assert lp < exact
+
+    def test_scaling_records_the_bound(self, workdir, capsys):
+        cfg = small_config(workdir, "scaling", truncation="1e-3", n_grid="8,10,16")
+        _, manifest = run_once(capsys, workdir, "scaling", cfg, "cut")
+        assert math.isfinite(manifest["log_discarded_bound"])
+        cfg = small_config(workdir, "scaling", truncation="1e-3", gamma="0.5")
+        _, manifest = run_once(capsys, workdir, "scaling", cfg, "corridor")
+        assert manifest["log_discarded_bound"] is None  # the corridor kernel drops nothing
+
+    def test_untracked_experiments_have_no_bound_field(self, workdir, capsys):
+        _, manifest = run_once(capsys, workdir, "kappa", small_config(workdir, "kappa"), "k")
+        assert "log_discarded_bound" not in manifest
+
+
+def set_raw(cfg, key, raw):
+    """Make ``key = raw`` (bytes, written as they are) the config's only line for ``key``."""
+    lines = [
+        line for line in cfg.read_bytes().splitlines(keepends=True)
+        if not line.startswith(key.encode() + b" =")
+    ]
+    cfg.write_bytes(b"".join(lines) + key.encode() + b" = " + raw + b"\n")
+
+
+RAW_VALUES = st.one_of(
+    st.text(st.characters(blacklist_categories=("Cs",)), max_size=30),
+    st.integers(-(2**80), 2**80).map(str),
+    st.floats().map(repr),
+    st.sampled_from(["nan", "-inf", "1e999", "", ",", " , ", "true", "auto", "off"]),
+    st.tuples(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70)).map(
+        lambda ab: "%d..%d" % ab
+    ),
+    st.tuples(st.integers(-5, 60), st.integers(-5, 60)).map(lambda ab: "%d..%d" % ab),
+    st.lists(st.integers(-(2**70), 2**70), max_size=4).map(
+        lambda xs: ", ".join(map(str, xs))
+    ),
+    st.binary(max_size=12).map(lambda b: b + b"\xff"),  # never valid UTF-8
+)
+
+
+@pytest.mark.parametrize(
+    "experiment,key",
+    [(e, k) for e in experiments.EXPERIMENT_NAMES for k in experiments._SCHEMAS[e]],
+)
+@settings(
+    max_examples=30, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(raw=RAW_VALUES)
+def test_config_values_parse_or_raise_config_error(workdir, experiment, key, raw):
+    cfg = small_config(workdir, experiment)
+    set_raw(cfg, key, raw if isinstance(raw, bytes) else raw.encode("utf-8"))
+    try:
+        params = load_config(cfg, experiment)
+    except ConfigError:
+        return
+    assert set(params) <= set(experiments._SCHEMAS[experiment])
+
+
+@pytest.mark.parametrize(
+    "experiment,key,raw",
+    [
+        ("bridge-prob", "seeds", b"0..100000000000000000000"),
+        ("bridge-prob", "n_grid", b"5..1"),
+        ("confined", "gamma", b"nan"),
+        ("conjecture-explore", "beta_grid", b"2.5, nan"),
+        ("scaling", "n_grid", b""),
+        ("longest-run", "r", b"-3"),
+        ("max-disp-exact", "seeds", b"1.5"),
+        ("sample-bridge", "n_samples", b"\xff\xfe"),
+        ("kappa", "distribution", b"x" * 300),
+    ],
+)
+def test_invalid_value_is_one_error_line_and_no_run(workdir, capsys, experiment, key, raw):
+    cfg = small_config(workdir, experiment)
+    set_raw(cfg, key, raw)
+    out_root = workdir / "runs"
+    code, out, err = run_cli(capsys, experiment, cfg, out_root)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out_root.exists()
 
 
 @pytest.mark.parametrize(

@@ -216,7 +216,7 @@ class TestGoldenStream:
 
 
 class TestSeedContract:
-    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, "3", None])
+    @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, "3", None, True])
     def test_bad_seed_rejected(self, seed):
         env = random_env(2, -8, 8)
         with pytest.raises(DomainError, match="seed"):
