@@ -63,15 +63,18 @@ from .environment import (
 )
 from .errors import ConfigError, DomainError, RegimeError, RwreError
 from .io import load_distribution
+# bridge_max_quantile, max_disp_bridge_cdf and backward_table are no
+# longer called here, but perfbench's tracer patches the layers under
+# these names
 from .kernel import (
+    _max_disp_cdf,
+    _quantile,
     bridge_log_prob,
     bridge_max_quantile,
     confined_log_prob,
     max_disp_bridge_cdf,
 )
 from .measure_change import verify_com_identity
-# backward_table is no longer called here, but perfbench's tracer patches
-# the sampler's layers under these names
 from .sampling import _step_table, backward_table, max_disp_samples, sample_bridge
 
 __all__ = ["ExperimentConfig", "EXPERIMENT_NAMES", "load_config", "run"]
@@ -546,20 +549,21 @@ def _run_max_disp_exact(cfg: ExperimentConfig, out: _Outputs) -> None:
     cdf_points = cfg.params.get("cdf_points", 33)
 
     def work(env, seed: int, n: int):
-        q05, med, q95 = [bridge_max_quantile(env, n, q) for q in (0.05, 0.5, 0.95)]
+        cdf, bound = _max_disp_cdf(env, n)
+        q05, med, q95 = [_quantile(cdf, n, q) for q in (0.05, 0.5, 0.95)]
         cdf_rows = []
         if cdf_points > 0:
             grid = np.unique(
                 np.round(np.geomspace(1, max(n, 1), cdf_points)).astype(np.int64)
             )
-            cdf = max_disp_bridge_cdf(env, n, grid)
-            cdf_rows = [(seed, n, int(m), c) for m, c in zip(grid, cdf)]
-        return (seed, n, med, q05, q95), cdf_rows
+            cdf_rows = [(seed, n, int(m), cdf(int(m))) for m in grid]
+        return (seed, n, med, q05, q95), cdf_rows, bound
 
     results = _map_seeded(cfg, work)
-    out.csv("maxdisp_summary.csv", "seed,n,median,q05,q95", [s for s, _ in results])
+    out.csv("maxdisp_summary.csv", "seed,n,median,q05,q95", [r[0] for r in results])
     if cdf_points > 0:
-        out.csv("maxdisp_cdf.csv", "seed,n,m,cdf", [r for _, rows in results for r in rows])
+        out.csv("maxdisp_cdf.csv", "seed,n,m,cdf", [row for r in results for row in r[1]])
+    out.truncation_bound(r[2] for r in results)
 
 
 def _run_sample_bridge(cfg: ExperimentConfig, out: _Outputs) -> None:
@@ -735,13 +739,15 @@ def _run_longest_run(cfg: ExperimentConfig, out: _Outputs) -> None:
 def _run_conjecture(cfg: ExperimentConfig, out: _Outputs) -> None:
     betas = cfg.params["beta_grid"]
 
-    def work(env, seed: int, n: int) -> list[tuple]:
+    def work(env, seed: int, n: int) -> tuple[list[tuple], float]:
+        cdf, bound = _max_disp_cdf(env, n)
         ms = [max(1, round(n / math.log(n) ** beta)) for beta in betas]
-        cdf = max_disp_bridge_cdf(env, n, ms)
-        return [(seed, n, b, m, 1.0 - c) for b, m, c in zip(betas, ms, cdf)]
+        return [(seed, n, b, m, 1.0 - cdf(m)) for b, m in zip(betas, ms)], bound
 
-    rows = [row for chunk in _map_seeded(cfg, work) for row in chunk]
+    results = _map_seeded(cfg, work)
+    rows = [row for chunk, _ in results for row in chunk]
     out.csv("conjecture.csv", "seed,n,beta,M,p_exceed", rows)
+    out.truncation_bound(bound for _, bound in results)
 
 
 _RUNNERS: dict[str, Callable[[ExperimentConfig, _Outputs], None]] = {

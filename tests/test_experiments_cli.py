@@ -654,6 +654,24 @@ class TestMaxDispExperiment:
         assert not (run_dir / "maxdisp_cdf.csv").exists()
 
 
+    def test_one_bridge_and_one_probe_per_strip_per_task(self, workdir, capsys, monkeypatch):
+        calls = []
+        for name in ("bridge_log_prob", "confined_log_prob"):
+            def counted(env, *args, _name=name, _real=getattr(rwre.kernel, name), **kwargs):
+                calls.append((_name, *args))
+                return _real(env, *args, **kwargs)
+
+            monkeypatch.setattr(rwre.kernel, name, counted)
+        cfg = small_config(workdir, "max-disp-exact", n_grid="64,128", seeds="0",
+                           cdf_points="17")
+        run_once(capsys, workdir, "max-disp-exact", cfg, "runs")
+        assert sorted(c for c in calls if c[0] == "bridge_log_prob") == [
+            ("bridge_log_prob", 64), ("bridge_log_prob", 128)
+        ]
+        probes = [c for c in calls if c[0] == "confined_log_prob"]
+        assert len(probes) == len(set(probes)) > 0
+
+
 class TestSampleBridgeExperiment:
     def test_summary_and_exported_paths(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)
@@ -975,7 +993,7 @@ class TestEveryCsvHasHeader:
 SMALL_CONFIGS = {
     "kappa": (FIG1, {}),
     "bridge-prob": (FIG1, {"n_grid": "2,3,5", "seeds": "0,1"}),
-    "confined": (FIG1, {"n_grid": "3,4", "seeds": "0,1", "m_grid": "2,3", "bridge": "true"}),
+    "confined": (FIG1, {"n_grid": "3,40", "seeds": "0,1", "m_grid": "2,3", "bridge": "true"}),
     "max-disp-exact": (FIG1, {"n_grid": "3,5", "seeds": "0,1", "cdf_points": "4"}),
     "sample-bridge": (
         FIG1, {"n_grid": "2,3", "seeds": "0,1", "n_samples": "20", "export_paths": "2"}
@@ -1018,6 +1036,19 @@ def test_every_experiment_is_thread_invariant(workdir, capsys, experiment):
     assert manifest1.get("log_discarded_bound") == manifest2.get("log_discarded_bound")
 
 
+def test_confined_thread_config_reaches_the_squaring_path(workdir, capsys, monkeypatch):
+    results = []
+    squared_log = rwre.kernel._squared_log
+
+    def spy(*args):
+        results.append(squared_log(*args))
+        return results[-1]
+
+    monkeypatch.setattr(rwre.kernel, "_squared_log", spy)
+    run_once(capsys, workdir, "confined", small_config(workdir, "confined"), "runs")
+    assert any(r is not None for r in results)
+
+
 class TestTruncationBound:
     def log_probs(self, csv):
         _, *lines = csv["bridge_prob.csv"].decode().splitlines()
@@ -1043,6 +1074,19 @@ class TestTruncationBound:
         cfg = small_config(workdir, "scaling", truncation="1e-3", gamma="0.5")
         _, manifest = run_once(capsys, workdir, "scaling", cfg, "corridor")
         assert manifest["log_discarded_bound"] is None  # the corridor kernel drops nothing
+
+    @pytest.mark.parametrize("n,finite", [(4096, True), (4095, False)])
+    def test_conjecture_records_the_bridge_bound(self, workdir, capsys, n, finite):
+        # bridge_log_prob truncates by default from n = 4096 on
+        cfg = small_config(workdir, "conjecture-explore", n_grid=n, seeds="0", beta_grid="3.0")
+        _, manifest = run_once(capsys, workdir, "conjecture-explore", cfg, "runs")
+        bound = manifest["log_discarded_bound"]
+        assert math.isfinite(bound) if finite else bound is None
+
+    def test_max_disp_records_the_bound(self, workdir, capsys):
+        cfg = small_config(workdir, "max-disp-exact")
+        _, manifest = run_once(capsys, workdir, "max-disp-exact", cfg, "runs")
+        assert manifest["log_discarded_bound"] is None
 
     def test_untracked_experiments_have_no_bound_field(self, workdir, capsys):
         _, manifest = run_once(capsys, workdir, "kappa", small_config(workdir, "kappa"), "k")

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import NESTLING_K2, homogeneous_env
+import rwre
+from conftest import MARGINAL, NESTLING_K2, NON_NESTLING, homogeneous_env
 from rwre import (
     DegenerateBridgeError,
     DomainError,
@@ -29,6 +34,7 @@ from rwre import (
     max_disp_bridge_cdf,
     sample_environment,
 )
+from rwre.kernel import _final_log, _prefers_squaring, _propagate, _squared_log
 
 # ln of the 20-step fair-walk return probability C(20,10)/2^20, frozen from
 # an exact rational evaluation.
@@ -161,6 +167,107 @@ class TestConfinedLogProb:
         lp = confined_log_prob(env, steps, m)
         got = 0.0 if lp == -np.inf else math.exp(lp)
         assert got == pytest.approx(exact, abs=1e-12)
+
+
+def dp_log(om: np.ndarray, steps: int, bridge: bool) -> float:
+    """The confined (bridge) log probability by the per-step DP alone."""
+    start = om.size // 2
+    for mass, scale, _ in _propagate(om, start, steps):
+        pass
+    return _final_log(mass, scale, start if bridge else None)
+
+
+def assert_close_log(got: float, want: float) -> None:
+    """Within 1e-12 relative in the log; for ``|log P| < 1``, 1e-12 in P."""
+    if want == -np.inf:
+        assert got == -np.inf
+    else:
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+
+
+class TestSquaringPath:
+    """The binary-powering kernel against the DP it stands in for."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        law=st.sampled_from([NESTLING_K2, MARGINAL, NON_NESTLING, None]),
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(1, 64),
+        steps=st.integers(0, 4000),
+        bridge=st.booleans(),
+    )
+    def test_agrees_with_dp(self, law, seed, m, steps, bridge):
+        steps -= steps % 2 if bridge else 0
+        if law is None:
+            env = random_env(seed, -m, m)
+        else:
+            env = sample_environment(law, seed, -m, m)
+        om = env.slice(-(m - 1), m - 1)
+        want = dp_log(om, steps, bridge)
+        assert_close_log(confined_log_prob(env, steps, m, require_bridge=bridge), want)
+        if om.size >= 3:
+            got = _squared_log(om, steps, bridge)
+            assert got is not None
+            assert_close_log(got, want)
+
+    @pytest.mark.parametrize("omega", [0.99, 0.999])
+    def test_deep_drift_trips_the_guard_and_returns_the_dp_bits(self, omega):
+        # the bridge's mass spans more than 2^500 across the corridor, so an
+        # unguarded product would flush entries that the answer needs
+        env = Environment(-64, np.full(129, omega))
+        om = env.slice(-63, 63)
+        assert _prefers_squaring(om.size, 20000)
+        assert _squared_log(om, 20000, True) is None
+        got = confined_log_prob(env, 20000, 64, require_bridge=True)
+        assert got == dp_log(om, 20000, True)
+
+    def test_dispatch_points(self):
+        assert _prefers_squaring(127, 65536)
+        assert not _prefers_squaring(2049, 4096)
+        assert not _prefers_squaring(1, 10**6)
+        assert not _prefers_squaring(127, 0)
+
+    @pytest.mark.parametrize("bridge", [False, True])
+    @pytest.mark.parametrize("m,steps", [(1, 0), (1, 6), (1, 4000), (5, 0), (64, 0),
+                                          (64, 62), (40, 38), (9, 8), (3, 2)])
+    def test_edges_match_the_dp(self, m, steps, bridge):
+        env = random_env(m + steps, -m, m)
+        om = env.slice(-(m - 1), m - 1)
+        got = confined_log_prob(env, steps, m, require_bridge=bridge)
+        want = dp_log(om, steps, bridge)
+        if m == 1 or steps == 0:
+            assert got == want
+        assert_close_log(got, want)
+
+    def test_bits_do_not_depend_on_blas_threads(self):
+        # corridor_long-shaped calls, plus a corridor wide enough that
+        # OpenBLAS's threaded gemm would give other bits at 2 threads
+        law = Path(__file__).resolve().parents[1] / "demos" / "dists" / "marginal.txt"
+        calls = [(64, 4096), (64, 2000), (160, 65536)]
+        for m, steps in calls:
+            env = sample_environment(rwre.load_distribution(law), 0, -m, m)
+            om = env.slice(-(m - 1), m - 1)
+            assert _prefers_squaring(om.size, steps)
+            assert _squared_log(om, steps, True) is not None
+        code = (
+            "import rwre\n"
+            f"law = rwre.load_distribution({str(law)!r})\n"
+            f"for m, steps in {calls!r}:\n"
+            "    env = rwre.sample_environment(law, 0, -m, m)\n"
+            "    print(rwre.confined_log_prob(env, steps, m, require_bridge=True).hex())\n"
+        )
+        src = str(Path(rwre.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            done = subprocess.run(
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True
+            )
+            assert done.returncode == 0, done.stderr
+            outputs.append(done.stdout)
+        assert len(outputs[0].split()) == len(calls)
+        assert outputs[0] == outputs[1]
 
 
 class TestForwardTable:
