@@ -535,14 +535,13 @@ def _run_confined(cfg: ExperimentConfig, out: _Outputs) -> None:
         steps = 2 * n if bridge else n
         return seed, n, m, confined_log_prob(env, steps, m, require_bridge=bridge)
 
-    def window(seed: int, n: int, m: int) -> tuple[int, int]:
-        return -max(2 * n, m), max(2 * n, m)
-
     tasks = [
         (s, n, m) for s in cfg.effective_seeds() for n in cfg.params["n_grid"]
         for m in m_values(n)
     ]
-    out.csv("confined.csv", "seed,n,M,log_prob", _map_seeded(cfg, work, tasks, window))
+    # the corridor reads [-M, M] only, and sites are keyed one by one
+    rows = _map_seeded(cfg, work, tasks, window=lambda seed, n, m: (-m, m))
+    out.csv("confined.csv", "seed,n,M,log_prob", rows)
 
 
 def _run_max_disp_exact(cfg: ExperimentConfig, out: _Outputs) -> None:
@@ -550,13 +549,13 @@ def _run_max_disp_exact(cfg: ExperimentConfig, out: _Outputs) -> None:
 
     def work(env, seed: int, n: int):
         cdf, bound = _max_disp_cdf(env, n)
-        q05, med, q95 = [_quantile(cdf, n, q) for q in (0.05, 0.5, 0.95)]
-        cdf_rows = []
+        grid = []
         if cdf_points > 0:
             grid = np.unique(
                 np.round(np.geomspace(1, max(n, 1), cdf_points)).astype(np.int64)
-            )
-            cdf_rows = [(seed, n, int(m), cdf(int(m))) for m in grid]
+            ).tolist()
+        cdf_rows = [(seed, n, m, cdf(m)) for m in grid]
+        q05, med, q95 = [_quantile(cdf, n, q, grid) for q in (0.05, 0.5, 0.95)]
         return (seed, n, med, q05, q95), cdf_rows, bound
 
     results = _map_seeded(cfg, work)

@@ -127,54 +127,96 @@ class DpTable:
         return np.exp(self.log_mass).sum(axis=1)
 
 
-def _propagate(om: np.ndarray, start: int, steps: int, trunc: float = 0.0):
+def _propagate(
+    om: np.ndarray,
+    start: int,
+    steps: int,
+    trunc: float = 0.0,
+    target: int | None = None,
+):
     """Propagate unit mass from index ``start`` through ``om``, killing any
     mass that steps outside its index range.
 
     Yields ``(mass, log_scale, disc_log)`` for the initial state and then
-    after each of up to ``steps`` steps: the scaled linear mass vector,
-    the log factor to add back, and a log-domain upper bound on all mass
-    dropped by the relative floor ``trunc`` (``-inf`` when nothing was
-    dropped).  The mass of state ``k`` leaving on step ``k + 1`` is
-    ``(1 - om[0]) * mass[0]`` on the left and ``om[-1] * mass[-1]`` on the
-    right, times ``exp(log_scale)``.  Stops early after yielding an
-    all-zero state.  The yielded vector is overwritten by the next step,
-    so callers read it before advancing.
+    after each of up to ``steps`` steps: the scaled linear mass vector
+    over all of ``om``, the log factor to add back, and a log-domain upper
+    bound on all mass dropped by the relative floor ``trunc`` (``-inf``
+    when nothing was dropped).  The mass of state ``k`` leaving on step
+    ``k + 1`` is ``(1 - om[0]) * mass[0]`` on the left and
+    ``om[-1] * mass[-1]`` on the right, times ``exp(log_scale)``.  Stops
+    early after yielding an all-zero state.  The yielded vector is
+    overwritten by later steps, so callers read it before advancing.
+
+    Each step computes only a live window of indices and leaves exact
+    zeros outside it.  The window grows by at most one index per side per
+    step (the forward cone), so without ``target`` and ``trunc`` every
+    state is bit for bit the full-width recursion's.  With ``target``,
+    state ``k`` keeps only the indices within ``steps - k`` of it (the
+    backward cone): the mass that can still be at ``target`` after
+    ``steps`` steps, which is all a bridge reads (``target`` must lie
+    within ``steps`` of ``start``).  With ``trunc > 0``, the cells below
+    ``trunc`` times the window's maximum are dropped from both ends of
+    the window, each end up to its first cell at or above that floor, and
+    their mass is added to the bound; cells inside are never dropped.
     """
     w = om.size
-    p = om
-    q = 1.0 - om
-    mass = np.zeros(w)
-    mass[start] = 1.0
-    right = np.empty(w)
+    # Buffers carry one zero guard cell per side: index i of om is buffer
+    # cell i + 1, and the guards' zero weights keep the edges exact.
+    p = np.zeros(w + 2)
+    p[1:-1] = om
+    q = np.zeros(w + 2)
+    q[1:-1] = 1.0 - om
+    mass = np.zeros(w + 2)
+    mass[start + 1] = 1.0
+    new = np.zeros(w + 2)
     left = np.empty(w)
-    new = np.empty(w)
+    end = w - 1
+    lo = hi = start  # live window of mass, in indices of om
+    old_lo, old_hi = start, start - 1  # window new held two states back
     scale = 0.0
     disc_log = -np.inf
-    yield mass, scale, disc_log
-    for _ in range(steps):
-        np.multiply(mass, p, out=right)
-        np.multiply(mass, q, out=left)
-        new[0] = 0.0
-        new[1:] = right[:-1]
-        new[:-1] += left[1:]
+    yield mass[1:-1], scale, disc_log
+    for k in range(1, steps + 1):
+        a = lo - 1 if lo else 0
+        b = hi + 1 if hi < end else end
+        if target is not None:
+            a, b = max(a, target - steps + k), min(b, target + steps - k)
+        if old_lo < a:
+            new[old_lo + 1 : a + 1] = 0.0
+        if old_hi > b:
+            new[b + 2 : old_hi + 2] = 0.0
+        live = new[a + 1 : b + 2]
+        np.multiply(mass[a : b + 1], p[a : b + 1], out=live)
+        tail = left[: b - a + 1]
+        np.multiply(mass[a + 2 : b + 3], q[a + 2 : b + 3], out=tail)
+        live += tail
         mass, new = new, mass
-        m = mass.max()
+        old_lo, old_hi, lo, hi = lo, hi, a, b
+        m = live.max()
         if m == 0.0:
             # everything was killed; later states stay empty
-            yield mass, scale, disc_log
+            yield mass[1:-1], scale, disc_log
             return
         if trunc > 0.0:
-            small = mass < m * trunc
-            if small.any():
-                dropped = float(mass[small].sum())
-                if dropped > 0.0:
-                    disc_log = np.logaddexp(disc_log, np.log(dropped) + scale)
-                    mass[small] = 0.0
+            # drop each tail up to its first cell at or above the floor;
+            # the maximum is one, so both scans stop inside the window
+            floor = m * trunc
+            dropped = 0.0
+            while live[lo - a] < floor:
+                dropped += live[lo - a]
+                lo += 1
+            while live[hi - a] < floor:
+                dropped += live[hi - a]
+                hi -= 1
+            if dropped > 0.0:
+                disc_log = float(np.logaddexp(disc_log, math.log(dropped) + scale))
+            live[: lo - a] = 0.0
+            live[hi - a + 1 :] = 0.0
+            live = live[lo - a : hi - a + 1]
         if m < _RESCALE_LO or m > _RESCALE_HI:
-            mass /= m
+            live /= m
             scale += float(np.log(m))
-        yield mass, scale, disc_log
+        yield mass[1:-1], scale, disc_log
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -260,10 +302,12 @@ def bridge_log_prob(
     n : int
         Half length of the bridge; the event is ``X_{2n} = 0``.
     truncation : float, optional
-        Relative per-step floor below which sites are dropped, with the
-        total dropped mass tracked rigorously.  ``None`` selects the
-        default policy: no truncation below ``n = 4096``, a floor of
-        1e-300 at or above it.  Pass ``0.0`` to force truncation off.
+        Relative floor in ``[0, 1)``: after each step the sites below it
+        times the step's largest mass are dropped from both tails of the
+        support, with the total dropped mass tracked rigorously.  ``None``
+        selects the default policy: no truncation below ``n = 4096``, a
+        floor of 1e-300 at or above it.  Pass ``0.0`` to force truncation
+        off.
     with_error_bound : bool
         When set, return ``(log_prob, log_discarded_bound)`` where the
         second element bounds from above the log of all probability mass
@@ -273,19 +317,24 @@ def bridge_log_prob(
 
     Notes
     -----
-    Every bridge path stays within ``[-n, n]``, so the propagation runs on
-    that sub-window even though the documented window requirement is the
-    conservative ``[-2n, 2n]``.
+    After ``k`` steps a bridge path can only sit at ``|x| <= min(k, 2n - k)``
+    (the double cone), so each step propagates only that part of
+    ``[-n, n]``, cut further to the support left by truncation.  Mass
+    outside the backward half of the cone cannot return to the origin in
+    time; it is left out exactly, not dropped, so it is not in the bound.
+    The documented window requirement stays the conservative ``[-2n, 2n]``.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")
+    if truncation is not None and not 0.0 <= truncation < 1.0:
+        raise DomainError("truncation must lie in [0, 1)")
     env.require_window(-2 * n, 2 * n)
     if n == 0:
         return (0.0, -np.inf) if with_error_bound else 0.0
     if truncation is None:
         truncation = _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
     om = env.slice(-n, n)
-    for mass, scale, disc_log in _propagate(om, n, 2 * n, trunc=truncation):
+    for mass, scale, disc_log in _propagate(om, n, 2 * n, truncation, target=n):
         pass
     logp = _final_log(mass, scale, n)
     return (logp, disc_log) if with_error_bound else logp
@@ -346,9 +395,10 @@ def _confined_log(om: np.ndarray, steps: int, bridge: bool) -> float:
         logp = _squared_log(om, steps, bridge)
         if logp is not None:
             return logp
-    for mass, scale, _ in _propagate(om, start, steps):
+    target = start if bridge else None
+    for mass, scale, _ in _propagate(om, start, steps, target=target):
         pass
-    return _final_log(mass, scale, start if bridge else None)
+    return _final_log(mass, scale, target)
 
 
 def _prefers_squaring(w: int, steps: int) -> bool:
@@ -483,9 +533,22 @@ def _max_disp_cdf(env: Environment, n: int):
     return cdf, disc_log
 
 
-def _quantile(cdf, n: int, q: float) -> int:
-    """Smallest ``m`` in ``[1, n]`` with ``cdf(m + 1) >= q``, by bisection."""
+def _quantile(cdf, n: int, q: float, known=()) -> int:
+    """Smallest ``m`` in ``[1, n]`` with ``cdf(m + 1) >= q``, by bisection.
+
+    The bisection starts inside the bracket that the points ``known``
+    give (``cdf`` is memoized, so they cost nothing once computed):
+    ``cdf(g) < q`` puts the answer at or above ``g``, ``cdf(g) >= q``
+    below ``g``.
+    """
     lo, hi = 1, n
+    for g in known:
+        if cdf(g) < q:
+            lo = max(lo, g)
+        else:
+            hi = min(hi, g - 1)
+    if lo > hi:  # the points disagree by rounding: search everything
+        lo, hi = 1, n
     while lo < hi:
         mid = (lo + hi) // 2
         if cdf(mid + 1) >= q:

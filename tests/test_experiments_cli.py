@@ -671,6 +671,39 @@ class TestMaxDispExperiment:
         probes = [c for c in calls if c[0] == "confined_log_prob"]
         assert len(probes) == len(set(probes)) > 0
 
+    def test_quantile_bisections_start_inside_the_cdf_grid_bracket(
+        self, workdir, capsys, monkeypatch
+    ):
+        probes = []
+        real = rwre.kernel.confined_log_prob
+
+        def counted(env, steps, m, **kwargs):
+            probes.append((steps // 2, m))
+            return real(env, steps, m, **kwargs)
+
+        monkeypatch.setattr(rwre.kernel, "confined_log_prob", counted)
+        ns = (64, 128)
+        cfg = small_config(workdir, "max-disp-exact", n_grid="64,128", seeds="0",
+                           cdf_points="17")
+        csv, _ = run_once(capsys, workdir, "max-disp-exact", cfg, "runs")
+        bracketed = list(probes)
+        # the same task with each bisection over all of [1, n], then the grid
+        want_rows, want_cdf = [], []
+        probes.clear()
+        for n in ns:
+            env = rwre.sample_environment(rwre.load_distribution(workdir / "dist.txt"),
+                                          0, -2 * n, 2 * n)
+            cdf, _ = rwre.kernel._max_disp_cdf(env, n)
+            q05, med, q95 = [rwre.kernel._quantile(cdf, n, q) for q in (0.05, 0.5, 0.95)]
+            want_rows.append(f"0,{n},{med},{q05},{q95}")
+            grid = np.unique(np.round(np.geomspace(1, n, 17)).astype(np.int64))
+            want_cdf += ["0,%d,%d,%.17g" % (n, m, cdf(int(m))) for m in grid]
+        assert csv["maxdisp_summary.csv"].decode().splitlines()[1:] == want_rows
+        assert csv["maxdisp_cdf.csv"].decode().splitlines()[1:] == want_cdf
+        for n in ns:
+            fewer = sum(1 for key in bracketed if key[0] == n)
+            assert fewer < sum(1 for key in probes if key[0] == n)
+
 
 class TestSampleBridgeExperiment:
     def test_summary_and_exported_paths(self, workdir, capsys):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import json
 import math
 import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -34,6 +36,7 @@ from rwre import (
     max_disp_bridge_cdf,
     sample_environment,
 )
+from rwre import kernel
 from rwre.kernel import _final_log, _prefers_squaring, _propagate, _squared_log
 
 # ln of the 20-step fair-walk return probability C(20,10)/2^20, frozen from
@@ -169,12 +172,21 @@ class TestConfinedLogProb:
         assert got == pytest.approx(exact, abs=1e-12)
 
 
+def env_for(law, seed: int, lo: int, hi: int) -> Environment:
+    if law is None:
+        return random_env(seed, lo, hi)
+    return sample_environment(law, seed, lo, hi)
+
+
+LAWS = st.sampled_from([NESTLING_K2, MARGINAL, NON_NESTLING, None])
+
+
 def dp_log(om: np.ndarray, steps: int, bridge: bool) -> float:
     """The confined (bridge) log probability by the per-step DP alone."""
-    start = om.size // 2
-    for mass, scale, _ in _propagate(om, start, steps):
+    target = om.size // 2 if bridge else None
+    for mass, scale, _ in _propagate(om, om.size // 2, steps, target=target):
         pass
-    return _final_log(mass, scale, start if bridge else None)
+    return _final_log(mass, scale, target)
 
 
 def assert_close_log(got: float, want: float) -> None:
@@ -190,7 +202,7 @@ class TestSquaringPath:
 
     @settings(max_examples=60, deadline=None)
     @given(
-        law=st.sampled_from([NESTLING_K2, MARGINAL, NON_NESTLING, None]),
+        law=LAWS,
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(1, 64),
         steps=st.integers(0, 4000),
@@ -198,10 +210,7 @@ class TestSquaringPath:
     )
     def test_agrees_with_dp(self, law, seed, m, steps, bridge):
         steps -= steps % 2 if bridge else 0
-        if law is None:
-            env = random_env(seed, -m, m)
-        else:
-            env = sample_environment(law, seed, -m, m)
+        env = env_for(law, seed, -m, m)
         om = env.slice(-(m - 1), m - 1)
         want = dp_log(om, steps, bridge)
         assert_close_log(confined_log_prob(env, steps, m, require_bridge=bridge), want)
@@ -268,6 +277,166 @@ class TestSquaringPath:
             outputs.append(done.stdout)
         assert len(outputs[0].split()) == len(calls)
         assert outputs[0] == outputs[1]
+
+
+def full_rectangle(om, start, steps, trunc=0.0, target=None):
+    """The propagation recursion over every index of ``om`` at every step,
+    truncating through a mask over the whole vector; ``target`` is ignored.
+    The reference the windowed :func:`_propagate` is held to."""
+    mass = np.zeros(om.size)
+    mass[start] = 1.0
+    scale, disc_log = 0.0, -np.inf
+    yield mass, scale, disc_log
+    for _ in range(steps):
+        new = np.zeros(om.size)
+        new[1:] = mass[:-1] * om[:-1]
+        new[:-1] += mass[1:] * (1.0 - om[1:])
+        mass = new
+        m = mass.max()
+        if m == 0.0:
+            yield mass, scale, disc_log
+            return
+        small = mass < m * trunc
+        if small.any():
+            disc_log = np.logaddexp(disc_log, math.log(mass[small].sum()) + scale)
+            mass[small] = 0.0
+        if m < kernel._RESCALE_LO or m > kernel._RESCALE_HI:
+            mass /= m
+            scale += math.log(m)
+        yield mass, scale, disc_log
+
+
+class TestWindowedCore:
+    """The live-window propagation against the full-rectangle recursion."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), half=st.integers(1, 12),
+           steps=st.integers(0, 60), start=st.integers(-12, 12),
+           kind=st.sampled_from([None, "killing", "absorbing"]))
+    def test_forward_table_is_bit_equal(self, law, seed, half, steps, start, kind):
+        env = env_for(law, seed, -80, 80)
+        interval = None if kind is None else IntervalSpec(-half, half, kind)
+        start = start if kind is None else max(-half + 1, min(start, half - 1))
+        got = forward_table(env, steps, interval, start)
+        with mock.patch.object(kernel, "_propagate", full_rectangle):
+            want = forward_table(env, steps, interval, start)
+        assert np.array_equal(got.log_mass, want.log_mass)
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), target=st.integers(-15, 15),
+           horizon=st.integers(0, 300))
+    def test_hitting_cdf_is_bit_equal(self, law, seed, target, horizon):
+        env = env_for(law, seed, -320, 320)
+        got = hitting_cdf(env, target, horizon)
+        with mock.patch.object(kernel, "_propagate", full_rectangle):
+            want = hitting_cdf(env, target, horizon)
+        assert np.array_equal(got, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
+           steps=st.integers(0, 400), bridge=st.booleans())
+    def test_confined_dp(self, law, seed, m, steps, bridge):
+        # without a target the DP is bit-equal; the bridge's backward cone
+        # changes only where rescaling rounds
+        steps -= steps % 2 if bridge else 0
+        om = env_for(law, seed, -m, m).slice(-(m - 1), m - 1)
+        got = dp_log(om, steps, bridge)
+        with mock.patch.object(kernel, "_propagate", full_rectangle):
+            want = dp_log(om, steps, bridge)
+        if bridge:
+            assert_close_log(got, want)
+        else:
+            assert got == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150))
+    def test_bridge_log_prob(self, law, seed, n):
+        env = env_for(law, seed, -2 * n, 2 * n)
+        got = bridge_log_prob(env, n, truncation=0.0, with_error_bound=True)
+        with mock.patch.object(kernel, "_propagate", full_rectangle):
+            want = bridge_log_prob(env, n, truncation=0.0)
+        assert got[1] == -np.inf
+        assert_close_log(got[0], want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+           floor=st.sampled_from([1e-3, 1e-8, 0.3]))
+    def test_truncation_bound_sandwiches_the_exact_probability(self, law, seed, n, floor):
+        env = env_for(law, seed, -2 * n, 2 * n)
+        lp, bound = bridge_log_prob(env, n, truncation=floor, with_error_bound=True)
+        with mock.patch.object(kernel, "_propagate", full_rectangle):
+            exact = bridge_log_prob(env, n, truncation=0.0)
+        tol = 1e-12 * max(1.0, abs(exact))
+        assert lp <= exact + tol
+        assert exact <= np.logaddexp(lp, bound) + tol
+
+    @settings(max_examples=80, deadline=None)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), w=st.integers(1, 30),
+           data=st.data())
+    def test_states_live_in_the_double_cone(self, law, seed, w, data):
+        # every state of a targeted run is zero off the forward and backward
+        # cones (no stale cell of a reused buffer survives) and equals the
+        # full recursion on them, up to its own rescaling
+        start = data.draw(st.integers(0, w - 1))
+        target = data.draw(st.integers(0, w - 1))
+        steps = abs(target - start) + 2 * data.draw(st.integers(0, 60))
+        om = env_for(law, seed, 0, w - 1).slice(0, w - 1)
+        states = zip(_propagate(om, start, steps, target=target),
+                     full_rectangle(om, start, steps))
+        sites = np.arange(w)
+        for k, ((mass, scale, _), (ref, ref_scale, _)) in enumerate(states):
+            cone = (np.abs(sites - start) <= k) & (np.abs(sites - target) <= steps - k)
+            assert not mass[~cone].any()
+            both = cone & (ref > 0.0)
+            with np.errstate(divide="ignore"):
+                got = np.log(mass[both]) + scale
+            want = np.log(ref[both]) + ref_scale
+            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+    @pytest.mark.parametrize("w,start,target,steps", [
+        (1, 0, 0, 0), (1, 0, 0, 5), (2, 0, 1, 1), (2, 1, 0, 9), (5, 0, 4, 4),
+        (5, 0, 4, 200), (5, 4, 0, 64), (7, 3, 3, 0), (7, 6, 6, 300),
+    ])
+    def test_edges(self, w, start, target, steps):
+        # one site, no steps, and windows pinned to both ends of om
+        om = random_env(w + steps, 0, w - 1).slice(0, w - 1)
+        *_, (mass, scale, _) = _propagate(om, start, steps, target=target)
+        *_, (ref, ref_scale, _) = full_rectangle(om, start, steps)
+        assert_close_log(_final_log(mass, scale, target),
+                         _final_log(ref, ref_scale, target))
+        for got, want in zip(_propagate(om, start, steps), full_rectangle(om, start, steps)):
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_smallest_bridges(self, n):
+        env = random_env(n, -2 * n, 2 * n)
+        with mock.patch.object(kernel, "_propagate", full_rectangle):
+            want = bridge_log_prob(env, n)
+        assert_close_log(bridge_log_prob(env, n), want)
+        assert confined_log_prob(env, 2 * n, 1, require_bridge=True) == -np.inf
+
+    def test_truncation_outside_unit_interval_rejected(self):
+        env = random_env(1, -4, 4)
+        for floor in (-1e-3, 1.0, 2.0):
+            with pytest.raises(DomainError):
+                bridge_log_prob(env, 2, truncation=floor)
+
+
+class TestBenchmarkReference:
+    """``bridge_log_prob`` at the widths of the repository benchmark."""
+
+    @pytest.mark.parametrize("slot", ["0", "1"])
+    def test_bridge_wide_reference(self, slot):
+        root = Path(__file__).resolve().parents[1]
+        ref = json.loads((root / "perfbench" / "reference" / "bridge_wide.json")
+                         .read_text(encoding="utf-8"))
+        rows = ref["slots"][slot]["bridge_prob.csv"]["rows"]
+        law = rwre.load_distribution(root / "demos" / "dists" / "nestling_k2.txt")
+        assert len(rows) == 3
+        for row in rows:
+            seed, n, want = row.split(",")
+            env = sample_environment(law, int(seed), -2 * int(n), 2 * int(n))
+            assert abs(bridge_log_prob(env, int(n)) - float(want)) <= 1e-12 * abs(float(want))
 
 
 class TestForwardTable:
