@@ -73,12 +73,10 @@ from .io import (
 )
 from .kernel import (
     DpTable,
-    IntervalSpec,
     bridge_log_prob,
     bridge_max_quantile,
     confined_log_prob,
     exit_prob_closed_form,
-    forward_table,
     hitting_cdf,
     max_disp_bridge_cdf,
 )
@@ -125,8 +123,6 @@ __all__ = [
     "dump_environment",
     # kernel
     "DpTable",
-    "IntervalSpec",
-    "forward_table",
     "bridge_log_prob",
     "confined_log_prob",
     "max_disp_bridge_cdf",

@@ -376,7 +376,7 @@ class Environment:
         om = np.ascontiguousarray(self.omegas, dtype=np.float64)
         if om.ndim != 1 or om.size == 0:
             raise DomainError("omegas must be a nonempty 1-D array")
-        if np.any(om < 0.0) or np.any(om > 1.0):
+        if not np.all((om >= 0.0) & (om <= 1.0)):  # nan too
             raise DomainError("omega values must lie in [0, 1]")
         object.__setattr__(self, "omegas", om)
         object.__setattr__(self, "offset", int(self.offset))

@@ -7,9 +7,10 @@ and writes headered CSV files plus a ``manifest.json`` sidecar into a
 fresh run directory named ``<experiment>-<UTC timestamp>-<config hash
 prefix>``.  Identical configs produce byte-identical CSVs; the manifest
 records the config hash, parameter echo, effective seeds, package
-versions, wall time, any error, and (``bridge-prob``, ``scaling``) the
-largest truncation bound, and is flipped from ``incomplete`` to
-``complete`` only when every output has been written.
+versions, wall time, any error, and (``bridge-prob``, ``scaling``,
+``max-disp-exact``, ``conjecture-explore``) the largest truncation
+bound, and is flipped from ``incomplete`` to ``complete`` only when
+every output has been written.
 
 Floats are written with 17 significant digits (``%.17g``) and ``\\n``
 line endings so outputs are bit-reproducible across platforms.  The one
@@ -187,7 +188,7 @@ def _dist_parser(key: str, raw: str, config_dir: Path) -> SiteDistribution:
         if not path.exists():
             raise ConfigError(f"{key}: file not found: {path}")
         return load_distribution(path)
-    except (DomainError, OSError, UnicodeDecodeError) as exc:
+    except (DomainError, OSError) as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -319,6 +320,10 @@ def load_config(path: str | Path, experiment: str) -> dict[str, Any]:
 _LEAST = {"n_samples": 1, "export_paths": 0, "cdf_points": 0, "m_grid": 1, "x": 1,
           "ell_grid": 2, "bound_ell_grid": 2, "m": 1, "r": 1}
 
+# experiment -> least n_grid entry it can run (0 where unlisted)
+_LEAST_N = {"max-disp-exact": 1, "sample-bridge": 1, "srw-smalldev": 1,
+            "scaling": 2, "conjecture-explore": 2}
+
 
 def _validate(experiment: str, params: dict[str, Any]) -> None:
     dist = params.get(_DIST)
@@ -349,11 +354,9 @@ def _validate(experiment: str, params: dict[str, Any]) -> None:
         raise ConfigError("beta_grid entries must be positive")
     if experiment == "confined" and ("m_grid" in params) == ("gamma" in params):
         raise ConfigError("confined: set exactly one of m_grid and gamma")
-    if experiment in ("scaling", "conjecture-explore"):
-        if any(n < 2 for n in params["n_grid"]):
-            raise ConfigError(f"{experiment} requires n_grid entries >= 2")
-    if experiment == "srw-smalldev" and any(n < 1 for n in params["n_grid"]):
-        raise ConfigError("n_grid entries must be at least 1")
+    least_n = _LEAST_N.get(experiment, 0)
+    if min(params.get("n_grid", [least_n])) < least_n:
+        raise ConfigError(f"{experiment} requires n_grid entries >= {least_n}")
     if experiment == "com-check" and any(not 1 <= n <= 8 for n in params["n_grid"]):
         raise ConfigError("com-check enumerates paths; n_grid entries must be in 1..8")
     if experiment == "scaling":

@@ -28,10 +28,13 @@ __all__ = [
 def _data_lines(path: str | os.PathLike) -> list[tuple[int, str]]:
     out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if line:
-                out.append((lineno, line))
+        try:
+            for lineno, raw in enumerate(fh, start=1):
+                line = raw.split("#", 1)[0].strip()
+                if line:
+                    out.append((lineno, line))
+        except UnicodeDecodeError as exc:
+            raise DomainError(f"{path}: not UTF-8 text: {exc}") from exc
     return out
 
 

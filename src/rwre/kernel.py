@@ -4,11 +4,14 @@ All computations propagate occupation mass step by step through a fixed
 environment window.  Mass is stored linearly but rescaled whenever it
 drifts out of comfortable floating-point range, with the accumulated log
 scale folded back into every returned value, so results are exact log
-probabilities down to extremely small magnitudes (the practical floor is a
-relative spread of about 1e-300 within a single time slice, far below
-anything the supported workloads produce).  Confined corridors that run
-many more steps than they have sites may instead take guarded binary
-powers of a transfer matrix (see :func:`confined_log_prob`).
+probabilities down to extremely small magnitudes.  Within one step,
+though, a cell that falls more than about 1e-300 below the step's largest
+underflows to exactly 0, and ``log_discarded_bound`` does not count it.
+With truncation off (bridges below ``n = 4096`` by default) wide bridges
+do lose such cells: 736,265 cone cells at ``n = 2048`` on a nestling law,
+holding at most about ``e**-579`` of the probability.  Confined corridors
+that run many more steps than they have sites may instead take guarded
+binary powers of a transfer matrix (see :func:`confined_log_prob`).
 
 Step-count conventions: :func:`bridge_log_prob` and
 :func:`max_disp_bridge_cdf` take the half length ``n`` of a ``2n``-step
@@ -34,8 +37,6 @@ from .errors import (
 
 __all__ = [
     "DpTable",
-    "IntervalSpec",
-    "forward_table",
     "bridge_log_prob",
     "confined_log_prob",
     "max_disp_bridge_cdf",
@@ -53,46 +54,21 @@ _RESCALE_HI = 1e100
 _AUTO_TRUNCATION_N = 4096
 _AUTO_TRUNCATION_THRESHOLD = 1e-300
 
-# Cap on materialized table entries (DpTable construction only).
+# Cap on materialized table entries (backward and step tables).
 _MAX_TABLE_ENTRIES = 150_000_000
-
-
-@dataclass(frozen=True)
-class IntervalSpec:
-    """Open interval ``(lo, hi)`` with a boundary behavior tag.
-
-    ``killing`` removes any mass that steps onto an endpoint;
-    ``absorbing`` freezes it there.  Both endpoints share one behavior.
-    """
-
-    lo: int
-    hi: int
-    boundary: str = "killing"
-
-    def __post_init__(self):
-        if self.lo >= self.hi:
-            raise OrderingError(f"interval ({self.lo}, {self.hi}) is empty")
-        if self.boundary not in ("killing", "absorbing"):
-            raise DomainError(f"unknown boundary behavior {self.boundary!r}")
 
 
 @dataclass(frozen=True, eq=False)
 class DpTable:
-    """Occupation or backward-probability table in the log domain.
+    """Backward-probability table in the log domain.
 
-    ``log_mass[k, i]`` is the fully folded log value at step ``k`` and site
-    ``site_lo + i``; unreachable cells hold ``-inf``.
-
-    For ``kind == "occupation"`` row ``k`` is the mass distribution after
-    ``k`` steps (summing to at most 1, and to exactly 1 for an
-    unrestricted walk).  For ``kind == "backward"`` cell ``(k, x)`` is the
-    probability that a walk sitting at ``x`` with ``n_steps - k`` steps
-    remaining finishes at the origin, and rows are not distributions; a
-    backward table for a 2n-step bridge spans ``[-n - 1, n + 1]``, whose
-    two outer columns are ``-inf`` guards.
+    ``log_mass[k, i]`` is the log probability that a walk sitting at site
+    ``site_lo + i`` with ``n_steps - k`` steps remaining finishes at the
+    origin; unreachable cells hold ``-inf``.  Rows are not distributions.
+    A table for a 2n-step bridge spans ``[-n - 1, n + 1]``, whose two
+    outer columns are ``-inf`` guards.
     """
 
-    kind: str
     n_steps: int
     site_lo: int
     site_hi: int
@@ -104,8 +80,6 @@ class DpTable:
             raise DomainError(
                 f"log_mass shape {self.log_mass.shape} != expected {expected}"
             )
-        if self.kind not in ("occupation", "backward"):
-            raise DomainError(f"unknown table kind {self.kind!r}")
 
     def site_index(self, x: int) -> int:
         if x < self.site_lo or x > self.site_hi:
@@ -118,13 +92,6 @@ class DpTable:
         if k < 0 or k > self.n_steps:
             raise DomainError(f"step {k} outside [0, {self.n_steps}]")
         return float(self.log_mass[k, self.site_index(x)])
-
-    def row(self, k: int) -> np.ndarray:
-        return self.log_mass[k]
-
-    def row_mass_sums(self) -> np.ndarray:
-        """Per-row sums of ``exp(log_mass)``."""
-        return np.exp(self.log_mass).sum(axis=1)
 
 
 def _propagate(
@@ -231,52 +198,6 @@ def _final_log(mass: np.ndarray, scale: float, index: int | None) -> float:
         return -np.inf if total == 0.0 else float(np.log(total)) + scale
     v = float(mass[index])
     return -np.inf if v == 0.0 else float(np.log(v)) + scale
-
-
-def forward_table(
-    env: Environment,
-    steps: int,
-    interval: IntervalSpec | None = None,
-    start: int = 0,
-) -> DpTable:
-    """Materialize the full occupation table for a walk from ``start``.
-
-    With no interval the walk is unrestricted and the table covers the
-    reachable cone ``start +- steps``; rows then sum to 1.  A killing
-    interval restricts the table to the open interval's interior; an
-    absorbing interval additionally keeps the frozen endpoint masses in the
-    boundary columns.
-
-    Intended for moderate sizes (tests, sampling preparation, diagnostics);
-    the table must stay under about 1.5e8 cells.
-    """
-    if steps < 0:
-        raise DomainError("steps must be nonnegative")
-    if interval is None:
-        lo, hi = start - steps, start + steps
-    else:
-        if start <= interval.lo or start >= interval.hi:
-            raise OrderingError(
-                f"start {start} not inside interval ({interval.lo}, {interval.hi})"
-            )
-        lo, hi = interval.lo + 1, interval.hi - 1
-    env.require_window(lo, hi)
-    om = env.slice(lo, hi)
-    absorbing = interval is not None and interval.boundary == "absorbing"
-    pad = 1 if absorbing else 0
-    _check_table_size(steps, om.size + 2 * pad)
-    rows = np.full((steps + 1, om.size + 2 * pad), -np.inf)
-    exits = np.zeros((steps + 1, 2))
-    with np.errstate(divide="ignore"):
-        for k, (mass, scale, _) in enumerate(_propagate(om, start - lo, steps)):
-            rows[k, pad : pad + om.size] = np.log(mass) + scale
-            if absorbing:
-                f = math.exp(scale)
-                exits[k] = (1.0 - om[0]) * mass[0] * f, om[-1] * mass[-1] * f
-        if absorbing:
-            # a sticky endpoint holds all mass that earlier states sent to it
-            rows[1:, [0, -1]] = np.log(np.cumsum(exits[:-1], axis=0))
-    return DpTable("occupation", steps, lo - pad, hi + pad, rows)
 
 
 def _check_table_size(steps: int, width: int) -> None:

@@ -109,7 +109,7 @@ def backward_table(env: Environment, n: int) -> DpTable:
         raise DegenerateBridgeError(
             "conditioning event X_{2n} = 0 has zero probability"
         )
-    return DpTable("backward", 2 * n, -n - 1, n + 1, h)
+    return DpTable(2 * n, -n - 1, n + 1, h)
 
 
 # Batch uniforms are drawn this many steps per rng call.  A (block,
@@ -143,7 +143,7 @@ def _step_table(env: Environment, n: int, table: DpTable | None = None) -> _Step
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    if table is not None and (table.kind != "backward" or table.n_steps != 2 * n):
+    if table is not None and table.n_steps != 2 * n:
         raise DomainError("table does not match the requested bridge length")
     env.require_window(-2 * n, 2 * n)
     # the step table is smaller than a backward table, but the sampler

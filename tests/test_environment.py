@@ -381,6 +381,8 @@ class TestEnvironmentAccess:
     def test_explicit_validation(self):
         with pytest.raises(DomainError):
             Environment(0, np.array([0.5, 1.5]))
+        with pytest.raises(DomainError):
+            Environment(-2, np.array([0.5, 0.5, np.nan, 0.5, 0.5]))
 
     def test_slice(self):
         env = sample_environment(NESTLING_K2, 4, -5, 5)

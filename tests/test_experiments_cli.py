@@ -2,6 +2,7 @@
 config parsing and exit codes, CSV schemas and 17-digit float formatting,
 manifest sidecars, deterministic reruns, and thread-count invariance."""
 
+import importlib.util
 import json
 import math
 import os
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rwre
@@ -285,6 +286,8 @@ class TestConfigErrors:
             ("sample-bridge", "sampler_seed", str(2**64)),
             ("sample-bridge", "export_paths", "-1"),
             ("max-disp-exact", "cdf_points", "-1"),
+            ("max-disp-exact", "n_grid", "0"),
+            ("sample-bridge", "n_grid", "0"),
             ("bridge-prob", "truncation", "nan"),
             ("bridge-prob", "truncation", "-1"),
             ("bridge-prob", "truncation", "5"),
@@ -1170,6 +1173,45 @@ def test_config_values_parse_or_raise_config_error(workdir, experiment, key, raw
     assert set(params) <= set(experiments._SCHEMAS[experiment])
 
 
+# "omega weight" lines that may be unnormalized, out of range, inf or nan
+LAW_NUMBERS = st.one_of(st.floats(), st.sampled_from([0.1, 0.25, 0.5, 0.75, 0.9]))
+LAW_LINES = st.lists(st.tuples(LAW_NUMBERS, LAW_NUMBERS), max_size=4).map(
+    lambda pairs: "".join(f"{a!r} {b!r}\n" for a, b in pairs).encode()
+)
+LAW_FILES = st.one_of(
+    st.integers(0, len(FIG1)).map(lambda k: FIG1.encode()[:k]),  # truncated
+    st.text(max_size=40).map(str.encode),  # non-numeric, mostly
+    LAW_LINES,
+    st.binary(max_size=20).map(lambda b: b + b"\xff"),  # never valid UTF-8
+    st.none(),  # a directory
+)
+
+
+@settings(
+    max_examples=60, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(content=LAW_FILES)
+@example(content=None)
+@example(content=b"nan 0.5\n0.75 0.5\n")
+@example(content=b"0.25 0.1\n0.75 0.9 \xff\n")
+def test_law_files_run_or_raise_one_error_line(capsys, tmp_path_factory, content):
+    workdir = tmp_path_factory.mktemp("law")
+    law = workdir / "law.txt"
+    if content is None:
+        law.mkdir()
+    else:
+        law.write_bytes(content)
+    cfg = write_config(workdir, "kappa", {"distribution": law.name})
+    out_root = workdir / "runs"
+    code, out, err = run_cli(capsys, "kappa", cfg, out_root)
+    if code != 0:
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not out_root.exists()
+
+
 @pytest.mark.parametrize(
     "experiment,key,raw",
     [
@@ -1268,3 +1310,17 @@ def test_installed_console_script(tmp_path):
     proc = run_kappa(tmp_path, [shutil.which("rwre")])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_benchmark_tracer_patch_sites_exist():
+    # the benchmark's --trace 1 patches rwre at these module attributes; a
+    # rename or deletion here would otherwise show only when it runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for layer, (home, _) in tracer.LAYERS.items():
+        attr = layer.rsplit(".", 1)[1]
+        original = getattr(importlib.import_module(home), attr)
+        for site in tracer.PATCH_SITES[layer]:
+            assert getattr(importlib.import_module(site), attr) is original, (layer, site)

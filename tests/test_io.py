@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import NESTLING_K2, NON_NESTLING
 from rwre import (
@@ -98,3 +100,25 @@ class TestEnvironmentFiles:
         path.write_text("offset=0\n0.5\nhuh\n", encoding="utf-8")
         with pytest.raises(DomainError, match=":3"):
             load_environment(path)
+
+
+ENV_LINES = st.one_of(
+    st.floats().map(repr),  # out of range, inf and nan too
+    st.floats(0.0, 1.0).map(repr),
+    st.text(max_size=10),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(header=st.sampled_from(["offset=-2\n", "offset=x\n", ""]),
+       lines=st.lists(ENV_LINES, max_size=6), tail=st.binary(max_size=4))
+@example(header="offset=-2\n", lines=["0.5", "nan", "0.5"], tail=b"")
+@example(header="offset=-2\n", lines=["0.5"], tail=b"\xff")
+def test_loaded_environment_is_valid_or_rejected(tmp_path_factory, header, lines, tail):
+    path = tmp_path_factory.mktemp("env") / "env.txt"
+    path.write_bytes((header + "\n".join(lines) + "\n").encode() + tail)
+    try:
+        env = load_environment(path)
+    except DomainError:
+        return
+    assert np.all((env.omegas >= 0.0) & (env.omegas <= 1.0))

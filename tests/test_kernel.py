@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from itertools import zip_longest
 from pathlib import Path
 from unittest import mock
 
@@ -23,7 +24,6 @@ from rwre import (
     DomainError,
     DpTable,
     Environment,
-    IntervalSpec,
     OrderingError,
     ParityError,
     WindowTooSmallError,
@@ -31,7 +31,6 @@ from rwre import (
     bridge_max_quantile,
     confined_log_prob,
     exit_prob_closed_form,
-    forward_table,
     hitting_cdf,
     max_disp_bridge_cdf,
     sample_environment,
@@ -310,17 +309,19 @@ class TestWindowedCore:
     """The live-window propagation against the full-rectangle recursion."""
 
     @settings(max_examples=60, deadline=None)
-    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), half=st.integers(1, 12),
-           steps=st.integers(0, 60), start=st.integers(-12, 12),
-           kind=st.sampled_from([None, "killing", "absorbing"]))
-    def test_forward_table_is_bit_equal(self, law, seed, half, steps, start, kind):
-        env = env_for(law, seed, -80, 80)
-        interval = None if kind is None else IntervalSpec(-half, half, kind)
-        start = start if kind is None else max(-half + 1, min(start, half - 1))
-        got = forward_table(env, steps, interval, start)
-        with mock.patch.object(kernel, "_propagate", full_rectangle):
-            want = forward_table(env, steps, interval, start)
-        assert np.array_equal(got.log_mass, want.log_mass)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), w=st.integers(1, 130),
+           steps=st.integers(0, 60), data=st.data())
+    def test_states_are_bit_equal(self, law, seed, w, steps, data):
+        # with no target, every state, killed at both ends of om or still
+        # inside it, is the full recursion's mass and scale bit for bit
+        start = data.draw(st.integers(0, w - 1))
+        om = env_for(law, seed, 0, w - 1).slice(0, w - 1)
+        # states are compared as they come: later steps overwrite them
+        states = zip_longest(_propagate(om, start, steps), full_rectangle(om, start, steps))
+        for got, want in states:
+            assert got is not None and want is not None
+            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+            assert got[2] == want[2] == -np.inf
 
     @settings(max_examples=60, deadline=None)
     @given(law=LAWS, seed=st.integers(0, 2**32 - 1), target=st.integers(-15, 15),
@@ -439,90 +440,62 @@ class TestBenchmarkReference:
             assert abs(bridge_log_prob(env, int(n)) - float(want)) <= 1e-12 * abs(float(want))
 
 
+def occupation(env: Environment, lo: int, hi: int, start: int, steps: int) -> np.ndarray:
+    """Row ``k`` is the linear mass over sites ``[lo, hi]`` after ``k`` steps
+    from ``start``, killed on leaving them, read off ``_propagate``."""
+    states = _propagate(env.slice(lo, hi), start - lo, steps)
+    return np.array([mass * math.exp(scale) for mass, scale, _ in states])
+
+
 class TestForwardTable:
+    """Occupation rows of the propagation core."""
+
     def test_unrestricted_mass_conserved_every_step(self):
         env = random_env(2, -15, 15)
-        table = forward_table(env, 15)
-        sums = table.row_mass_sums()
+        sums = occupation(env, -15, 15, 0, 15).sum(axis=1)
         assert np.all(np.abs(sums - 1.0) < 1e-12)
 
     def test_parity_pattern(self):
         env = random_env(2, -6, 6)
-        table = forward_table(env, 6)
+        rows = occupation(env, -6, 6, 0, 6)
         for k in range(7):
-            for x in range(table.site_lo, table.site_hi + 1):
+            for x in range(-6, 7):
                 if (x - k) % 2 != 0:
-                    assert table.log_at(k, x) == -np.inf
+                    assert rows[k, x + 6] == 0.0
 
     def test_rows_match_enumeration(self):
         env = random_env(7, -5, 5)
-        table = forward_table(env, 5)
+        rows = occupation(env, -5, 5, 0, 5)
         for k in (2, 5):
             for x in range(-k, k + 1):
                 exact = oracles.event_probability(
                     env, k, lambda s, x=x: s[-1] == x
                 )
-                got = math.exp(table.log_at(k, x))
-                assert got == pytest.approx(exact, abs=1e-12)
+                assert rows[k, x + 5] == pytest.approx(exact, abs=1e-12)
 
     def test_killing_interval_mass_decreases(self):
         env = random_env(4, -5, 5)
-        table = forward_table(env, 12, IntervalSpec(-3, 3, "killing"))
-        sums = table.row_mass_sums()
+        sums = occupation(env, -2, 2, 0, 12).sum(axis=1)
         assert np.all(sums <= 1.0 + 1e-12)
         assert np.all(np.diff(sums) <= 1e-12)
 
-    def test_absorbing_interval_conserves_mass(self):
-        env = random_env(4, -5, 5)
-        table = forward_table(env, 12, IntervalSpec(-3, 3, "absorbing"))
-        sums = table.row_mass_sums()
-        assert np.all(np.abs(sums - 1.0) < 1e-12)
-
-    def test_absorbing_matches_exit_oracle(self):
-        env = random_env(8, -4, 4)
-        # 2000 steps leaves far less than 1e-13 interior mass on a width-6
-        # interval, so the frozen boundary mass is the full exit probability
-        table = forward_table(env, 2000, IntervalSpec(-3, 4, "absorbing"))
-        absorbed_left = math.exp(table.log_at(2000, -3))
-        exact = oracles.exit_prob_dp(env, -3, 0, 4)
-        assert absorbed_left == pytest.approx(exact, abs=1e-12)
-
-    @pytest.mark.parametrize("steps", [2000, 20000])
-    def test_absorbing_interior_equals_killing_table(self, steps):
-        # both boundary behaviors share one rescaled propagation, so the
-        # absorbing interior does not underflow on long horizons (at 20000
-        # steps its log-mass is below -3900, past the smallest double)
-        env = sample_environment(NESTLING_K2, 8, -4, 4)
-        absorbing = forward_table(env, steps, IntervalSpec(-3, 4, "absorbing"))
-        killing = forward_table(env, steps, IntervalSpec(-3, 4, "killing"))
-        assert np.array_equal(absorbing.log_mass[:, 1:-1], killing.log_mass)
-
-    def test_start_must_be_interior(self):
-        env = random_env(4, -5, 5)
-        with pytest.raises(OrderingError):
-            forward_table(env, 4, IntervalSpec(-2, 2), start=2)
-
     def test_start_offset(self):
         env = random_env(4, -8, 8)
-        table = forward_table(env, 3, start=2)
-        assert math.exp(table.log_at(0, 2)) == 1.0
+        rows = occupation(env, -1, 5, 2, 3)
+        assert rows[0, 2 + 1] == 1.0
         exact = oracles.event_probability(
             env.shift(2), 3, lambda s: s[-1] == 1
         )
-        assert math.exp(table.log_at(3, 3)) == pytest.approx(exact, abs=1e-13)
+        assert rows[3, 3 + 1] == pytest.approx(exact, abs=1e-13)
 
 
 class TestDpTableValidation:
     def test_shape_checked(self):
         with pytest.raises(DomainError):
-            DpTable("occupation", 2, -1, 1, np.zeros((2, 3)))
-
-    def test_kind_checked(self):
-        with pytest.raises(DomainError):
-            DpTable("sideways", 2, -1, 1, np.zeros((3, 3)))
+            DpTable(2, -1, 1, np.zeros((2, 3)))
 
     def test_lookup_bounds(self):
-        table = DpTable("occupation", 2, -1, 1, np.zeros((3, 3)))
+        table = DpTable(2, -1, 1, np.zeros((3, 3)))
         with pytest.raises(DomainError):
             table.log_at(3, 0)
         with pytest.raises(DomainError):
@@ -562,8 +535,8 @@ class TestHittingCdf:
         # theory predicts ln(-ln P(T_m > n)) ~ (1 - beta/kappa) ln n with
         # beta = 1/2 and kappa = 2 here, i.e. slope 3/4 up to strong
         # finite-size wobble; seed-averaging tames the wobble enough for a
-        # wide band.  The log-domain killing table is used because the
-        # linear-domain CDF cannot resolve survival below ~1e-16.
+        # wide band.  Survival is read off the rescaled killing propagation
+        # because the linear-domain CDF cannot resolve it below ~1e-16.
         ns = [2**k for k in range(8, 14)]
         lnln = []
         for n in ns:
@@ -571,8 +544,8 @@ class TestHittingCdf:
             vals = []
             for seed in range(20):
                 env = sample_environment(NESTLING_K2, seed, -1, m).reflect_plus()
-                tab = forward_table(env, n, IntervalSpec(-1, m, "killing"))
-                lp = float(np.logaddexp.reduce(tab.row(n)))
+                *_, (mass, scale, _) = _propagate(env.slice(0, m - 1), 0, n)
+                lp = _final_log(mass, scale, None)
                 vals.append(math.log(-lp))
             lnln.append(float(np.mean(vals)))
         slope = float(np.polyfit(np.log(ns), lnln, 1)[0])
