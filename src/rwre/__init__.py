@@ -18,7 +18,8 @@ Entry points
   :func:`confined_log_prob`, :func:`hitting_cdf`,
   :func:`max_disp_bridge_cdf`, :func:`exit_prob_closed_form`.
 * Exact conditioned sampling: :func:`sample_bridge`,
-  :func:`sample_bridge_paths`, :func:`max_disp_samples`.
+  :func:`sample_bridge_paths`, :func:`max_disp_samples`, each of which
+  takes a step table built once by :func:`backward_table`.
 * The ``rwre`` command line (see :mod:`rwre.cli`) wraps the canned,
   reproducible experiments of :mod:`rwre.experiments`.
 """
@@ -72,7 +73,6 @@ from .io import (
     load_environment,
 )
 from .kernel import (
-    DpTable,
     bridge_log_prob,
     bridge_max_quantile,
     confined_log_prob,
@@ -122,7 +122,6 @@ __all__ = [
     "load_environment",
     "dump_environment",
     # kernel
-    "DpTable",
     "bridge_log_prob",
     "confined_log_prob",
     "max_disp_bridge_cdf",

@@ -64,9 +64,8 @@ from .environment import (
 )
 from .errors import ConfigError, DomainError, RegimeError, RwreError
 from .io import load_distribution
-# bridge_max_quantile, max_disp_bridge_cdf and backward_table are no
-# longer called here, but perfbench's tracer patches the layers under
-# these names
+# bridge_max_quantile and max_disp_bridge_cdf are no longer called here,
+# but perfbench's tracer patches the layers under these names
 from .kernel import (
     _max_disp_cdf,
     _quantile,
@@ -76,7 +75,7 @@ from .kernel import (
     max_disp_bridge_cdf,
 )
 from .measure_change import verify_com_identity
-from .sampling import _step_table, backward_table, max_disp_samples, sample_bridge
+from .sampling import backward_table, max_disp_samples, sample_bridge
 
 __all__ = ["ExperimentConfig", "EXPERIMENT_NAMES", "load_config", "run"]
 
@@ -185,10 +184,8 @@ _DIST = "distribution"
 def _dist_parser(key: str, raw: str, config_dir: Path) -> SiteDistribution:
     path = config_dir / raw.strip()  # an absolute path replaces config_dir
     try:
-        if not path.exists():
-            raise ConfigError(f"{key}: file not found: {path}")
         return load_distribution(path)
-    except (DomainError, OSError) as exc:
+    except DomainError as exc:
         raise ConfigError(f"{key}: {exc}") from None
 
 
@@ -575,7 +572,7 @@ def _run_sample_bridge(cfg: ExperimentConfig, out: _Outputs) -> None:
     seeds = cfg.effective_seeds()
 
     def work(env, seed: int, n: int):
-        table = _step_table(env, n)
+        table = backward_table(env, n)
         draws = max_disp_samples(
             env, n, n_samples, _derived_seed(base, seed, n, 0), table=table
         )

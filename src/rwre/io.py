@@ -27,14 +27,19 @@ __all__ = [
 
 def _data_lines(path: str | os.PathLike) -> list[tuple[int, str]]:
     out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.split("#", 1)[0].strip()
                 if line:
                     out.append((lineno, line))
-        except UnicodeDecodeError as exc:
-            raise DomainError(f"{path}: not UTF-8 text: {exc}") from exc
+    except FileNotFoundError as exc:
+        raise DomainError(f"{path}: file not found") from exc
+    except UnicodeDecodeError as exc:
+        raise DomainError(f"{path}: not UTF-8 text: {exc}") from exc
+    except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
+        reason = getattr(exc, "strerror", None) or exc
+        raise DomainError(f"{path}: cannot read: {reason}") from exc
     return out
 
 

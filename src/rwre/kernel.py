@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,7 +35,6 @@ from .errors import (
 )
 
 __all__ = [
-    "DpTable",
     "bridge_log_prob",
     "confined_log_prob",
     "max_disp_bridge_cdf",
@@ -53,45 +51,6 @@ _RESCALE_HI = 1e100
 # sites by default (see bridge_log_prob).
 _AUTO_TRUNCATION_N = 4096
 _AUTO_TRUNCATION_THRESHOLD = 1e-300
-
-# Cap on materialized table entries (backward and step tables).
-_MAX_TABLE_ENTRIES = 150_000_000
-
-
-@dataclass(frozen=True, eq=False)
-class DpTable:
-    """Backward-probability table in the log domain.
-
-    ``log_mass[k, i]`` is the log probability that a walk sitting at site
-    ``site_lo + i`` with ``n_steps - k`` steps remaining finishes at the
-    origin; unreachable cells hold ``-inf``.  Rows are not distributions.
-    A table for a 2n-step bridge spans ``[-n - 1, n + 1]``, whose two
-    outer columns are ``-inf`` guards.
-    """
-
-    n_steps: int
-    site_lo: int
-    site_hi: int
-    log_mass: np.ndarray
-
-    def __post_init__(self):
-        expected = (self.n_steps + 1, self.site_hi - self.site_lo + 1)
-        if self.log_mass.shape != expected:
-            raise DomainError(
-                f"log_mass shape {self.log_mass.shape} != expected {expected}"
-            )
-
-    def site_index(self, x: int) -> int:
-        if x < self.site_lo or x > self.site_hi:
-            raise DomainError(
-                f"site {x} outside table range [{self.site_lo}, {self.site_hi}]"
-            )
-        return x - self.site_lo
-
-    def log_at(self, k: int, x: int) -> float:
-        if k < 0 or k > self.n_steps:
-            raise DomainError(f"step {k} outside [0, {self.n_steps}]")
-        return float(self.log_mass[k, self.site_index(x)])
 
 
 def _propagate(
@@ -198,14 +157,6 @@ def _final_log(mass: np.ndarray, scale: float, index: int | None) -> float:
         return -np.inf if total == 0.0 else float(np.log(total)) + scale
     v = float(mass[index])
     return -np.inf if v == 0.0 else float(np.log(v)) + scale
-
-
-def _check_table_size(steps: int, width: int) -> None:
-    if (steps + 1) * width > _MAX_TABLE_ENTRIES:
-        raise DomainError(
-            f"table of {(steps + 1)} x {width} cells exceeds the materialization "
-            "cap; use the streaming operations instead"
-        )
 
 
 def bridge_log_prob(
@@ -492,6 +443,9 @@ def max_disp_bridge_cdf(
 
     Raises
     ------
+    DomainError
+        If ``m_values`` is empty or holds anything but positive integers;
+        ``2.5`` is rejected, not truncated.
     DegenerateBridgeError
         If the bridge event itself has zero probability, which uniform
         ellipticity rules out for genuine environments.
@@ -499,9 +453,14 @@ def max_disp_bridge_cdf(
     if m_values is None:
         ms = np.arange(1, 2 * n + 2)
     else:
-        ms = np.asarray(m_values, dtype=np.int64)
-        if ms.size == 0 or np.any(ms < 1):
-            raise DomainError("m_values must be positive integers")
+        ms = np.asarray(m_values)
+        if (
+            ms.dtype.kind not in "iuf"
+            or ms.ndim != 1
+            or ms.size == 0
+            or not np.all(np.isfinite(ms) & (ms == np.floor(ms)) & (ms >= 1))
+        ):
+            raise DomainError("m_values must be a 1-D sequence of positive integers")
     cdf, _ = _max_disp_cdf(env, n)
     return np.array([cdf(int(m)) for m in ms])
 

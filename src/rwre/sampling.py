@@ -10,9 +10,10 @@ uniform draw and one comparison per step.  Both passes are exact, so the
 sampled paths follow the quenched conditional law with no approximation
 beyond floating point.
 
-The step table costs O(n^2) time and memory once per (environment, n):
-the recursion keeps two rolling log rows and visits only the cells of the
-bridge's double cone.  Each sampled path costs O(n), with batches
+:func:`backward_table` builds that step table in O(n^2) time and memory
+once per (environment, n): the recursion keeps two rolling log rows and
+visits only the cells of the bridge's double cone.  Every sampler takes
+it as ``table=``, so each further path costs O(n), with batches
 vectorized across samples.
 """
 
@@ -25,7 +26,6 @@ import numpy as np
 
 from .environment import Environment, _check_seed
 from .errors import DegenerateBridgeError, DomainError, NotABridgeError
-from .kernel import DpTable, _check_table_size
 
 __all__ = [
     "BridgePath",
@@ -78,38 +78,18 @@ def _bridge_sites(path, n: int | None = None) -> np.ndarray:
     return sites
 
 
-def backward_table(env: Environment, n: int) -> DpTable:
-    """Log probabilities of finishing at the origin, for every step and site.
+# Bridge lengths are capped by the cells a full (2n + 1) x (2n + 3) backward
+# log table would take, although the step table holds about half as many;
+# this keeps the accepted lengths at n <= 6122.
+_MAX_TABLE_ENTRIES = 150_000_000
 
-    Cell ``(k, x)`` holds ``log P(X_{2n} = 0 | X_k = x)`` for sites in
-    ``[-n - 1, n + 1]``.  Values are exact for every cell inside the double
-    cone ``|x| <= min(k, 2n - k)`` -- the only cells a bridge can occupy;
-    cells outside it may be underestimated because their walks would need
-    sites beyond ``[-n, n]``.  The two guard columns at ``+-(n + 1)``, which
-    no bridge reaches, hold ``-inf``, so the sampler's step-table fold
-    reads the neighbours ``x +- 1`` of any bridge site in place.
 
-    The environment window must cover ``[-2n, 2n]``.
-    """
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    env.require_window(-2 * n, 2 * n)
-    om = env.slice(-n, n)
-    w = om.size + 2
-    _check_table_size(2 * n, w)
-    with np.errstate(divide="ignore"):
-        log_p = np.log(om)
-        log_q = np.log1p(-om)
-    h = np.full((2 * n + 1, w), -np.inf)
-    h[2 * n, n + 1] = 0.0
-    for k in range(2 * n - 1, -1, -1):
-        nxt = h[k + 1]
-        np.logaddexp(log_p + nxt[2:], log_q + nxt[:-2], out=h[k, 1:-1])
-    if h[0, n + 1] == -np.inf:
-        raise DegenerateBridgeError(
-            "conditioning event X_{2n} = 0 has zero probability"
+def _check_table_size(n: int) -> None:
+    if (2 * n + 1) * (2 * n + 3) > _MAX_TABLE_ENTRIES:
+        raise DomainError(
+            f"a bridge of 2n = {2 * n} steps exceeds the sampler's "
+            f"materialization cap of {_MAX_TABLE_ENTRIES} table cells"
         )
-    return DpTable(2 * n, -n - 1, n + 1, h)
 
 
 # Batch uniforms are drawn this many steps per rng call.  A (block,
@@ -132,23 +112,23 @@ class _StepTable:
     p_right: np.ndarray
 
 
-def _step_table(env: Environment, n: int, table: DpTable | None = None) -> _StepTable:
-    """Fold backward log rows into the step table of a 2n-step bridge.
+def backward_table(env: Environment, n: int) -> _StepTable:
+    """Step table of the 2n-step bridge: build it once, sample it often.
 
-    Row k needs only the log rows k and k + 1.  They are read from
-    ``table`` when one is given; otherwise one backward recursion keeps
-    two rolling rows and computes only cone cells, which equal the
-    matching cells of :func:`backward_table` bit for bit.  Each row is
-    folded by the same expressions, so both sources give identical tables.
+    Returns the conditioned right-step probabilities ``p_right`` of shape
+    ``(2n, n + 1)``, which the samplers accept as ``table=``.  They come
+    from the backward log probabilities ``log P(X_{2n} = 0 | X_k = x)``
+    of one recursion that keeps two rolling log rows and computes only
+    the cells of the double cone; row k of the table folds log rows k and
+    k + 1.  Bridge lengths are capped as for a full ``(2n + 1) x
+    (2n + 3)`` log table.
+
+    The environment window must cover ``[-2n, 2n]``.
     """
     if n < 1:
         raise DomainError("n must be at least 1")
-    if table is not None and table.n_steps != 2 * n:
-        raise DomainError("table does not match the requested bridge length")
     env.require_window(-2 * n, 2 * n)
-    # the step table is smaller than a backward table, but the sampler
-    # accepts the same bridge lengths
-    _check_table_size(2 * n, 2 * n + 3)
+    _check_table_size(n)
     om = env.slice(-n, n)
     p_right = np.empty((2 * n, n + 1))
     # h[k % 2, j] holds log P(X_{2n} = 0 | X_k = 2j - k); column n + 1 and
@@ -162,16 +142,10 @@ def _step_table(env: Environment, n: int, table: DpTable | None = None) -> _Step
             lo, hi = max(0, k - n), min(k, n)
             # indices x + n of the row's sites x = 2j - k
             i = slice(2 * lo - k + n, 2 * hi - k + n + 1, 2)
-            if table is None:
-                nxt, here = h[(k + 1) % 2, lo : hi + 2], h[k % 2, lo : hi + 1]
-            else:
-                # the table's column of site x is x + n + 1
-                nxt = table.log_mass[k + 1, i.start : i.stop + 2 : 2]
-                here = table.log_mass[k, i.start + 1 : i.stop + 1 : 2]
+            nxt, here = h[(k + 1) % 2, lo : hi + 2], h[k % 2, lo : hi + 1]
             up = log_p[i] + nxt[1:]
             down = log_q[i] + nxt[:-1]
-            if table is None:
-                np.logaddexp(up, down, out=here)
+            np.logaddexp(up, down, out=here)
             pr = np.exp(up - here)
             pl = np.exp(down - here)
             p_right[k, lo : hi + 1] = pr / (pr + pl)
@@ -183,7 +157,7 @@ def _step_table(env: Environment, n: int, table: DpTable | None = None) -> _Step
 
 
 def _sampler_inputs(
-    env: Environment, n: int, seed: int, table: DpTable | _StepTable | None
+    env: Environment, n: int, seed: int, table: _StepTable | None
 ) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
     """Validated ``(rng, p_right, trap)`` for sampling 2n-step bridges.
 
@@ -191,10 +165,12 @@ def _sampler_inputs(
     probability exceeds the law's minimal support value.
     """
     seed = _check_seed(seed)
-    if not isinstance(table, _StepTable):
-        table = _step_table(env, n, table)
-    elif table.n != n:
-        raise DomainError("table does not match the requested bridge length")
+    if table is None:
+        table = backward_table(env, n)
+    elif not isinstance(table, _StepTable) or table.n != n:
+        raise DomainError(
+            f"table is not a step table for n={n}; build one with backward_table"
+        )
     rng = np.random.Generator(np.random.Philox(key=seed))
     return rng, table.p_right, env.slice(-n, n) > env.omega_min
 
@@ -204,7 +180,7 @@ def _sample_batch(
     n: int,
     n_samples: int,
     seed: int,
-    table: DpTable | _StepTable | None,
+    table: _StepTable | None,
     keep_paths: bool,
 ):
     """Vectorized forward pass; returns (paths or None, max_abs, b_counts).
@@ -234,7 +210,7 @@ def _sample_batch(
 
 
 def sample_bridge(
-    env: Environment, n: int, seed: int, table: DpTable | _StepTable | None = None
+    env: Environment, n: int, seed: int, table: _StepTable | None = None
 ) -> BridgePath:
     """Draw one 2n-step bridge from the quenched conditional law.
 
@@ -247,11 +223,10 @@ def sample_bridge(
     seed : int
         Sampling stream key in ``[0, 2^64)``; environments and samplers use
         separate streams, so reusing an environment seed here is harmless.
-    table : DpTable, optional
-        Precomputed :func:`backward_table` for this (env, n), which spares
-        the log-domain recursion but is still folded, in O(n^2), into a
-        step table on every call; or the sampler's own step table for
-        (env, n), which is used as is.
+    table : optional
+        The step table ``backward_table(env, n)``.  Built once, it makes
+        each further draw cost O(n); without it every call builds one in
+        O(n^2).
     """
     rng, p_right, trap = _sampler_inputs(env, n, seed, table)
     right = 0
@@ -275,7 +250,7 @@ def sample_bridge_paths(
     n: int,
     n_samples: int,
     seed: int,
-    table: DpTable | _StepTable | None = None,
+    table: _StepTable | None = None,
 ) -> np.ndarray:
     """Draw a batch of bridges and return their full site sequences.
 
@@ -340,7 +315,7 @@ def max_disp_samples(
     n: int,
     n_samples: int,
     seed: int,
-    table: DpTable | _StepTable | None = None,
+    table: _StepTable | None = None,
 ) -> MaxDispSamples:
     """Sample ``n_samples`` bridges and collect their maximal displacements.
 

@@ -94,6 +94,28 @@ def bridge_distribution(env, n: int) -> dict[tuple, float]:
     return {path: p / total for path, p in joint.items()}
 
 
+def backward_log_table(env, n: int) -> np.ndarray:
+    """Full-rectangle backward log table of a 2n-step bridge.
+
+    Cell ``[k, x + n + 1]`` holds ``log P(X_{2n} = 0 | X_k = x)`` for sites
+    ``x`` in ``[-n - 1, n + 1]``, by the plain log-domain recursion over
+    every cell of the ``(2n + 1) x (2n + 3)`` rectangle.  Cells inside the
+    double cone ``|x| <= min(k, 2n - k)`` are exact; the two outer columns
+    are ``-inf`` guards, so a fold reads the neighbours ``x +- 1`` of any
+    bridge site in place.
+    """
+    om = env.slice(-n, n)
+    with np.errstate(divide="ignore"):
+        log_p = np.log(om)
+        log_q = np.log1p(-om)
+    h = np.full((2 * n + 1, 2 * n + 3), -np.inf)
+    h[2 * n, n + 1] = 0.0
+    for k in range(2 * n - 1, -1, -1):
+        nxt = h[k + 1]
+        np.logaddexp(log_p + nxt[2:], log_q + nxt[:-2], out=h[k, 1:-1])
+    return h
+
+
 def exit_prob_dp(
     env, a: int, x: int, b: int, horizon: int = 10_000, tail_tol: float = 1e-13
 ) -> float:

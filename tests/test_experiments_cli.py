@@ -250,6 +250,8 @@ class TestConfigErrors:
             "malformed-law",
             "non-utf8-law",
             "law-is-directory",
+            "law-missing",
+            "law-name-too-long",
             "non-utf8-config",
             "config-is-directory",
         ],
@@ -266,6 +268,10 @@ class TestConfigErrors:
         elif case == "law-is-directory":
             dist = workdir / "law.d"
             dist.mkdir()
+        elif case == "law-missing":
+            dist = workdir / "absent.txt"
+        elif case == "law-name-too-long":
+            dist = workdir / ("x" * 5000)
         cfg = write_config(workdir, "kappa", {"distribution": dist.name})
         if case == "non-utf8-config":
             cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
@@ -277,6 +283,8 @@ class TestConfigErrors:
         assert out == ""
         assert err.startswith("error:")
         assert "Traceback" not in err
+        if case == "law-missing":
+            assert "not found" in err
 
     @pytest.mark.parametrize(
         "experiment,key,value",
@@ -742,11 +750,17 @@ class TestSampleBridgeExperiment:
             assert all(abs(a - b) == 1 for a, b in zip(sites, sites[1:]))
 
     def test_builds_no_backward_log_table(self, workdir, capsys, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("sample-bridge built a backward log table")
+        # one step table per task, shaped (2n, n + 1): no log table is built
+        built = []
+        build = rwre.sampling.backward_table
 
-        monkeypatch.setattr(rwre.sampling, "backward_table", refuse)
-        monkeypatch.setattr(experiments, "backward_table", refuse)
+        def spy(env, n):
+            table = build(env, n)
+            built.append((n, table.p_right.shape))
+            return table
+
+        monkeypatch.setattr(rwre.sampling, "backward_table", spy)
+        monkeypatch.setattr(experiments, "backward_table", spy)
         dist = write_dist(workdir, FIG1)
         cfg = write_config(
             workdir,
@@ -761,6 +775,7 @@ class TestSampleBridgeExperiment:
         )
         out_root = workdir / "runs"
         assert run_cli(capsys, "sample-bridge", cfg, out_root)[0] == 0
+        assert sorted(built) == [(3, (6, 4))] * 2 + [(5, (10, 6))] * 2
 
     def test_thread_invariance_of_sampled_output(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)

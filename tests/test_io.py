@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -100,6 +102,29 @@ class TestEnvironmentFiles:
         path.write_text("offset=0\n0.5\nhuh\n", encoding="utf-8")
         with pytest.raises(DomainError, match=":3"):
             load_environment(path)
+
+
+@pytest.mark.parametrize("load", [load_distribution, load_environment])
+class TestUnreadablePaths:
+    """Every loader failure is a DomainError naming the file, never a bare
+    OSError."""
+
+    def test_directory(self, tmp_path, load):
+        with pytest.raises(DomainError, match=re.escape(str(tmp_path))):
+            load(tmp_path)
+
+    def test_missing_file(self, tmp_path, load):
+        path = tmp_path / "absent.txt"
+        with pytest.raises(DomainError, match=r"absent\.txt: file not found"):
+            load(path)
+
+    def test_name_too_long(self, tmp_path, load):
+        with pytest.raises(DomainError, match="xxxx"):
+            load(tmp_path / ("x" * 5000))
+
+    def test_nul_in_name(self, tmp_path, load):
+        with pytest.raises(DomainError, match="cannot read"):
+            load(tmp_path / "a\x00b")
 
 
 ENV_LINES = st.one_of(

@@ -22,7 +22,6 @@ from conftest import MARGINAL, NESTLING_K2, NON_NESTLING, homogeneous_env
 from rwre import (
     DegenerateBridgeError,
     DomainError,
-    DpTable,
     Environment,
     OrderingError,
     ParityError,
@@ -489,19 +488,6 @@ class TestForwardTable:
         assert rows[3, 3 + 1] == pytest.approx(exact, abs=1e-13)
 
 
-class TestDpTableValidation:
-    def test_shape_checked(self):
-        with pytest.raises(DomainError):
-            DpTable(2, -1, 1, np.zeros((2, 3)))
-
-    def test_lookup_bounds(self):
-        table = DpTable(2, -1, 1, np.zeros((3, 3)))
-        with pytest.raises(DomainError):
-            table.log_at(3, 0)
-        with pytest.raises(DomainError):
-            table.log_at(0, 2)
-
-
 class TestHittingCdf:
     @pytest.mark.parametrize("p", [0.3, 0.62])
     def test_one_step_right(self, p):
@@ -587,6 +573,14 @@ class TestMaxDispBridgeCdf:
             max_disp_bridge_cdf(env, 2, m_values=np.array([0, 1]))
         with pytest.raises(DomainError):
             max_disp_bridge_cdf(env, 2, m_values=np.array([], dtype=np.int64))
+        # non-integral thresholds are rejected, not truncated
+        for bad in ([2.5, 3.9], [2.0, float("nan")], [float("inf")], [[2, 3]]):
+            with pytest.raises(DomainError):
+                max_disp_bridge_cdf(env, 2, m_values=bad)
+        assert np.array_equal(
+            max_disp_bridge_cdf(env, 2, m_values=[2.0, 3.0]),
+            max_disp_bridge_cdf(env, 2, m_values=[2, 3]),
+        )
 
     def test_degenerate_bridge_detected(self):
         env = Environment(-3, np.ones(7))  # every step forced right

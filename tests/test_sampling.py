@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 from conftest import NESTLING_K2, NON_NESTLING, homogeneous_env
-import rwre.kernel
+import rwre.sampling
 from rwre import (
     BridgePath,
     DegenerateBridgeError,
@@ -26,7 +26,6 @@ from rwre import (
     sample_bridge_paths,
     sample_environment,
 )
-from rwre.sampling import _step_table
 
 
 def random_env(seed: int, lo: int, hi: int):
@@ -37,48 +36,57 @@ def random_env(seed: int, lo: int, hi: int):
 
 
 class TestBackwardTable:
+    """The reference log table the step table is folded from; cell
+    ``[k, x + n + 1]`` is ``log P(X_{2n} = 0 | X_k = x)``."""
+
     def test_one_step_left_to_finish(self):
         env = random_env(3, -8, 8)
         n = 4
-        table = backward_table(env, n)
-        assert math.exp(table.log_at(2 * n - 1, 1)) == pytest.approx(
+        h = oracles.backward_log_table(env, n)
+        assert math.exp(h[2 * n - 1, 1 + n + 1]) == pytest.approx(
             1.0 - env.omega(1), rel=1e-14
         )
-        assert math.exp(table.log_at(2 * n - 1, -1)) == pytest.approx(
+        assert math.exp(h[2 * n - 1, -1 + n + 1]) == pytest.approx(
             env.omega(-1), rel=1e-14
         )
 
     def test_root_matches_bridge_probability(self):
         env = random_env(7, -12, 12)
         for n in (1, 3, 6):
-            table = backward_table(env, n)
-            assert table.log_at(0, 0) == pytest.approx(
-                bridge_log_prob(env, n), abs=1e-12
-            )
+            h = oracles.backward_log_table(env, n)
+            assert h[0, n + 1] == pytest.approx(bridge_log_prob(env, n), abs=1e-12)
 
     def test_unreachable_cells_are_impossible(self):
         env = random_env(7, -8, 8)
         n = 4
-        table = backward_table(env, n)
+        h = oracles.backward_log_table(env, n)
         for k in range(2 * n + 1):
             for x in range(-n, n + 1):
                 remaining = 2 * n - k
                 if abs(x) > remaining or (x - k) % 2 != 0:
-                    assert table.log_at(k, x) == -np.inf
+                    assert h[k, x + n + 1] == -np.inf
 
     def test_guard_columns_are_impossible(self):
         env = random_env(5, -10, 10)
         n = 5
-        table = backward_table(env, n)
-        for k in range(2 * n + 1):
-            assert table.log_at(k, -n - 1) == -np.inf
-            assert table.log_at(k, n + 1) == -np.inf
+        h = oracles.backward_log_table(env, n)
+        assert np.all(h[:, 0] == -np.inf)
+        assert np.all(h[:, 2 * n + 2] == -np.inf)
 
     def test_terminal_row(self):
         env = random_env(2, -6, 6)
+        h = oracles.backward_log_table(env, 3)
+        assert h[6, 0 + 4] == 0.0
+        assert h[6, 2 + 4] == -np.inf
+
+    def test_returns_the_step_table(self):
+        env = random_env(2, -6, 6)
         table = backward_table(env, 3)
-        assert table.log_at(6, 0) == 0.0
-        assert table.log_at(6, 2) == -np.inf
+        assert table.n == 3
+        assert table.p_right.shape == (6, 4)
+        # the last step must go back to the origin: left from 1, right from -1
+        assert table.p_right[5, 3] == 0.0
+        assert table.p_right[5, 2] == 1.0
 
     def test_validation(self):
         env = random_env(2, -6, 6)
@@ -122,31 +130,30 @@ class TestStepTable:
             homogeneous_env(0.5, -2 * n, 2 * n),
         ]
         for env in envs:
-            table = backward_table(env, n)
-            recursed = _step_table(env, n).p_right
-            folded = _step_table(env, n, table).p_right
+            h = oracles.backward_log_table(env, n)
+            p_right = backward_table(env, n).p_right
             for k in range(2 * n):
                 lo, hi = max(0, k - n), min(k, n)
-                expected = folded_row(env, n, table.log_mass, k)
-                assert np.array_equal(recursed[k, lo : hi + 1], expected, equal_nan=True)
-                assert np.array_equal(folded[k, lo : hi + 1], expected, equal_nan=True)
+                expected = folded_row(env, n, h, k)
+                assert np.array_equal(p_right[k, lo : hi + 1], expected, equal_nan=True)
 
     def test_degenerate_bridge_detected(self):
         env = Environment(-4, np.ones(9))  # every step forced right
         with pytest.raises(DegenerateBridgeError):
-            _step_table(env, 2)
+            backward_table(env, 2)
         with pytest.raises(DegenerateBridgeError):
             sample_bridge(env, 2, 0)
 
     def test_size_cap_matches_backward_table(self, monkeypatch):
+        # the cap counts the (2n + 1) x (2n + 3) cells of the full log table
         env = random_env(3, -16, 16)
-        monkeypatch.setattr(rwre.kernel, "_MAX_TABLE_ENTRIES", 17 * 19)
+        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 17 * 19)
         backward_table(env, 8)
-        _step_table(env, 8)
-        monkeypatch.setattr(rwre.kernel, "_MAX_TABLE_ENTRIES", 17 * 19 - 1)
-        for build in (backward_table, _step_table):
-            with pytest.raises(DomainError, match="materialization cap"):
-                build(env, 8)
+        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 17 * 19 - 1)
+        with pytest.raises(DomainError, match="2n = 16 steps .* materialization cap"):
+            backward_table(env, 8)
+        with pytest.raises(DomainError, match="materialization cap"):
+            sample_bridge(env, 8, 0)
 
 
 class TestGoldenStream:
@@ -195,18 +202,17 @@ class TestGoldenStream:
 
     def test_every_table_source_draws_the_same_paths(self, env):
         n = self.N
-        sources = [None, backward_table(env, n), _step_table(env, n)]
+        sources = [None, backward_table(env, n)]
         batches = [sample_bridge_paths(env, n, 16, 11, table=t) for t in sources]
         singles = [sample_bridge(env, n, 12, table=t).sites for t in sources]
         draws = [max_disp_samples(env, n, 16, 13, table=t) for t in sources]
-        for i in (1, 2):
-            assert np.array_equal(batches[i], batches[0])
-            assert np.array_equal(singles[i], singles[0])
-            assert np.array_equal(draws[i].max_abs, draws[0].max_abs)
-            assert np.array_equal(draws[i].b_counts, draws[0].b_counts)
+        assert np.array_equal(batches[1], batches[0])
+        assert np.array_equal(singles[1], singles[0])
+        assert np.array_equal(draws[1].max_abs, draws[0].max_abs)
+        assert np.array_equal(draws[1].b_counts, draws[0].b_counts)
 
     def test_step_table_for_another_length_rejected(self, env):
-        table = _step_table(env, self.N - 1)
+        table = backward_table(env, self.N - 1)
         with pytest.raises(DomainError):
             sample_bridge(env, self.N, 0, table=table)
         with pytest.raises(DomainError):
@@ -275,6 +281,28 @@ class TestSampleBridge:
         with pytest.raises(DomainError):
             sample_bridge(env, 4, 0, table=backward_table(env, 5))
 
+    def test_prebuilt_table_is_never_rebuilt(self, monkeypatch):
+        env = sample_environment(NON_NESTLING, 9, -10, 10)
+        n = 5
+        table = backward_table(env, n)
+        fresh = sample_bridge(env, n, 77).sites
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the sampler rebuilt the step table")
+
+        monkeypatch.setattr(rwre.sampling, "backward_table", refuse)
+        assert np.array_equal(sample_bridge(env, n, 77, table=table).sites, fresh)
+        assert sample_bridge_paths(env, n, 4, 3, table=table).shape == (4, 2 * n + 1)
+        assert max_disp_samples(env, n, 4, 3, table=table).n_samples == 4
+        # a log table or any other array is not a step table
+        log_table = oracles.backward_log_table(env, n)
+        with pytest.raises(DomainError, match="step table"):
+            sample_bridge(env, n, 0, table=log_table)
+        with pytest.raises(DomainError, match="step table"):
+            sample_bridge_paths(env, n, 2, 0, table=table.p_right)
+        with pytest.raises(DomainError, match="step table"):
+            max_disp_samples(env, n, 2, 0, table=log_table)
+
     def test_two_step_conditional_law(self):
         env = random_env(21, -3, 3)
         z_right = env.omega(0) * (1.0 - env.omega(1))
@@ -295,20 +323,15 @@ class TestSampleBridge:
         env = sample_environment(NESTLING_K2, 6, -12, 12)
         n = 6
         table = backward_table(env, n)
+        h = oracles.backward_log_table(env, n)
         for seed in (0, 1, 2):
             path = sample_bridge(env, n, seed, table=table)
             for k in range(2 * n):
                 x = int(path.sites[k])
-                here = table.log_at(k, x)
+                here = h[k, x + n + 1]
                 assert here > -np.inf  # never visits impossible states
-                p_up = math.exp(
-                    math.log(env.omega(x)) + table.log_at(k + 1, x + 1) - here
-                )
-                p_down = math.exp(
-                    math.log(1.0 - env.omega(x))
-                    + table.log_at(k + 1, x - 1)
-                    - here
-                )
+                p_up = math.exp(math.log(env.omega(x)) + h[k + 1, x + n + 2] - here)
+                p_down = math.exp(math.log(1.0 - env.omega(x)) + h[k + 1, x + n] - here)
                 assert abs(p_up + p_down - 1.0) < 1e-12
 
 
