@@ -106,10 +106,13 @@ class _StepTable:
     step ``k`` after ``j`` right steps, i.e. from site ``2j - k``.  Only the
     cells of the double cone ``max(0, k - n) <= j <= min(k, n)`` (sites
     ``|x| <= min(k, 2n - k)``) are filled; no bridge reads the others.
+    ``omega`` is the environment's slice over ``[-n, n]`` that the table
+    was built from; the samplers accept the table only for that slice.
     """
 
     n: int
     p_right: np.ndarray
+    omega: np.ndarray
 
 
 def backward_table(env: Environment, n: int) -> _StepTable:
@@ -153,7 +156,7 @@ def backward_table(env: Environment, n: int) -> _StepTable:
         raise DegenerateBridgeError(
             "conditioning event X_{2n} = 0 has zero probability"
         )
-    return _StepTable(n, p_right)
+    return _StepTable(n, p_right, om.copy())
 
 
 def _sampler_inputs(
@@ -171,8 +174,13 @@ def _sampler_inputs(
         raise DomainError(
             f"table is not a step table for n={n}; build one with backward_table"
         )
+    om = env.slice(-n, n)
+    if not np.array_equal(table.omega, om):
+        raise DomainError(
+            "table was built for another environment; build one with backward_table"
+        )
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng, table.p_right, env.slice(-n, n) > env.omega_min
+    return rng, table.p_right, om > env.omega_min
 
 
 def _sample_batch(
@@ -226,7 +234,8 @@ def sample_bridge(
     table : optional
         The step table ``backward_table(env, n)``.  Built once, it makes
         each further draw cost O(n); without it every call builds one in
-        O(n^2).
+        O(n^2).  A table built for another ``n``, or for an environment
+        with other omegas on ``[-n, n]``, raises :class:`DomainError`.
     """
     rng, p_right, trap = _sampler_inputs(env, n, seed, table)
     right = 0

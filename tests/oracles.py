@@ -84,6 +84,31 @@ def max_disp_cdf(env, n: int, m_values) -> np.ndarray:
     )
 
 
+def bridge_max_tail(env, n: int) -> np.ndarray:
+    """``P(max_k |X_k| >= M, X_{2n} = 0)`` at index M for ``M = 0 .. n``.
+
+    Enumerates every 2n-step path that ends at the origin, depth first,
+    dropping a prefix only once it is too far out to return in time; each
+    path's probability is the left-to-right product of its steps.
+    """
+    if not (0 <= 2 * n <= MAX_ENUM_STEPS):
+        raise ValueError(f"2n must be in 0..{MAX_ENUM_STEPS}")
+    by_max = np.zeros(n + 1)
+
+    def extend(x: int, k: int, prob: float, top: int) -> None:
+        if abs(x) > 2 * n - k:
+            return
+        if k == 2 * n:
+            by_max[top] += prob
+            return
+        w = env.omega(x)
+        extend(x + 1, k + 1, prob * w, max(top, abs(x + 1)))
+        extend(x - 1, k + 1, prob * (1.0 - w), max(top, abs(x - 1)))
+
+    extend(0, 0, 1.0, 0)
+    return np.cumsum(by_max[::-1])[::-1]
+
+
 def bridge_distribution(env, n: int) -> dict[tuple, float]:
     """Exact conditional probability of every 2n-step bridge path."""
     joint = {}

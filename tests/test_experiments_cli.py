@@ -682,6 +682,40 @@ class TestMaxDispExperiment:
         probes = [c for c in calls if c[0] == "confined_log_prob"]
         assert len(probes) == len(set(probes)) > 0
 
+    def test_certified_strips_run_no_corridor_probe(self, workdir, capsys, monkeypatch):
+        probes, strips = [], []
+        real_probe = rwre.kernel.confined_log_prob
+        real_strip = rwre.kernel._certified_strip
+
+        def probe(env, steps, m, **kwargs):
+            probes.append((steps // 2, m))
+            return real_probe(env, steps, m, **kwargs)
+
+        def strip(env, n, bridge_lp):
+            strips.append((n, real_strip(env, n, bridge_lp)))
+            return strips[-1][1]
+
+        monkeypatch.setattr(rwre.kernel, "confined_log_prob", probe)
+        monkeypatch.setattr(rwre.kernel, "_certified_strip", strip)
+        cfg = small_config(workdir, "max-disp-exact", n_grid="64,128", seeds="0",
+                           cdf_points="17")
+        csv, _ = run_once(capsys, workdir, "max-disp-exact", cfg, "runs")
+        assert sorted(n for n, _ in strips) == [64, 128]  # one pass per task
+        rows = [r.split(",") for r in csv["maxdisp_cdf.csv"].decode().splitlines()[1:]]
+        law = rwre.load_distribution(workdir / "dist.txt")
+        certified = 0
+        for n, first in strips:
+            assert not [m for k, m in probes if k == n and m >= first]
+            env = rwre.sample_environment(law, 0, -2 * n, 2 * n)
+            bridge_lp = rwre.bridge_log_prob(env, n)
+            for _, _, m, value in (r for r in rows if int(r[1]) == n and int(r[2]) >= first):
+                certified += 1
+                assert value == "1"
+                # the probe the certificate replaced
+                joint = real_probe(env, 2 * n, int(m), require_bridge=True)
+                assert abs(min(1.0, float(np.exp(joint - bridge_lp))) - 1.0) <= 1e-12
+        assert certified >= 4
+
     def test_quantile_bisections_start_inside_the_cdf_grid_bracket(
         self, workdir, capsys, monkeypatch
     ):
@@ -978,6 +1012,28 @@ class TestConjectureExperiment:
         assert len(rows) == 4
         for row in rows:
             assert 0.0 <= float(row[4]) <= 1.0
+
+    def test_narrow_probes_never_run_the_certificate(self, workdir, capsys, monkeypatch):
+        probes = []
+        real = rwre.kernel.confined_log_prob
+
+        def counted(env, steps, m, **kwargs):
+            probes.append((steps // 2, m))
+            return real(env, steps, m, **kwargs)
+
+        def refuse(*args):
+            raise AssertionError("the certificate pass ran")
+
+        monkeypatch.setattr(rwre.kernel, "confined_log_prob", counted)
+        monkeypatch.setattr(rwre.kernel, "_tail_log_bound", refuse)
+        # the grid of demos/configs/conjecture.ini, one seed
+        cfg = small_config(workdir, "conjecture-explore", n_grid="1024,2048,4096",
+                           seeds="0", beta_grid="2.2,2.5,3.0")
+        csv, _ = run_once(capsys, workdir, "conjecture-explore", cfg, "runs")
+        rows = [r.split(",") for r in csv["conjecture.csv"].decode().splitlines()[1:]]
+        assert sorted(probes) == sorted((int(r[1]), int(r[3])) for r in rows)
+        for n in (1024, 2048, 4096):
+            assert sum(2 * m - 1 for k, m in probes if k == n) < n
 
     def test_strip_beyond_n_never_exceeded(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)

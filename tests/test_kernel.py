@@ -439,6 +439,31 @@ class TestBenchmarkReference:
             assert abs(bridge_log_prob(env, int(n)) - float(want)) <= 1e-12 * abs(float(want))
 
 
+    @pytest.mark.parametrize("slot", ["0", "1"])
+    def test_maxdisp_probe_reference(self, slot):
+        root = Path(__file__).resolve().parents[1]
+        ref = json.loads((root / "perfbench" / "reference" / "maxdisp_probe.json")
+                         .read_text(encoding="utf-8"))["slots"][slot]
+        law = rwre.load_distribution(root / "demos" / "dists" / "nestling_k2.txt")
+        assert ref["maxdisp_summary.csv"]["header"] == "seed,n,median,q05,q95"
+        assert ref["maxdisp_cdf.csv"]["header"] == "seed,n,m,cdf"
+        summary, keys, values = [], [], []
+        for row in ref["maxdisp_summary.csv"]["rows"]:
+            seed, n = (int(v) for v in row.split(",")[:2])
+            env = sample_environment(law, seed, -2 * n, 2 * n)
+            cdf, _ = kernel._max_disp_cdf(env, n)
+            # the max-disp-exact runner's default grid of 33 points
+            grid = np.unique(np.round(np.geomspace(1, n, 33)).astype(np.int64)).tolist()
+            keys += [f"{seed},{n},{m}" for m in grid]
+            values += [cdf(m) for m in grid]
+            q05, med, q95 = [kernel._quantile(cdf, n, q, grid) for q in (0.05, 0.5, 0.95)]
+            summary.append(f"{seed},{n},{med},{q05},{q95}")
+        assert summary == ref["maxdisp_summary.csv"]["rows"]
+        want = [row.rsplit(",", 1) for row in ref["maxdisp_cdf.csv"]["rows"]]
+        assert keys == [key for key, _ in want]
+        assert np.max(np.abs(np.array(values) - [float(v) for _, v in want])) <= 1e-12
+
+
 def occupation(env: Environment, lo: int, hi: int, start: int, steps: int) -> np.ndarray:
     """Row ``k`` is the linear mass over sites ``[lo, hi]`` after ``k`` steps
     from ``start``, killed on leaving them, read off ``_propagate``."""
@@ -586,6 +611,95 @@ class TestMaxDispBridgeCdf:
         env = Environment(-3, np.ones(7))  # every step forced right
         with pytest.raises(DegenerateBridgeError):
             max_disp_bridge_cdf(env, 1)
+
+
+def plain_cdf(env: Environment, n: int, m: int, bridge_lp: float) -> float:
+    """``cdf(M)`` by one corridor probe, with no certificate."""
+    joint = confined_log_prob(env, 2 * n, m, require_bridge=True)
+    return min(1.0, float(np.exp(joint - bridge_lp)))
+
+
+def underflowed_cone_cells(env: Environment, n: int) -> int:
+    """Double-cone cells of the step's parity that the bridge pass leaves at 0."""
+    zeros = 0
+    for k, (mass, _, _) in enumerate(_propagate(env.slice(-n, n), n, 2 * n, target=n)):
+        c = min(k, 2 * n - k)
+        zeros += np.count_nonzero(mass[n - c : n + c + 1 : 2] == 0.0)
+    return zeros
+
+
+class TestTailCertificate:
+    """The upper-tail bound that lets ``_max_disp_cdf`` skip corridor probes."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 10), data=st.data())
+    def test_bound_covers_the_enumerated_tail(self, n, data):
+        om = data.draw(st.lists(st.floats(0.01, 0.99), min_size=2 * n + 1,
+                                max_size=2 * n + 1))
+        env = Environment(-n, np.array(om))
+        tail = oracles.bridge_max_tail(env, n)
+        bound = np.exp(kernel._tail_log_bound(env, n))
+        # the margin is rounding only: at M = n the bound is the tail itself
+        assert np.all(bound[1:] >= tail[1:] * (1.0 - 1e-12))
+        assert bound[n] == pytest.approx(tail[n], rel=1e-12)
+
+    @pytest.mark.parametrize("omega", [0.0, 1.0])
+    def test_one_way_site_certifies_nothing(self, omega, monkeypatch):
+        n = 64
+        env = random_env(3, -2 * n, 2 * n)
+        blp = bridge_log_prob(env, n)
+        assert kernel._certified_strip(env, n, blp) <= n  # certifies as it is
+        om = env.slice(-2 * n, 2 * n).copy()
+        om[2 * n + 40] = omega
+        env = Environment(-2 * n, om)
+        blp = bridge_log_prob(env, n)
+        assert kernel._tail_log_bound(env, n) is None
+        assert kernel._certified_strip(env, n, blp) == n + 1
+        probes = []
+        real = kernel.confined_log_prob
+
+        def counted(env, steps, m, **kwargs):
+            probes.append(m)
+            return real(env, steps, m, **kwargs)
+
+        monkeypatch.setattr(kernel, "confined_log_prob", counted)
+        cdf, _ = kernel._max_disp_cdf(env, n)
+        got = [cdf(m) for m in range(1, n + 1)]
+        assert probes == list(range(1, n + 1))
+        monkeypatch.undo()
+        assert got == [plain_cdf(env, n, m, blp) for m in range(1, n + 1)]
+
+    @pytest.mark.parametrize("floor", [None, 1e-300])
+    def test_certified_probes_read_one_where_cells_are_lost(self, floor, monkeypatch):
+        n = 1024
+        env = sample_environment(NESTLING_K2, 0, -2 * n, 2 * n)
+        assert underflowed_cone_cells(env, n) > 0
+        if floor is not None:  # truncate the bridge and the certificate's pass
+            monkeypatch.setattr(kernel, "_AUTO_TRUNCATION_N", 1)
+            monkeypatch.setattr(kernel, "_AUTO_TRUNCATION_THRESHOLD", floor)
+        blp, disc_log = bridge_log_prob(env, n, with_error_bound=True)
+        assert (disc_log > -np.inf) == (floor is not None)
+        strip = kernel._certified_strip(env, n, blp)
+        assert strip <= n
+        grid = np.unique(np.round(np.geomspace(1, n, 33)).astype(np.int64)).tolist()
+        certified = sorted({strip, strip + 1, strip + 2, n, *(m for m in grid if m >= strip)})
+        for m in certified:
+            assert abs(plain_cdf(env, n, m, blp) - 1.0) <= 1e-12
+        cdf, _ = kernel._max_disp_cdf(env, n)
+        assert [cdf(m) for m in grid] == [
+            1.0 if m >= strip else plain_cdf(env, n, m, blp) for m in grid
+        ]
+
+    def test_coarse_truncation_withholds_the_certificate(self, monkeypatch):
+        n = 1024
+        env = sample_environment(NESTLING_K2, 0, -2 * n, 2 * n)
+        assert kernel._certified_strip(env, n, bridge_log_prob(env, n)) <= n
+        monkeypatch.setattr(kernel, "_AUTO_TRUNCATION_N", 1)
+        monkeypatch.setattr(kernel, "_AUTO_TRUNCATION_THRESHOLD", 1e-100)
+        blp, disc_log = bridge_log_prob(env, n, with_error_bound=True)
+        assert disc_log > -np.inf
+        # the dropped mass enters the slack, and no strip is certified
+        assert kernel._certified_strip(env, n, blp) == n + 1
 
 
 class TestBridgeMaxQuantile:

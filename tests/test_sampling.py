@@ -220,6 +220,24 @@ class TestGoldenStream:
         with pytest.raises(DomainError):
             max_disp_samples(env, self.N, 2, 0, table=table)
 
+    def test_step_table_for_another_environment_rejected(self):
+        a = sample_environment(NESTLING_K2, 0, -16, 16)
+        b = sample_environment(NESTLING_K2, 1, -16, 16)
+        table = backward_table(a, 8)
+        assert not np.array_equal(a.slice(-8, 8), b.slice(-8, 8))
+        with pytest.raises(DomainError, match="another environment"):
+            max_disp_samples(b, 8, 200, 1, table=table)
+        with pytest.raises(DomainError, match="another environment"):
+            sample_bridge(b, 8, 1, table=table)
+        with pytest.raises(DomainError, match="another environment"):
+            sample_bridge_paths(b, 8, 2, 1, table=table)
+        # the same omegas on [-8, 8] in another window are accepted
+        wider = sample_environment(NESTLING_K2, 0, -32, 32)
+        assert np.array_equal(
+            max_disp_samples(wider, 8, 200, 1, table=table).max_abs,
+            max_disp_samples(a, 8, 200, 1).max_abs,
+        )
+
 
 class TestSeedContract:
     @pytest.mark.parametrize("seed", [-1, 1.5, 2**64, "3", None, True])
