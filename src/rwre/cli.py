@@ -9,6 +9,9 @@ per experiment (see :mod:`rwre.experiments` for the schema).  On success
 the path of the freshly created run directory is printed to stdout and
 the exit code is 0; config errors exit 2, runtime errors exit 1, both
 with a message on stderr.
+
+``--threads`` is accepted and validated (K must be at least 1) but
+ignored: every experiment runs its tasks serially on one thread.
 """
 
 from __future__ import annotations
@@ -49,7 +52,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default="runs", metavar="DIR",
                        help="parent directory for run directories (default: runs)")
         p.add_argument("--threads", type=int, default=1, metavar="K",
-                       help="worker threads; never affects outputs (default: 1)")
+                       help="accepted and checked (K >= 1) but ignored: "
+                       "tasks run serially (default: 1)")
         p.add_argument("--seed-offset", type=int, default=0, metavar="U",
                        help="added (mod 2^64) to every environment seed (default: 0)")
     return parser
@@ -58,12 +62,13 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("threads must be at least 1")
         params = load_config(args.config, args.experiment)
         config = ExperimentConfig(
             experiment=args.experiment,
             params=params,
             out_root=Path(args.out),
-            threads=args.threads,
             seed_offset=args.seed_offset,
         )
     except ConfigError as exc:

@@ -18,8 +18,8 @@ exception is the ``kappa`` row of the ``kappa`` experiment, which uses
 12 fixed decimals.
 
 Every seeded experiment runs its ``(seed, ...)`` tasks through one loop,
-:func:`_map_seeded`, which samples each task's environment and keeps
-task order at any thread count.  Environments use counter-based
+:func:`_map_seeded`, which samples each task's environment and runs the
+tasks serially, in task order.  Environments use counter-based
 per-site keying, so a seed's realization is the same whatever window
 a task requests.
 """
@@ -31,7 +31,6 @@ import hashlib
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from functools import partial
@@ -251,21 +250,17 @@ def _check_experiment(name: str) -> None:
 class ExperimentConfig:
     """One fully parsed experiment invocation.
 
-    ``params`` holds typed values keyed by config-file key; ``threads``
-    only affects scheduling and is excluded from the config hash, so the
-    same config run at any thread count emits identical data files.
+    ``params`` holds typed values keyed by config-file key; ``out_root``
+    is excluded from the config hash, ``seed_offset`` is not.
     """
 
     experiment: str
     params: dict[str, Any]
     out_root: Path
-    threads: int = 1
     seed_offset: int = 0
 
     def __post_init__(self) -> None:
         _check_experiment(self.experiment)
-        if self.threads < 1:
-            raise ConfigError("threads must be at least 1")
         if not (0 <= self.seed_offset < _U64):
             raise ConfigError("seed-offset must lie in [0, 2^64)")
 
@@ -317,6 +312,9 @@ def load_config(path: str | Path, experiment: str) -> dict[str, Any]:
 _LEAST = {"n_samples": 1, "export_paths": 0, "cdf_points": 0, "m_grid": 1, "x": 1,
           "ell_grid": 2, "bound_ell_grid": 2, "m": 1, "r": 1}
 
+# keys that size an allocation or a loop; each may be at most _MAX_LIST
+_SIZES = ("n_samples", "export_paths", "cdf_points")
+
 # experiment -> least n_grid entry it can run (0 where unlisted)
 _LEAST_N = {"max-disp-exact": 1, "sample-bridge": 1, "srw-smalldev": 1,
             "scaling": 2, "conjecture-explore": 2}
@@ -341,6 +339,9 @@ def _validate(experiment: str, params: dict[str, Any]) -> None:
         value = params.get(key, least)
         if (min(value) if isinstance(value, list) else value) < least:
             raise ConfigError(f"{key} must be at least {least}")
+    for key in _SIZES:
+        if params.get(key, 0) > _MAX_LIST:
+            raise ConfigError(f"{key} must be at most {_MAX_LIST}")
     if not 0.0 < params.get("gamma", 1.0) <= 1.0:
         raise ConfigError("gamma must lie in (0, 1]")
     if "lam_frac" in params and not (0.0 < params["lam_frac"] < 1.0):
@@ -430,8 +431,8 @@ def _param_echo(config: ExperimentConfig) -> dict[str, Any]:
 def config_hash(config: ExperimentConfig) -> str:
     """SHA-256 over everything that determines the data outputs.
 
-    Thread count and output directory are excluded; seed offset and the
-    canonical id of any loaded distribution are included.
+    The output directory is excluded; seed offset and the canonical id
+    of any loaded distribution are included.
     """
     payload = {
         "experiment": config.experiment,
@@ -451,21 +452,13 @@ def _map_seeded(
     """``work(env, *task)`` for every task ``(seed, ...)``, in task order.
 
     ``env`` is the seed's environment on the sites ``window(*task)``.  The
-    default tasks are seeds x ``n_grid``, seed-major.  Tasks run on
-    ``cfg.threads`` threads; each result depends on its task alone, so
-    the thread count never changes the output.
+    default tasks are seeds x ``n_grid``, seed-major.  Tasks run
+    serially on the calling thread.
     """
     dist = cfg.params[_DIST]
     if tasks is None:
         tasks = [(s, n) for s in cfg.effective_seeds() for n in cfg.params["n_grid"]]
-
-    def one(task: tuple) -> Any:
-        return work(sample_environment(dist, task[0], *window(*task)), *task)
-
-    if cfg.threads <= 1 or len(tasks) <= 1:
-        return [one(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=cfg.threads) as pool:
-        return list(pool.map(one, tasks))
+    return [work(sample_environment(dist, t[0], *window(*t)), *t) for t in tasks]
 
 
 def _derived_seed(*parts: int) -> int:
@@ -798,7 +791,6 @@ def run(config: ExperimentConfig) -> tuple[int, Path | None]:
         "experiment": config.experiment,
         "config_hash": digest,
         "seed_offset": config.seed_offset,
-        "threads": config.threads,
         "params": _param_echo(config),
         "effective_seeds": config.effective_seeds(),
         "status": "incomplete",

@@ -9,6 +9,7 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -294,6 +295,7 @@ class TestConfigErrors:
             ("sample-bridge", "sampler_seed", str(2**64)),
             ("sample-bridge", "export_paths", "-1"),
             ("max-disp-exact", "cdf_points", "-1"),
+            ("max-disp-exact", "cdf_points", "1000000000000000"),
             ("max-disp-exact", "n_grid", "0"),
             ("sample-bridge", "n_grid", "0"),
             ("bridge-prob", "truncation", "nan"),
@@ -315,6 +317,26 @@ class TestConfigErrors:
         assert err.startswith("error:") and err.count("\n") == 1
         assert key in err
         assert not out_root.exists()
+
+    @pytest.mark.parametrize(
+        "experiment,key",
+        [
+            ("max-disp-exact", "cdf_points"),
+            ("sample-bridge", "n_samples"),
+            ("sample-bridge", "export_paths"),
+        ],
+    )
+    def test_size_keys_are_capped(self, workdir, experiment, key):
+        dist = write_dist(workdir, FIG1)
+
+        def load(value):
+            body = {"distribution": dist.name, "n_grid": "8", "seeds": "0", key: value}
+            return load_config(write_config(workdir, experiment, body), experiment)
+
+        assert load("1000000")[key] == 1_000_000
+        for value in ("1000001", "1000000000000000"):
+            with pytest.raises(ConfigError, match=key):
+                load(value)
 
     def test_unknown_experiment_is_a_usage_error(self, workdir):
         with pytest.raises(SystemExit) as exc:
@@ -520,17 +542,15 @@ class TestBridgeProbExperiment:
         )
         params = load_config(cfg_path, "bridge-prob")
 
-        def make(threads=1, seed_offset=0, out="runs"):
+        def make(seed_offset=0, out="runs"):
             return ExperimentConfig(
                 experiment="bridge-prob",
                 params=params,
                 out_root=workdir / out,
-                threads=threads,
                 seed_offset=seed_offset,
             )
 
         base = config_hash(make())
-        assert config_hash(make(threads=8)) == base
         assert config_hash(make(out="elsewhere")) == base
         assert config_hash(make(seed_offset=3)) != base
 
@@ -1141,6 +1161,26 @@ def test_every_experiment_is_thread_invariant(workdir, capsys, experiment):
     assert manifest1["files"] == manifest2["files"]
     assert sorted(manifest1["files"]) == sorted(csv1)
     assert manifest1.get("log_discarded_bound") == manifest2.get("log_discarded_bound")
+
+
+def test_tasks_run_on_the_calling_thread(workdir, capsys, monkeypatch):
+    idents = []
+    real = experiments.bridge_log_prob
+
+    def spy(*args, **kwargs):
+        idents.append(threading.get_ident())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "bridge_log_prob", spy)
+    dist = write_dist(workdir, FIG1)
+    cfg = write_config(
+        workdir, "bridge-prob", {"distribution": dist.name, "n_grid": "1..4", "seeds": "0,1"}
+    )
+    code, _, err = run_cli(
+        capsys, "bridge-prob", cfg, workdir / "runs", extra=("--threads", "2")
+    )
+    assert code == 0, err
+    assert idents == [threading.get_ident()] * 8
 
 
 def test_confined_thread_config_reaches_the_squaring_path(workdir, capsys, monkeypatch):
