@@ -79,6 +79,9 @@ def main(argv: list[str] | None = None) -> int:
     except RwreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     print(run_dir)
     return code
 

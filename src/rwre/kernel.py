@@ -159,11 +159,6 @@ def _final_log(mass: np.ndarray, scale: float, index: int | None) -> float:
     return -np.inf if v == 0.0 else float(np.log(v)) + scale
 
 
-def _auto_truncation(n: int) -> float:
-    """The default relative truncation floor of a 2n-step bridge."""
-    return _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
-
-
 def bridge_log_prob(
     env: Environment,
     n: int,
@@ -209,7 +204,7 @@ def bridge_log_prob(
     if n == 0:
         return (0.0, -np.inf) if with_error_bound else 0.0
     if truncation is None:
-        truncation = _auto_truncation(n)
+        truncation = _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
     om = env.slice(-n, n)
     for mass, scale, disc_log in _propagate(om, n, 2 * n, truncation, target=n):
         pass
@@ -382,87 +377,6 @@ def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
     return _final_log(v, scale, lo if bridge else None)
 
 
-# A corridor probe is skipped once the bridge's upper tail is certified
-# below e**-40 of the bridge probability: a factor e**-2.6 under 2**-54,
-# below which the CDF rounds to exactly 1.0.  The factor absorbs the
-# rounding of the logs the bound is built from.
-_CERTIFY_LOG_MARGIN = -40.0
-# The smallest normal double: the most one cell loses to underflow per step.
-_TINY = 2.0**-1022
-
-
-def _tail_log_bound(env: Environment, n: int) -> np.ndarray | None:
-    """Upper bounds on ``log P(max_k |X_k| >= M, X_{2n} = 0)``: entry ``M``
-    for ``M = 1 .. n`` (entry 0 is the trivial 0), or ``None`` when some
-    omega on ``[-n, n]`` is 0 or 1, which leaves the bound undefined.
-
-    The bound is the expected number of visits to ``+-M``.  A path that
-    first reaches ``x = +-M`` at step k and is back at 0 at step 2n is
-    counted by ``m_k(x) P_x(X_{2n-k} = 0)``, where ``m_k(x) = P_0(X_k =
-    x)`` (first passage <= occupation; no bridge leaves ``[-n, n]``, so
-    the walk may be killed outside it).  Reversibility gives ``P_x(X_j =
-    0) = pi(0)/pi(x) m_j(x)`` with ``pi(x+1)/pi(x) = omega_x / (1 -
-    omega_{x+1})``, and Cauchy-Schwarz ``sum_k m_k m_{2n-k} <= sum_k
-    m_k**2``, so ::
-
-        tail(M) <= sum over x = +-M of pi(0)/pi(x) sum_k m_k(x)**2.
-
-    One forward pass streams ``sum_k m_k(x)**2`` for every x at once: the
-    bridge's own pass (``_propagate`` with its target and its default
-    truncation, as :func:`bridge_log_prob` runs it) adds ``mass**2`` over
-    the double cone of each step's parity, and the linear sums fold into
-    a log accumulator at each rescale.  A computed occupation falls short
-    of the true one by at most ``D = exp(disc_log) + 2n(2n+1) 2**-1022``:
-    the mass truncation dropped, and one underflowing cell per site and
-    step (the scale never exceeds 0).  Each sum therefore gains the slack
-    ``(2n+1)(2D + D**2)``, plus ``(2n+1) 2**-1022`` for squares that
-    underflow.  At ``M = n`` the bound equals the tail up to rounding
-    and that slack: the only such paths run straight out and back.
-    """
-    om = env.slice(-n, n)
-    if not np.all((om > 0.0) & (om < 1.0)):
-        return None
-    w = 2 * n + 1
-    lin = np.zeros(w)  # sum of mass**2 since the scale last changed
-    log_sq = np.full(w, -np.inf)
-    sq = np.empty(n + 1)
-    cur = 0.0
-    with np.errstate(divide="ignore"):
-        states = _propagate(om, n, 2 * n, _auto_truncation(n), target=n)
-        for k, (mass, scale, disc_log) in enumerate(states):
-            if scale != cur:
-                np.logaddexp(log_sq, np.log(lin) + 2.0 * cur, out=log_sq)
-                lin[:] = 0.0
-                cur = scale
-            c = min(k, 2 * n - k)
-            cone = slice(n - c, n + c + 1, 2)
-            np.multiply(mass[cone], mass[cone], out=sq[: c + 1])
-            lin[cone] += sq[: c + 1]
-        np.logaddexp(log_sq, np.log(lin) + 2.0 * cur, out=log_sq)
-    log_d = float(np.logaddexp(disc_log, math.log(2 * n * w * _TINY)))
-    log_slack = math.log(w) + _logsumexp(
-        np.array([math.log(2.0) + log_d, 2.0 * log_d, math.log(_TINY)])
-    )
-    # log pi(x) - log pi(0) at index x + n
-    log_pi = np.concatenate(([0.0], np.cumsum(np.log(om[:-1]) - np.log1p(-om[1:]))))
-    side = np.logaddexp(log_sq, log_slack) - (log_pi - log_pi[n])
-    bound = np.zeros(n + 1)
-    bound[1:] = np.logaddexp(side[n + 1 :], side[n - 1 :: -1])
-    return bound
-
-
-def _certified_strip(env: Environment, n: int, bridge_lp: float) -> int:
-    """Smallest ``M`` whose tail bound lies ``e**-40`` below the bridge
-    probability ``exp(bridge_lp)``, or ``n + 1`` when there is none.  The
-    true tail decreases in ``M``, so ``cdf(M')`` is exactly 1.0 in double
-    for every ``M' >= M``."""
-    bound = _tail_log_bound(env, n)
-    if bound is None:
-        return n + 1
-    (certified,) = np.nonzero(bound[1:] - bridge_lp < _CERTIFY_LOG_MARGIN)
-    return int(certified[0]) + 1 if certified.size else n + 1
-
-
 def _max_disp_cdf(env: Environment, n: int):
     """``(cdf, log_discarded_bound)`` for the maximal displacement of a
     2n-step bridge.
@@ -471,17 +385,12 @@ def _max_disp_cdf(env: Environment, n: int):
     probability, then one confined propagation per distinct ``M <= n``
     (``M > n`` gives 1).
 
-    Probes whose answer rounds to 1.0 are skipped where a certificate
-    proves it.  Once the corridor sites probed, the sum of ``2M - 1``,
-    reach ``n`` (about one bridge pass of work), the closure runs
-    :func:`_certified_strip` once, a pass about 1.5 times a bridge's.
-    It bounds the tail ``P(max_k |X_k| >= M, X_{2n} = 0)`` by the
-    expected number of visits to ``+-M``, with a slack for the mass
-    that truncation and underflow lose (:func:`_tail_log_bound`).  From
-    the first ``M`` whose bound lies ``e**-40`` below the bridge
-    probability on, ``cdf(M)`` is exactly 1.0 with no propagation.
-    Nothing is certified when an omega on ``[-n, n]`` is 0 or 1, and
-    closures whose probes stay narrow never pay for the pass.
+    The CDF is non-decreasing in ``M``, so once a probe reads exactly
+    1.0 every larger ``M`` is at least as close to 1, and ``cdf`` returns
+    1.0 there with no propagation.  A skipped value's error is at most
+    that of the probe that read 1.0; which probes run, and so the last
+    bits below 1.0, may depend on the order of the queries, within that
+    error.
 
     The returned bound is the bridge probability's
     ``log_discarded_bound`` (``-inf`` when truncation dropped nothing).
@@ -494,20 +403,18 @@ def _max_disp_cdf(env: Environment, n: int):
         raise DegenerateBridgeError(
             "conditioning event X_{2n} = 0 has zero probability"
         )
-    strip = n + 1  # every M >= strip has cdf exactly 1.0
-    sites = 0  # corridor sites probed so far
-    certified = False
+    strip = n + 1  # every M >= strip reads exactly 1.0
 
     @functools.cache
     def cdf(m: int) -> float:
-        nonlocal strip, sites, certified
-        if m < strip and sites >= n and not certified:
-            certified, strip = True, _certified_strip(env, n, bridge_lp)
+        nonlocal strip
         if m >= strip:
             return 1.0
-        sites += 2 * m - 1
         joint = confined_log_prob(env, 2 * n, m, require_bridge=True)
-        return min(1.0, float(np.exp(joint - bridge_lp)))
+        value = min(1.0, float(np.exp(joint - bridge_lp)))
+        if value == 1.0:
+            strip = m
+        return value
 
     return cdf, disc_log
 
@@ -546,13 +453,11 @@ def max_disp_bridge_cdf(
     ``m_values[i]``, or ``i + 1`` when ``m_values`` is omitted (the full
     grid ``M = 1 .. 2n+1``).  The conditional CDF is exactly 1 for every
     ``M > n`` since a bridge cannot stray past ``n``; those entries are
-    filled without propagation.  So is every ``M`` at or above the first
-    one whose upper tail a rigorous bound places ``e**-40`` below the
-    bridge probability, which is under 2**-54 where the CDF rounds to
-    1.0.  The bound is the expected number of visits to ``+-M``, with a
-    slack for mass lost to truncation and underflow, from one extra
-    forward pass that runs once the corridors probed have cost about a
-    bridge pass; see ``kernel._max_disp_cdf``.
+    filled without propagation.  So is every ``M`` above one that
+    already read exactly 1.0: the CDF is non-decreasing, so such an entry
+    errs by at most as much as that probe.  Entries are computed in the
+    order given, which can decide which ones skip; see
+    ``kernel._max_disp_cdf``.
 
     Raises
     ------

@@ -77,19 +77,12 @@ def hitting_cdf(env, target: int, horizon: int) -> np.ndarray:
 
 
 def max_disp_cdf(env, n: int, m_values) -> np.ndarray:
-    """P(max_k |X_k| < M | X_{2n} = 0) for each M, by enumeration."""
-    bridge = bridge_probability(env, n)
-    return np.array(
-        [confined_probability(env, 2 * n, int(m), True) / bridge for m in m_values]
-    )
-
-
-def bridge_max_tail(env, n: int) -> np.ndarray:
-    """``P(max_k |X_k| >= M, X_{2n} = 0)`` at index M for ``M = 0 .. n``.
+    """P(max_k |X_k| < M | X_{2n} = 0) for each M, by enumeration.
 
     Enumerates every 2n-step path that ends at the origin, depth first,
     dropping a prefix only once it is too far out to return in time; each
-    path's probability is the left-to-right product of its steps.
+    path's probability is the left-to-right product of its steps, summed
+    by the path's maximum.
     """
     if not (0 <= 2 * n <= MAX_ENUM_STEPS):
         raise ValueError(f"2n must be in 0..{MAX_ENUM_STEPS}")
@@ -106,7 +99,8 @@ def bridge_max_tail(env, n: int) -> np.ndarray:
         extend(x - 1, k + 1, prob * (1.0 - w), max(top, abs(x - 1)))
 
     extend(0, 0, 1.0, 0)
-    return np.cumsum(by_max[::-1])[::-1]
+    below = np.concatenate(([0.0], np.cumsum(by_max)))  # P(max < M, X_2n = 0)
+    return np.array([below[min(int(m), n + 1)] for m in m_values]) / below[-1]
 
 
 def bridge_distribution(env, n: int) -> dict[tuple, float]:

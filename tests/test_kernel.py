@@ -614,7 +614,7 @@ class TestMaxDispBridgeCdf:
 
 
 def plain_cdf(env: Environment, n: int, m: int, bridge_lp: float) -> float:
-    """``cdf(M)`` by one corridor probe, with no certificate."""
+    """``cdf(M)`` by one corridor probe, with no skip."""
     joint = confined_log_prob(env, 2 * n, m, require_bridge=True)
     return min(1.0, float(np.exp(joint - bridge_lp)))
 
@@ -628,78 +628,127 @@ def underflowed_cone_cells(env: Environment, n: int) -> int:
     return zeros
 
 
+def query_in_order(env: Environment, n: int, ms) -> list[tuple[int, float, bool]]:
+    """``(M, cdf(M), probed)`` for each ``M`` of ``ms`` in order, from one
+    ``_max_disp_cdf`` closure; ``probed`` tells whether the query ran a
+    corridor probe."""
+    calls = []
+    real = kernel.confined_log_prob
+
+    def counted(env, steps, m, **kwargs):
+        calls.append(m)
+        return real(env, steps, m, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernel, "confined_log_prob", counted)
+        cdf, _ = kernel._max_disp_cdf(env, n)
+        out = []
+        for m in ms:
+            before = len(calls)
+            value = cdf(m)
+            out.append((m, value, len(calls) > before))
+    return out
+
+
+def assert_monotone_skip(rows: list[tuple[int, float, bool]]) -> list[int]:
+    """Check that no query at or above a probe that read 1.0 ran a probe,
+    and that every such query read 1.0; return the skipped ``M``."""
+    strip, skipped = math.inf, []
+    for m, value, probed in rows:
+        if m >= strip:
+            assert not probed and value == 1.0, m
+            skipped.append(m)
+        elif probed and value == 1.0:
+            strip = m
+    return skipped
+
+
 class TestTailCertificate:
-    """The upper-tail bound that lets ``_max_disp_cdf`` skip corridor probes."""
+    """The monotone skip: the CDF is non-decreasing in ``M``, so a probe
+    that reads 1.0 settles every larger ``M`` of its closure."""
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 10), data=st.data())
-    def test_bound_covers_the_enumerated_tail(self, n, data):
-        om = data.draw(st.lists(st.floats(0.01, 0.99), min_size=2 * n + 1,
-                                max_size=2 * n + 1))
-        env = Environment(-n, np.array(om))
-        tail = oracles.bridge_max_tail(env, n)
-        bound = np.exp(kernel._tail_log_bound(env, n))
-        # the margin is rounding only: at M = n the bound is the tail itself
-        assert np.all(bound[1:] >= tail[1:] * (1.0 - 1e-12))
-        assert bound[n] == pytest.approx(tail[n], rel=1e-12)
+    @given(n=st.integers(1, 8), data=st.data())
+    def test_any_query_order_matches_enumeration(self, n, data):
+        # near-one-way sites make probes below n + 1 read 1.0
+        omega = st.one_of(st.floats(0.01, 0.99), st.sampled_from([1e-9, 1.0 - 1e-9]))
+        om = data.draw(st.lists(omega, min_size=2 * n + 1, max_size=2 * n + 1))
+        # the window _max_disp_cdf requires; no bridge reaches the padding
+        env = Environment(-2 * n, np.pad(np.array(om), n, constant_values=0.5))
+        order = data.draw(st.permutations(range(1, n + 2)))
+        rows = query_in_order(env, n, order)
+        exact = oracles.max_disp_cdf(env, n, order)
+        assert np.max(np.abs([v for _, v, _ in rows] - exact)) <= 1e-12
+        assert_monotone_skip(rows)
+
+    def test_skip_fires_below_n_plus_one(self):
+        n = 8
+        om = random_env(0, -2 * n, 2 * n).slice(-2 * n, 2 * n).copy()
+        for x in (n - 3, n - 2):  # every path out to +-(n - 1) pays two 1e-9 steps
+            om[2 * n + x], om[2 * n - x] = 1e-9, 1.0 - 1e-9
+        env = Environment(-2 * n, om)
+        ms = list(range(1, n + 2))
+        rows = query_in_order(env, n, ms)
+        assert [m for m, _, probed in rows if probed] == list(range(1, n))
+        assert assert_monotone_skip(rows) == [n, n + 1]
+        exact = oracles.max_disp_cdf(env, n, ms)
+        assert np.max(np.abs([v for _, v, _ in rows] - exact)) <= 1e-12
 
     @pytest.mark.parametrize("omega", [0.0, 1.0])
-    def test_one_way_site_certifies_nothing(self, omega, monkeypatch):
+    def test_one_way_site_skips_too(self, omega):
         n = 64
-        env = random_env(3, -2 * n, 2 * n)
-        blp = bridge_log_prob(env, n)
-        assert kernel._certified_strip(env, n, blp) <= n  # certifies as it is
-        om = env.slice(-2 * n, 2 * n).copy()
+        om = random_env(3, -2 * n, 2 * n).slice(-2 * n, 2 * n).copy()
         om[2 * n + 40] = omega
         env = Environment(-2 * n, om)
         blp = bridge_log_prob(env, n)
-        assert kernel._tail_log_bound(env, n) is None
-        assert kernel._certified_strip(env, n, blp) == n + 1
-        probes = []
-        real = kernel.confined_log_prob
-
-        def counted(env, steps, m, **kwargs):
-            probes.append(m)
-            return real(env, steps, m, **kwargs)
-
-        monkeypatch.setattr(kernel, "confined_log_prob", counted)
-        cdf, _ = kernel._max_disp_cdf(env, n)
-        got = [cdf(m) for m in range(1, n + 1)]
-        assert probes == list(range(1, n + 1))
-        monkeypatch.undo()
-        assert got == [plain_cdf(env, n, m, blp) for m in range(1, n + 1)]
+        rows = query_in_order(env, n, range(1, n + 1))
+        skipped = assert_monotone_skip(rows)
+        assert skipped
+        for m, value, probed in rows:
+            plain = plain_cdf(env, n, m, blp)
+            if probed:
+                assert value == plain
+            else:
+                assert abs(value - plain) <= 1e-12
 
     @pytest.mark.parametrize("floor", [None, 1e-300])
     def test_certified_probes_read_one_where_cells_are_lost(self, floor, monkeypatch):
         n = 1024
         env = sample_environment(NESTLING_K2, 0, -2 * n, 2 * n)
         assert underflowed_cone_cells(env, n) > 0
-        if floor is not None:  # truncate the bridge and the certificate's pass
+        if floor is not None:  # truncate the bridge
             monkeypatch.setattr(kernel, "_AUTO_TRUNCATION_N", 1)
             monkeypatch.setattr(kernel, "_AUTO_TRUNCATION_THRESHOLD", floor)
         blp, disc_log = bridge_log_prob(env, n, with_error_bound=True)
         assert (disc_log > -np.inf) == (floor is not None)
-        strip = kernel._certified_strip(env, n, blp)
-        assert strip <= n
         grid = np.unique(np.round(np.geomspace(1, n, 33)).astype(np.int64)).tolist()
-        certified = sorted({strip, strip + 1, strip + 2, n, *(m for m in grid if m >= strip)})
-        for m in certified:
-            assert abs(plain_cdf(env, n, m, blp) - 1.0) <= 1e-12
-        cdf, _ = kernel._max_disp_cdf(env, n)
-        assert [cdf(m) for m in grid] == [
-            1.0 if m >= strip else plain_cdf(env, n, m, blp) for m in grid
-        ]
+        rows = query_in_order(env, n, grid)
+        skipped = assert_monotone_skip(rows)
+        assert len(skipped) >= 4
+        for m, value, probed in rows:
+            plain = plain_cdf(env, n, m, blp)
+            if probed:
+                assert value == plain
+            else:
+                assert abs(value - plain) <= 1e-12
 
-    def test_coarse_truncation_withholds_the_certificate(self, monkeypatch):
+    def test_coarse_truncation_bounds_the_skipped_rows(self, monkeypatch):
         n = 1024
         env = sample_environment(NESTLING_K2, 0, -2 * n, 2 * n)
-        assert kernel._certified_strip(env, n, bridge_log_prob(env, n)) <= n
+        exact_lp = bridge_log_prob(env, n, truncation=0.0)
         monkeypatch.setattr(kernel, "_AUTO_TRUNCATION_N", 1)
         monkeypatch.setattr(kernel, "_AUTO_TRUNCATION_THRESHOLD", 1e-100)
         blp, disc_log = bridge_log_prob(env, n, with_error_bound=True)
         assert disc_log > -np.inf
-        # the dropped mass enters the slack, and no strip is certified
-        assert kernel._certified_strip(env, n, blp) == n + 1
+        grid = np.unique(np.round(np.geomspace(1, n, 33)).astype(np.int64)).tolist()
+        rows = query_in_order(env, n, grid)
+        skipped = assert_monotone_skip(rows)
+        assert skipped
+        # the truncated bridge can read 1.0 early, but never by more than
+        # the mass that it dropped
+        for m in skipped:
+            plain = plain_cdf(env, n, m, exact_lp)
+            assert abs(1.0 - plain) <= math.exp(disc_log - blp) + 1e-12
 
 
 class TestBridgeMaxQuantile:
