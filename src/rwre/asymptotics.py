@@ -168,17 +168,16 @@ def exit_mgf_dp(ell: int, lam: float, tail_tol: float = 1e-12) -> float:
             f"lam={lam!r} at or beyond the critical point for ell={ell}"
         )
     total = 0.0
-    factor = 1.0
     # tail after step k: sum_{j>=1} m_k radius^(j-1) exp(lam (k+j))
     tail_coeff = growth / (1.0 - radius * growth)
+    # the walk starts on an even site and exits from the even sites 0 and
+    # width - 1, so only the even-k states carry exit mass
     states = _propagate(np.full(width, 0.5), 0, 50_000_000)
-    for k, (mass, scale, _) in enumerate(states):
-        f = math.exp(scale)
-        if k and float(mass.sum()) * f * factor * tail_coeff < tail_tol:
+    for k, mass, scale, _ in states:
+        f = math.exp(scale + k * lam)
+        if k and float(mass.sum()) * f * tail_coeff < tail_tol:
             return total
-        exit_mass = 0.5 * (mass[0] + mass[-1]) * f
-        factor *= growth
-        total += exit_mass * factor
+        total += 0.5 * (mass[0] + mass[-1]) * f * growth
     raise DomainError("series failed to converge")  # pragma: no cover
 
 

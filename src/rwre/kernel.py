@@ -1,14 +1,15 @@
 """Exact quenched probabilities via dynamic programming over site occupation.
 
-All computations propagate occupation mass step by step through a fixed
-environment window.  Mass is stored linearly but rescaled whenever it
-drifts out of comfortable floating-point range, with the accumulated log
-scale folded back into every returned value, so results are exact log
-probabilities down to extremely small magnitudes.  Within one step,
-though, a cell that falls more than about 1e-300 below the step's largest
-underflows to exactly 0, and ``log_discarded_bound`` does not count it.
-With truncation off (bridges below ``n = 4096`` by default) wide bridges
-do lose such cells: 736,265 cone cells at ``n = 2048`` on a nestling law,
+All computations propagate occupation mass two steps at a time through
+a fixed environment window (:func:`_propagate`).  Mass is stored linearly
+but rescaled whenever it drifts out of comfortable floating-point range,
+with the accumulated log scale folded back into every returned value, so
+results are exact log probabilities down to extremely small magnitudes.
+Within one iteration, though, a cell that falls more than about 1e-300
+below the state's largest underflows to exactly 0, and
+``log_discarded_bound`` does not count it.  With truncation off (bridges
+below ``n = 4096`` by default) wide bridges do lose such cells: 368,058
+cone cells of the even-step states at ``n = 2048`` on a nestling law,
 holding at most about ``e**-579`` of the probability.  Confined corridors
 that run many more steps than they have sites may instead take guarded
 binary powers of a transfer matrix (see :func:`confined_log_prob`).
@@ -53,6 +54,28 @@ _AUTO_TRUNCATION_N = 4096
 _AUTO_TRUNCATION_THRESHOLD = 1e-300
 
 
+def _two_step(om: np.ndarray, parity: int):
+    """The two-step killing operator ``B`` on the sites ``parity,
+    parity + 2, ...`` of ``om`` as ``(stay, from_left, from_right)``:
+    entry ``j`` weighs the mass reaching site ``parity + 2j`` from itself
+    and from the sites two to its left and right (0 off ``om``)."""
+    w = om.size
+    # two zero guard cells per side: index i of om is cell i + 2
+    p = np.zeros(w + 4)
+    p[2:-2] = om
+    q = np.zeros(w + 4)
+    q[2:-2] = 1.0 - om
+
+    def at(x, shift):  # x at the sites parity + 2j + shift, as a view
+        return x[parity + 2 + shift : w + 2 + shift : 2]
+
+    return (
+        at(p, 0) * at(q, 1) + at(q, 0) * at(p, -1),  # out and back
+        at(p, -2) * at(p, -1),  # two steps right
+        at(q, 2) * at(q, 1),  # two steps left
+    )
+
+
 def _propagate(
     om: np.ndarray,
     start: int,
@@ -61,67 +84,63 @@ def _propagate(
     target: int | None = None,
 ):
     """Propagate unit mass from index ``start`` through ``om``, killing any
-    mass that steps outside its index range.
+    mass that steps outside its index range, two steps at a time.
 
-    Yields ``(mass, log_scale, disc_log)`` for the initial state and then
-    after each of up to ``steps`` steps: the scaled linear mass vector
-    over all of ``om``, the log factor to add back, and a log-domain upper
-    bound on all mass dropped by the relative floor ``trunc`` (``-inf``
-    when nothing was dropped).  The mass of state ``k`` leaving on step
-    ``k + 1`` is ``(1 - om[0]) * mass[0]`` on the left and
-    ``om[-1] * mass[-1]`` on the right, times ``exp(log_scale)``.  Stops
-    early after yielding an all-zero state.  The yielded vector is
-    overwritten by later steps, so callers read it before advancing.
+    After ``k`` steps the mass sits on the indices of the parity of
+    ``start + k``, so only the states with ``k`` of the parity of
+    ``steps`` exist here: an odd ``steps`` first takes one plain step,
+    then each iteration applies the two-step operator (:func:`_two_step`)
+    to the indices ``par, par + 2, ...``, ``par = (start + steps) % 2``:
+    three contiguous multiplies and two adds over at most half of ``om``.
+    Yields ``(k, mass, log_scale, disc_log)`` for ``k = steps % 2,
+    steps % 2 + 2, ..., steps``: the scaled linear mass, whose entry ``j``
+    is index ``par + 2j`` of ``om`` (index ``i`` is entry ``i // 2``), the
+    log factor to add back, and a log-domain upper bound on all mass
+    dropped by the relative floor ``trunc`` (``-inf`` when nothing was
+    dropped).  The mass of state ``k`` leaving ``om`` on step ``k + 1``
+    is ``(1 - om[0]) * mass[0]`` on the left if ``par`` is 0 and
+    ``om[-1] * mass[-1]`` on the right if ``om.size - 1`` has parity
+    ``par``, times ``exp(log_scale)``.  Stops early after yielding an
+    all-zero state.  The yielded vector is overwritten later, so callers
+    read it before advancing.
 
-    Each step computes only a live window of indices and leaves exact
-    zeros outside it.  The window grows by at most one index per side per
-    step (the forward cone), so without ``target`` and ``trunc`` every
-    state is bit for bit the full-width recursion's.  With ``target``,
-    state ``k`` keeps only the indices within ``steps - k`` of it (the
-    backward cone): the mass that can still be at ``target`` after
-    ``steps`` steps, which is all a bridge reads (``target`` must lie
-    within ``steps`` of ``start``).  With ``trunc > 0``, the cells below
-    ``trunc`` times the window's maximum are dropped from both ends of
-    the window, each end up to its first cell at or above that floor, and
-    their mass is added to the bound; cells inside are never dropped.
+    Each iteration computes only a live window of entries and leaves
+    exact zeros outside it.  The window grows by at most one entry per
+    side (the forward cone), so without ``target`` and ``trunc`` every
+    state is bit for bit the full-width two-step recursion's.  With
+    ``target`` (an index of parity ``par`` within ``steps`` of
+    ``start``), state ``k`` keeps only the indices within ``steps - k``
+    of it (the backward cone): the mass that can still be at ``target``
+    after ``steps`` steps, which is all a bridge reads.  With
+    ``trunc > 0``, the entries below ``trunc`` times the window's maximum
+    are dropped from both ends of the window, each end up to its first
+    entry at or above that floor, and their mass is added to the bound;
+    entries inside are never dropped.
     """
-    w = om.size
-    # Buffers carry one zero guard cell per side: index i of om is buffer
-    # cell i + 1, and the guards' zero weights keep the edges exact.
-    p = np.zeros(w + 2)
-    p[1:-1] = om
-    q = np.zeros(w + 2)
-    q[1:-1] = 1.0 - om
-    mass = np.zeros(w + 2)
-    mass[start + 1] = 1.0
-    new = np.zeros(w + 2)
-    left = np.empty(w)
-    end = w - 1
-    lo = hi = start  # live window of mass, in indices of om
-    old_lo, old_hi = start, start - 1  # window new held two states back
-    scale = 0.0
-    disc_log = -np.inf
-    yield mass[1:-1], scale, disc_log
-    for k in range(1, steps + 1):
-        a = lo - 1 if lo else 0
-        b = hi + 1 if hi < end else end
-        if target is not None:
-            a, b = max(a, target - steps + k), min(b, target + steps - k)
-        if old_lo < a:
-            new[old_lo + 1 : a + 1] = 0.0
-        if old_hi > b:
-            new[b + 2 : old_hi + 2] = 0.0
-        live = new[a + 1 : b + 2]
-        np.multiply(mass[a : b + 1], p[a : b + 1], out=live)
-        tail = left[: b - a + 1]
-        np.multiply(mass[a + 2 : b + 3], q[a + 2 : b + 3], out=tail)
-        live += tail
-        mass, new = new, mass
-        old_lo, old_hi, lo, hi = lo, hi, a, b
-        m = live.max()
+    par = (start + steps) % 2
+    stay, from_left, from_right = _two_step(om, par)
+    h = stay.size
+    # Buffers carry one zero guard cell per side: entry j is buffer cell
+    # j + 1, and the guards' zero mass keeps the edges exact.
+    mass, new, tmp = np.zeros(h + 2), np.zeros(h + 2), np.empty(h)
+    k = steps % 2
+    # unit mass at start, or one plain step on from it
+    first = [(start - 1, 1.0 - om[start]), (start + 1, om[start])] if k else [(start, 1.0)]
+    cells = [
+        (i // 2, v) for i, v in first
+        if 0 <= i < om.size and (target is None or abs(i - target) <= steps - k)
+    ]
+    for j, v in cells:
+        mass[j + 1] = v
+    lo, hi = (cells[0][0], cells[-1][0]) if cells else (0, -1)
+    old_lo, old_hi = lo, lo - 1  # window new held two states back
+    a, live = lo, mass[lo + 1 : hi + 2]
+    scale, disc_log = 0.0, -np.inf
+    while True:
+        m = live.max(initial=0.0)
         if m == 0.0:
             # everything was killed; later states stay empty
-            yield mass[1:-1], scale, disc_log
+            yield k, mass[1:-1], scale, disc_log
             return
         if trunc > 0.0:
             # drop each tail up to its first cell at or above the floor;
@@ -142,7 +161,27 @@ def _propagate(
         if m < _RESCALE_LO or m > _RESCALE_HI:
             live /= m
             scale += float(np.log(m))
-        yield mass[1:-1], scale, disc_log
+        yield k, mass[1:-1], scale, disc_log
+        if k == steps:
+            return
+        k += 2
+        a, b = max(lo - 1, 0), min(hi + 1, h - 1)
+        if target is not None:
+            reach = (steps - k) // 2
+            a, b = max(a, target // 2 - reach), min(b, target // 2 + reach)
+        if old_lo < a:
+            new[old_lo + 1 : a + 1] = 0.0
+        if old_hi > b:
+            new[b + 2 : old_hi + 2] = 0.0
+        live = new[a + 1 : b + 2]
+        part = tmp[: b - a + 1]
+        np.multiply(mass[a + 1 : b + 2], stay[a : b + 1], out=live)
+        np.multiply(mass[a : b + 1], from_left[a : b + 1], out=part)
+        live += part
+        np.multiply(mass[a + 2 : b + 3], from_right[a : b + 1], out=part)
+        live += part
+        mass, new = new, mass
+        old_lo, old_hi, lo, hi = lo, hi, a, b
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -206,9 +245,9 @@ def bridge_log_prob(
     if truncation is None:
         truncation = _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
     om = env.slice(-n, n)
-    for mass, scale, disc_log in _propagate(om, n, 2 * n, truncation, target=n):
+    for _, mass, scale, disc_log in _propagate(om, n, 2 * n, truncation, target=n):
         pass
-    logp = _final_log(mass, scale, n)
+    logp = _final_log(mass, scale, n // 2)
     return (logp, disc_log) if with_error_bound else logp
 
 
@@ -243,7 +282,7 @@ def confined_log_prob(
     Where a cost model predicts it pays, the probability comes from
     binary powering of the corridor's two-step transfer matrix (about
     ``M^3 log2(steps)`` work instead of ``steps * M``), with no BLAS call.
-    A guard falls back to the per-step DP, and its exact bits, whenever
+    A guard falls back to the DP, and its exact bits, whenever
     an entry the result needs could leave the normal double range.  Both
     agree to about 1e-13 relative in the log; the a-priori bound of the
     squaring path is about ``steps * (2M - 1) * 2**-53`` relative in P.
@@ -268,16 +307,18 @@ def _confined_log(om: np.ndarray, steps: int, bridge: bool) -> float:
         if logp is not None:
             return logp
     target = start if bridge else None
-    for mass, scale, _ in _propagate(om, start, steps, target=target):
+    for _, mass, scale, _ in _propagate(om, start, steps, target=target):
         pass
-    return _final_log(mass, scale, target)
+    return _final_log(mass, scale, start // 2 if bridge else None)
 
 
 def _prefers_squaring(w: int, steps: int) -> bool:
     """Whether squaring is predicted to beat the DP over ``w`` sites.
 
     Seconds per call on a 2-vCPU x86-64 host (numpy 2.4): the DP costs
-    about ``4e-6 + 2e-9 w`` per step; squaring costs about
+    about ``4e-6 + 2e-9 w`` per step, fitted to the one-step DP (the
+    two-step DP measures ``2.7e-6 + 1e-9 w``; the old constants keep each
+    corridor on its path); squaring costs about
     ``1e-5 + 3e-10 h^3`` per bit of ``steps // 2``, one matrix product of
     the ``h = (w + 1) / 2`` sites of one parity plus the vector's.
     """
@@ -320,7 +361,8 @@ def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
     parity, so ``e_start P^steps`` (``P`` the killing transfer matrix over
     the ``w >= 3`` sites of ``om``) is one plain step when ``steps`` is
     odd, then ``steps // 2`` products with the tridiagonal two-step matrix
-    ``B`` on the ``h`` sites of the final parity.  ``B^r`` can be positive
+    ``B`` on the ``h`` sites of the final parity, the operator that
+    :func:`_propagate` applies (:func:`_two_step`).  ``B^r`` can be positive
     only on ``|i - l| <= r``, and the vector after ``k`` two-steps only on
     the sites within ``k`` of its first support; every other entry is an
     exact zero.  Every operand is rescaled by its maximum after each
@@ -331,20 +373,11 @@ def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
     ``np.einsum`` without ``optimize``, never BLAS, so the bits do not
     depend on the BLAS build or its thread count.
     """
-    w = om.size
-    start = w // 2
+    start = om.size // 2
     parity = (start + steps) % 2
-    p = np.zeros(w + 2)
-    p[1:-1] = om
-    q = np.zeros(w + 2)
-    q[1:-1] = 1.0 - om
-    e = np.arange(parity, w, 2) + 1  # the final parity's sites, shifted by the pad
-    h = e.size
-    a = (
-        np.diag(p[e] * q[e + 1] + q[e] * p[e - 1])  # out and back
-        + np.diag(p[e[:-1]] * p[e[:-1] + 1], 1)  # two steps right
-        + np.diag(q[e[1:]] * q[e[1:] - 1], -1)  # two steps left
-    )
+    stay, from_left, from_right = _two_step(om, parity)
+    h = stay.size
+    a = np.diag(stay) + np.diag(from_left[1:], 1) + np.diag(from_right[:-1], -1)
     v = np.zeros(h)
     if steps % 2:  # one plain step first, onto start - 1 and start + 1
         lo = (start - 1 - parity) // 2
@@ -524,15 +557,18 @@ def hitting_cdf(env: Environment, target: int, horizon: int) -> np.ndarray:
     if target > 0:
         env.require_window(-horizon, target)
         om = env.slice(-horizon, target - 1)
-        start, end, out = horizon, -1, om[-1]
+        start, end, out = horizon, om.size - 1, om[-1]
     else:
         env.require_window(target, horizon)
         om = env.slice(target + 1, horizon)
         start, end, out = -target - 1, 0, 1.0 - om[0]
-    # mass of state k stepping onto the target on step k + 1
+    # mass of state k stepping onto the target on step k + 1; only the
+    # states of the parity of end - start hold mass at end
     first = np.zeros(horizon)
-    for k, (mass, scale, _) in enumerate(_propagate(om, start, horizon - 1)):
-        first[k] = out * mass[end] * math.exp(scale)
+    steps = horizon - 1 - (horizon - 1 - end + start) % 2
+    if steps >= 0:
+        for k, mass, scale, _ in _propagate(om, start, steps):
+            first[k] = out * mass[end // 2] * math.exp(scale)
     cdf[1:] = np.cumsum(first)
     return cdf
 

@@ -200,8 +200,8 @@ def exit_mgf_linear_system(ell: int, lam: float) -> float:
         transition[i, i + 1] = 0.5
         transition[i + 1, i] = 0.5
     exit_vec = np.zeros(width)
-    exit_vec[0] = 0.5
-    exit_vec[-1] = 0.5
+    exit_vec[0] += 0.5
+    exit_vec[-1] += 0.5  # the same state as exit_vec[0] when ell = 1
     growth = math.exp(lam)
     system = np.eye(width) - growth * transition
     mgf = np.linalg.solve(system, growth * exit_vec)

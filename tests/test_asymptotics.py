@@ -173,6 +173,14 @@ class TestExitMgf:
         assert exit_mgf_closed(1, 0.7) == pytest.approx(math.exp(0.7), abs=1e-15)
         assert exit_mgf_dp(1, 0.7) == pytest.approx(math.exp(0.7), abs=1e-15)
 
+    @pytest.mark.parametrize("ell", [1, 2])
+    @pytest.mark.parametrize("lam", [0.0, 0.1, 0.3])
+    def test_series_matches_linear_system_oracle_on_short_corridors(self, ell, lam):
+        # width one exits on the first step; width three only on odd steps
+        assert exit_mgf_dp(ell, lam) == pytest.approx(
+            oracles.exit_mgf_linear_system(ell, lam), abs=1e-12
+        )
+
     @pytest.mark.parametrize("ell", [2, 3, 5])
     @pytest.mark.parametrize("frac", [0.5, 0.9])
     def test_closed_form_matches_series(self, ell, frac):
@@ -216,6 +224,12 @@ class TestExitMgf:
         for lam in (lambda_crit(3), 1.01 * lambda_crit(3), -0.1):
             with pytest.raises(DomainError):
                 exit_mgf_closed(3, lam)
+
+    def test_series_converges_next_to_criticality(self):
+        # tens of thousands of terms: growth**k alone would overflow
+        # while the rescaled mass underflows
+        lam = 0.999 * lambda_crit(2)
+        assert exit_mgf_dp(2, lam) == pytest.approx(exit_mgf_closed(2, lam), rel=1e-10)
 
     def test_series_rejects_critical_and_beyond(self):
         with pytest.raises(DomainError):

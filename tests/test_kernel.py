@@ -180,11 +180,13 @@ LAWS = st.sampled_from([NESTLING_K2, MARGINAL, NON_NESTLING, None])
 
 
 def dp_log(om: np.ndarray, steps: int, bridge: bool) -> float:
-    """The confined (bridge) log probability by the per-step DP alone."""
-    target = om.size // 2 if bridge else None
-    for mass, scale, _ in _propagate(om, om.size // 2, steps, target=target):
+    """The confined (bridge) log probability by the propagation DP alone,
+    looked up on the module so that a patched ``kernel._propagate`` runs."""
+    start = om.size // 2
+    target = start if bridge else None
+    for _, mass, scale, _ in kernel._propagate(om, start, steps, target=target):
         pass
-    return _final_log(mass, scale, target)
+    return _final_log(mass, scale, start // 2 if bridge else None)
 
 
 def assert_close_log(got: float, want: float) -> None:
@@ -278,30 +280,57 @@ class TestSquaringPath:
 
 
 def full_rectangle(om, start, steps, trunc=0.0, target=None):
-    """The propagation recursion over every index of ``om`` at every step,
+    """The two-step propagation recursion over every index of ``om`` of the
+    parity of ``start + steps``, after one plain step when ``steps`` is odd,
     truncating through a mask over the whole vector; ``target`` is ignored.
-    The reference the windowed :func:`_propagate` is held to."""
-    mass = np.zeros(om.size)
-    mass[start] = 1.0
+    The reference the windowed :func:`_propagate` is held to: its weights
+    come from the one-step weights, each two-step weight one product (two
+    summed for staying), so they carry the same bits."""
+    w = om.size
+
+    def right(i):  # one step right from index i; 0 off om
+        return om[i] if 0 <= i < w else 0.0
+
+    def left(i):
+        return 1.0 - om[i] if 0 <= i < w else 0.0
+
+    sites = range((start + steps) % 2, w, 2)
+    stay = np.array([right(i) * left(i + 1) + left(i) * right(i - 1) for i in sites])
+    from_left = np.array([right(i - 2) * right(i - 1) for i in sites])
+    from_right = np.array([left(i + 2) * left(i + 1) for i in sites])
+    mass = np.zeros(len(sites))
+    k = steps % 2
+    first = [(start - 1, left(start)), (start + 1, right(start))] if k else [(start, 1.0)]
+    for i, v in first:
+        if 0 <= i < w:
+            mass[i // 2] = v
     scale, disc_log = 0.0, -np.inf
-    yield mass, scale, disc_log
-    for _ in range(steps):
-        new = np.zeros(om.size)
-        new[1:] = mass[:-1] * om[:-1]
-        new[:-1] += mass[1:] * (1.0 - om[1:])
-        mass = new
-        m = mass.max()
+    while True:
+        m = mass.max(initial=0.0)
         if m == 0.0:
-            yield mass, scale, disc_log
+            yield k, mass, scale, disc_log
             return
-        small = mass < m * trunc
+        small = (mass > 0.0) & (mass < m * trunc)
         if small.any():
             disc_log = np.logaddexp(disc_log, math.log(mass[small].sum()) + scale)
             mass[small] = 0.0
         if m < kernel._RESCALE_LO or m > kernel._RESCALE_HI:
             mass /= m
             scale += math.log(m)
-        yield mass, scale, disc_log
+        yield k, mass, scale, disc_log
+        if k == steps:
+            return
+        k += 2
+        new = mass * stay
+        new[1:] += mass[:-1] * from_left[1:]
+        new[:-1] += mass[1:] * from_right[:-1]
+        mass = new
+
+
+def parity_sites(w: int, start: int, steps: int) -> np.ndarray:
+    """The indices of a ``w``-site ``om`` that the entries of a
+    ``_propagate(om, start, steps)`` state stand for."""
+    return np.arange((start + steps) % 2, w, 2)
 
 
 class TestWindowedCore:
@@ -319,8 +348,9 @@ class TestWindowedCore:
         states = zip_longest(_propagate(om, start, steps), full_rectangle(om, start, steps))
         for got, want in states:
             assert got is not None and want is not None
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
-            assert got[2] == want[2] == -np.inf
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1]) and got[2] == want[2]
+            assert got[3] == want[3] == -np.inf
 
     @settings(max_examples=60, deadline=None)
     @given(law=LAWS, seed=st.integers(0, 2**32 - 1), target=st.integers(-15, 15),
@@ -328,8 +358,11 @@ class TestWindowedCore:
     def test_hitting_cdf_is_bit_equal(self, law, seed, target, horizon):
         env = env_for(law, seed, -320, 320)
         got = hitting_cdf(env, target, horizon)
-        with mock.patch.object(kernel, "_propagate", full_rectangle):
+        with mock.patch.object(kernel, "_propagate", wraps=full_rectangle) as rect:
             want = hitting_cdf(env, target, horizon)
+        # the first passage to an odd (even) target takes an odd (even)
+        # number of steps, at least one (two)
+        assert rect.called == (target != 0 and horizon >= 2 - target % 2)
         assert np.array_equal(got, want)
 
     @settings(max_examples=60, deadline=None)
@@ -341,8 +374,9 @@ class TestWindowedCore:
         steps -= steps % 2 if bridge else 0
         om = env_for(law, seed, -m, m).slice(-(m - 1), m - 1)
         got = dp_log(om, steps, bridge)
-        with mock.patch.object(kernel, "_propagate", full_rectangle):
+        with mock.patch.object(kernel, "_propagate", wraps=full_rectangle) as rect:
             want = dp_log(om, steps, bridge)
+        rect.assert_called_once()
         if bridge:
             assert_close_log(got, want)
         else:
@@ -353,8 +387,9 @@ class TestWindowedCore:
     def test_bridge_log_prob(self, law, seed, n):
         env = env_for(law, seed, -2 * n, 2 * n)
         got = bridge_log_prob(env, n, truncation=0.0, with_error_bound=True)
-        with mock.patch.object(kernel, "_propagate", full_rectangle):
+        with mock.patch.object(kernel, "_propagate", wraps=full_rectangle) as rect:
             want = bridge_log_prob(env, n, truncation=0.0)
+        rect.assert_called_once()
         assert got[1] == -np.inf
         assert_close_log(got[0], want)
 
@@ -364,11 +399,23 @@ class TestWindowedCore:
     def test_truncation_bound_sandwiches_the_exact_probability(self, law, seed, n, floor):
         env = env_for(law, seed, -2 * n, 2 * n)
         lp, bound = bridge_log_prob(env, n, truncation=floor, with_error_bound=True)
-        with mock.patch.object(kernel, "_propagate", full_rectangle):
+        with mock.patch.object(kernel, "_propagate", wraps=full_rectangle) as rect:
             exact = bridge_log_prob(env, n, truncation=0.0)
+        rect.assert_called_once()
         tol = 1e-12 * max(1.0, abs(exact))
         assert lp <= exact + tol
         assert exact <= np.logaddexp(lp, bound) + tol
+
+    @settings(max_examples=40, deadline=None)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+           floor=st.sampled_from([1e-3, 1e-8, 0.3]))
+    def test_truncation_trims_both_tails(self, law, seed, n, floor):
+        # every state's support starts and ends at or above the floor
+        om = env_for(law, seed, -n, n).slice(-n, n)
+        for _, mass, _, _ in _propagate(om, n, 2 * n, floor, target=n):
+            support = mass[np.flatnonzero(mass)]
+            least = floor * support.max() * (1.0 - 1e-12)
+            assert support[0] >= least and support[-1] >= least
 
     @settings(max_examples=80, deadline=None)
     @given(law=LAWS, seed=st.integers(0, 2**32 - 1), w=st.integers(1, 30),
@@ -381,10 +428,11 @@ class TestWindowedCore:
         target = data.draw(st.integers(0, w - 1))
         steps = abs(target - start) + 2 * data.draw(st.integers(0, 60))
         om = env_for(law, seed, 0, w - 1).slice(0, w - 1)
-        states = zip(_propagate(om, start, steps, target=target),
-                     full_rectangle(om, start, steps))
-        sites = np.arange(w)
-        for k, ((mass, scale, _), (ref, ref_scale, _)) in enumerate(states):
+        states = zip_longest(_propagate(om, start, steps, target=target),
+                             full_rectangle(om, start, steps))
+        sites = parity_sites(w, start, steps)
+        for (k, mass, scale, _), (ref_k, ref, ref_scale, _) in states:
+            assert k == ref_k
             cone = (np.abs(sites - start) <= k) & (np.abs(sites - target) <= steps - k)
             assert not mass[~cone].any()
             both = cone & (ref > 0.0)
@@ -398,20 +446,25 @@ class TestWindowedCore:
         (5, 0, 4, 200), (5, 4, 0, 64), (7, 3, 3, 0), (7, 6, 6, 300),
     ])
     def test_edges(self, w, start, target, steps):
-        # one site, no steps, and windows pinned to both ends of om
+        # one site, no steps, and windows pinned to both ends of om; an
+        # index of the other parity than start + steps (one site, five
+        # steps) is never occupied, so its mass is the total, 0
         om = random_env(w + steps, 0, w - 1).slice(0, w - 1)
-        *_, (mass, scale, _) = _propagate(om, start, steps, target=target)
-        *_, (ref, ref_scale, _) = full_rectangle(om, start, steps)
-        assert_close_log(_final_log(mass, scale, target),
-                         _final_log(ref, ref_scale, target))
-        for got, want in zip(_propagate(om, start, steps), full_rectangle(om, start, steps)):
-            assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+        index = target // 2 if (start + steps - target) % 2 == 0 else None
+        *_, (_, mass, scale, _) = _propagate(om, start, steps, target=target)
+        *_, (_, ref, ref_scale, _) = full_rectangle(om, start, steps)
+        assert_close_log(_final_log(mass, scale, index), _final_log(ref, ref_scale, index))
+        for got, want in zip_longest(_propagate(om, start, steps),
+                                     full_rectangle(om, start, steps)):
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1]) and got[2] == want[2]
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_smallest_bridges(self, n):
         env = random_env(n, -2 * n, 2 * n)
-        with mock.patch.object(kernel, "_propagate", full_rectangle):
+        with mock.patch.object(kernel, "_propagate", wraps=full_rectangle) as rect:
             want = bridge_log_prob(env, n)
+        rect.assert_called_once()
         assert_close_log(bridge_log_prob(env, n), want)
         assert confined_log_prob(env, 2 * n, 1, require_bridge=True) == -np.inf
 
@@ -420,6 +473,81 @@ class TestWindowedCore:
         for floor in (-1e-3, 1.0, 2.0):
             with pytest.raises(DomainError):
                 bridge_log_prob(env, 2, truncation=floor)
+
+
+def inside(w: int, start: int):
+    """Event on an oracle path from 0: it stays on indices ``[0, w)`` of om
+    when shifted to ``start``."""
+    return lambda s: bool(np.all((s + start >= 0) & (s + start < w)))
+
+
+class TestTwoStepEdges:
+    """Edges of the two-step core against enumeration."""
+
+    @pytest.mark.parametrize("w,start", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 2)])
+    @pytest.mark.parametrize("steps", [1, 3, 5])
+    def test_odd_steps_killed_on_the_plain_step(self, w, start, steps):
+        # the plain first step leaves om on both sides (w = 1) or on one
+        # (start at index 0 or w - 1); entry j of state k is the mass at
+        # index par + 2j that never left om
+        env = random_env(10 * w + start + steps, -8, 8)
+        om = env.slice(0, w - 1)
+        stays = inside(w, start)
+        ks = []
+        for k, mass, scale, _ in _propagate(om, start, steps):
+            ks.append(k)
+            for j, x in enumerate(parity_sites(w, start, steps)):
+                exact = oracles.event_probability(
+                    env.shift(start), k, lambda s, x=x: stays(s) and s[-1] + start == x
+                )
+                assert mass[j] * math.exp(scale) == pytest.approx(exact, abs=1e-12)
+        # one site kills everything on the plain step, and the core stops
+        assert ks == ([1] if w == 1 else list(range(1, steps + 1, 2)))
+
+    @pytest.mark.parametrize("w,start,target,steps", [
+        (5, 2, 0, 2), (5, 2, 4, 6), (5, 1, 4, 3), (5, 3, 0, 7), (6, 2, 5, 5),
+        (6, 3, 0, 9), (4, 0, 3, 3), (4, 3, 0, 3), (4, 0, 0, 8), (4, 3, 3, 8),
+        (1, 0, 0, 2),
+    ])
+    def test_target_at_either_end_of_om(self, w, start, target, steps):
+        env = random_env(w + start + target + steps, -12, 12)
+        om = env.slice(0, w - 1)
+        stays = inside(w, start)
+        *_, (_, mass, scale, _) = _propagate(om, start, steps, target=target)
+        exact = oracles.event_probability(
+            env.shift(start), steps, lambda s: stays(s) and s[-1] + start == target
+        )
+        got = _final_log(mass, scale, target // 2)
+        assert math.exp(got) == pytest.approx(exact, abs=1e-12)
+        assert (got == -np.inf) == (exact == 0.0)
+
+    @pytest.mark.parametrize("target", [-3, -2, -1, 1, 2, 3])
+    @pytest.mark.parametrize("horizon", [0, 1, 2])
+    def test_hitting_cdf_at_short_horizons(self, target, horizon):
+        env = random_env(10 * horizon + target + 3, -4, 4)
+        got = hitting_cdf(env, target, horizon)
+        exact = oracles.hitting_cdf(env, target, horizon)
+        assert got.shape == exact.shape
+        assert np.max(np.abs(got - exact)) <= 1e-12
+
+    @pytest.mark.parametrize("w", [1, 3])
+    def test_exit_series_reads_the_even_states(self, w):
+        # the exit-time series of asymptotics.exit_mgf_dp at ell = 1, 2:
+        # from index 0 the walk can leave om only from the even indices 0
+        # and w - 1, so the states after an even number of steps give the
+        # whole exit-time law
+        env = random_env(w, -8, 8)
+        om = env.slice(0, w - 1)
+        stays = inside(w, 0)
+        steps = 10
+        exits = np.zeros(steps + 2)
+        for k, mass, scale, _ in _propagate(om, 0, steps):
+            exits[k + 1] = ((1.0 - om[0]) * mass[0] + om[-1] * mass[-1]) * math.exp(scale)
+        for t in range(1, steps + 2):
+            exact = oracles.event_probability(
+                env, t, lambda s: stays(s[:-1]) and not stays(s[-1:])
+            )
+            assert exits[t] == pytest.approx(exact, abs=1e-12)
 
 
 class TestBenchmarkReference:
@@ -466,9 +594,14 @@ class TestBenchmarkReference:
 
 def occupation(env: Environment, lo: int, hi: int, start: int, steps: int) -> np.ndarray:
     """Row ``k`` is the linear mass over sites ``[lo, hi]`` after ``k`` steps
-    from ``start``, killed on leaving them, read off ``_propagate``."""
-    states = _propagate(env.slice(lo, hi), start - lo, steps)
-    return np.array([mass * math.exp(scale) for mass, scale, _ in states])
+    from ``start``, killed on leaving them, read off the last state of a
+    ``k``-step ``_propagate``; the sites of the other parity stay 0."""
+    om = env.slice(lo, hi)
+    rows = np.zeros((steps + 1, om.size))
+    for k in range(steps + 1):
+        *_, (_, mass, scale, _) = _propagate(om, start - lo, k)
+        rows[k, parity_sites(om.size, start - lo, k)] = mass * math.exp(scale)
+    return rows
 
 
 class TestForwardTable:
@@ -555,7 +688,7 @@ class TestHittingCdf:
             vals = []
             for seed in range(20):
                 env = sample_environment(NESTLING_K2, seed, -1, m).reflect_plus()
-                *_, (mass, scale, _) = _propagate(env.slice(0, m - 1), 0, n)
+                *_, (_, mass, scale, _) = _propagate(env.slice(0, m - 1), 0, n)
                 lp = _final_log(mass, scale, None)
                 vals.append(math.log(-lp))
             lnln.append(float(np.mean(vals)))
@@ -620,11 +753,12 @@ def plain_cdf(env: Environment, n: int, m: int, bridge_lp: float) -> float:
 
 
 def underflowed_cone_cells(env: Environment, n: int) -> int:
-    """Double-cone cells of the step's parity that the bridge pass leaves at 0."""
+    """Double-cone cells that the bridge pass leaves at 0, over the states
+    it computes: those after an even number of steps."""
     zeros = 0
-    for k, (mass, _, _) in enumerate(_propagate(env.slice(-n, n), n, 2 * n, target=n)):
-        c = min(k, 2 * n - k)
-        zeros += np.count_nonzero(mass[n - c : n + c + 1 : 2] == 0.0)
+    for k, mass, _, _ in _propagate(env.slice(-n, n), n, 2 * n, target=n):
+        c = min(k, 2 * n - k)  # sites n - c .. n + c of om, step 2
+        zeros += np.count_nonzero(mass[(n - c) // 2 : (n + c) // 2 + 1] == 0.0)
     return zeros
 
 
