@@ -8,9 +8,11 @@ results are exact log probabilities down to extremely small magnitudes.
 Within one iteration, though, a cell that falls more than about 1e-300
 below the state's largest underflows to exactly 0, and
 ``log_discarded_bound`` does not count it.  With truncation off (bridges
-below ``n = 4096`` by default) wide bridges do lose such cells: 368,058
-cone cells of the even-step states at ``n = 2048`` on a nestling law,
-holding at most about ``e**-579`` of the probability.  Confined corridors
+below ``n = 4096`` by default) wide bridges do lose such cells: 197,972
+forward-cone cells of the states of the ``n``-step pass at ``n = 2048``
+on a nestling law, holding at most about ``e**-579`` of the probability.
+A ``2n``-step bridge propagates only ``n`` steps and pairs the result
+with itself by reversibility (:func:`_bridge_log`).  Confined corridors
 that run many more steps than they have sites may instead take guarded
 binary powers of a transfer matrix (see :func:`confined_log_prob`).
 
@@ -111,7 +113,8 @@ def _propagate(
     ``target`` (an index of parity ``par`` within ``steps`` of
     ``start``), state ``k`` keeps only the indices within ``steps - k``
     of it (the backward cone): the mass that can still be at ``target``
-    after ``steps`` steps, which is all a bridge reads.  With
+    after ``steps`` steps, which is all a bridge through a site with
+    ``om`` 0 or 1 reads (:func:`_bridge_log`).  With
     ``trunc > 0``, the entries below ``trunc`` times the window's maximum
     are dropped from both ends of the window, each end up to its first
     entry at or above that floor, and their mass is added to the bound;
@@ -198,6 +201,62 @@ def _final_log(mass: np.ndarray, scale: float, index: int | None) -> float:
     return -np.inf if v == 0.0 else float(np.log(v)) + scale
 
 
+def _log_weights(om: np.ndarray, start: int, par: int) -> np.ndarray:
+    """``log pi(start) - log pi(x)`` at the indices ``x = par, par + 2, ...``
+    of ``om``, for the reversible measure ``pi(x + 1) / pi(x) = om[x] /
+    (1 - om[x + 1])`` (every ``om`` strictly inside (0, 1)).
+
+    Each log ratio is split into its nearest multiple of ``2**-32`` and an
+    exact remainder below ``2**-33``, and the two parts are summed apart.
+    The first sum is exact while it stays below ``2**21`` in magnitude
+    (every partial is a multiple of ``2**-32`` with at most 53 bits), and
+    the second adds tiny terms, so each weight is rounded about once; a
+    plain ``cumsum`` errs by about ``w`` roundings of the running sum.
+    """
+    d = np.zeros(om.size)  # d[x] = log pi(x - 1) - log pi(x)
+    np.log(1.0 - om[1:], out=d[1:])
+    d[1:] -= np.log(om[:-1])
+    hi = np.rint(d * 2.0**32) * 2.0**-32
+    d -= hi
+    np.cumsum(hi, out=hi)
+    np.cumsum(d, out=d)
+    return (hi[par::2] - hi[start]) + (d[par::2] - d[start])
+
+
+def _bridge_log(om: np.ndarray, n: int, trunc: float) -> tuple[float, float]:
+    """``(log P, disc_log)`` for ``P`` the probability that a walk from the
+    centre of ``om``, killed on leaving it, is back there after ``2n``
+    steps, and ``disc_log`` a log upper bound on the part of ``P`` lost to
+    the truncation floor ``trunc`` (``-inf`` when nothing was dropped).
+
+    The walk is reversible: ``pi(x) P_x(X_n = y) = pi(y) P_y(X_n = x)``
+    for the measure of :func:`_log_weights`, killed or not, so
+    ``P = sum_x P_0(X_n = x)**2 pi(0) / pi(x)``, summed in the log domain
+    over one ``n``-step :func:`_propagate`.  With ``m~ <= m`` the
+    truncated masses, ``P - P~ = sum (m - m~)(m + m~) pi(0) / pi(x)``
+    and ``m pi(0) / pi(x) = P_x(X_n = 0) <= 1``, so the loss is at most
+    twice the dropped mass: the bound is the pass's plus ``log 2``.  A
+    site with ``om`` 0 or 1 breaks reversibility; the bridge then
+    propagates all ``2n`` steps towards the centre (the backward cone).
+    """
+    start = om.size // 2
+    if not (om.min() > 0.0 and om.max() < 1.0):
+        for _, mass, scale, disc_log in _propagate(om, start, 2 * n, trunc, target=start):
+            pass
+        return _final_log(mass, scale, start // 2), disc_log
+    # the weights first, so their temporaries are gone before the pass
+    log_w = _log_weights(om, start, (start + n) % 2)
+    for _, mass, scale, disc_log in _propagate(om, start, n, trunc):
+        pass
+    live = mass > 0.0
+    if not live.any():
+        return -np.inf, disc_log
+    t = 2.0 * np.log(mass[live]) + log_w[live]
+    top = t.max()
+    logp = float(top + np.log(np.exp(t - top).sum())) + 2.0 * scale
+    return logp, disc_log + math.log(2.0)
+
+
 def bridge_log_prob(
     env: Environment,
     n: int,
@@ -221,18 +280,25 @@ def bridge_log_prob(
         off.
     with_error_bound : bool
         When set, return ``(log_prob, log_discarded_bound)`` where the
-        second element bounds from above the log of all probability mass
-        unaccounted for by truncation (``-inf`` when nothing was dropped).
-        The true probability ``P`` then satisfies
+        second element bounds from above the log of all probability
+        unaccounted for by truncation (``-inf`` when nothing was dropped):
+        ``log 2`` plus the log of the mass dropped from the ``n``-step
+        pass, or the dropped mass itself on the ``2n``-step path.  The
+        true probability ``P`` then satisfies
         ``exp(log_prob) <= P <= exp(log_prob) + exp(log_discarded_bound)``.
 
     Notes
     -----
-    After ``k`` steps a bridge path can only sit at ``|x| <= min(k, 2n - k)``
-    (the double cone), so each step propagates only that part of
-    ``[-n, n]``, cut further to the support left by truncation.  Mass
-    outside the backward half of the cone cannot return to the origin in
-    time; it is left out exactly, not dropped, so it is not in the bound.
+    The walk is reversible, ``pi(x + 1) / pi(x) = omega_x / (1 -
+    omega_{x+1})``, so ``P = sum_x P(X_n = x)**2 pi(0) / pi(x)``: only
+    ``n`` steps are propagated, over the forward cone ``|x| <= k``, cut
+    further to the support left by truncation.  Mass dropped from that
+    pass costs ``P`` at most twice as much, hence the ``log 2`` in the
+    bound.  A
+    site with ``omega`` 0 or 1 breaks reversibility; the bridge then
+    propagates all ``2n`` steps over the double cone ``|x| <= min(k,
+    2n - k)``, and the mass outside its backward half, which cannot
+    return to the origin in time, is left out exactly, not dropped.
     The documented window requirement stays the conservative ``[-2n, 2n]``.
     """
     if n < 0:
@@ -244,10 +310,7 @@ def bridge_log_prob(
         return (0.0, -np.inf) if with_error_bound else 0.0
     if truncation is None:
         truncation = _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
-    om = env.slice(-n, n)
-    for _, mass, scale, disc_log in _propagate(om, n, 2 * n, truncation, target=n):
-        pass
-    logp = _final_log(mass, scale, n // 2)
+    logp, disc_log = _bridge_log(env.slice(-n, n), n, truncation)
     return (logp, disc_log) if with_error_bound else logp
 
 
@@ -286,6 +349,8 @@ def confined_log_prob(
     an entry the result needs could leave the normal double range.  Both
     agree to about 1e-13 relative in the log; the a-priori bound of the
     squaring path is about ``steps * (2M - 1) * 2**-53`` relative in P.
+    The DP of a bridge corridor propagates ``steps / 2`` steps and pairs
+    them by reversibility, as :func:`bridge_log_prob` does.
     """
     if steps < 0:
         raise DomainError("steps must be nonnegative")
@@ -301,15 +366,15 @@ def _confined_log(om: np.ndarray, steps: int, bridge: bool) -> float:
     """Log mass that survives ``steps`` killing steps from the centre of
     ``om`` (only the mass back at the centre when ``bridge``): by squaring
     where the cost model prefers it and its guard holds, else by the DP."""
-    start = om.size // 2
     if _prefers_squaring(om.size, steps):
         logp = _squared_log(om, steps, bridge)
         if logp is not None:
             return logp
-    target = start if bridge else None
-    for _, mass, scale, _ in _propagate(om, start, steps, target=target):
+    if bridge:
+        return _bridge_log(om, steps // 2, 0.0)[0]
+    for _, mass, scale, _ in _propagate(om, om.size // 2, steps):
         pass
-    return _final_log(mass, scale, start // 2 if bridge else None)
+    return _final_log(mass, scale, None)
 
 
 def _prefers_squaring(w: int, steps: int) -> bool:
@@ -317,8 +382,10 @@ def _prefers_squaring(w: int, steps: int) -> bool:
 
     Seconds per call on a 2-vCPU x86-64 host (numpy 2.4): the DP costs
     about ``4e-6 + 2e-9 w`` per step, fitted to the one-step DP (the
-    two-step DP measures ``2.7e-6 + 1e-9 w``; the old constants keep each
-    corridor on its path); squaring costs about
+    two-step DP measures ``2.7e-6 + 1e-9 w``, and a bridge corridor's DP
+    propagates only ``steps / 2`` steps, :func:`_bridge_log`; the rule is
+    kept as it was on purpose, so each corridor stays on its path);
+    squaring costs about
     ``1e-5 + 3e-10 h^3`` per bit of ``steps // 2``, one matrix product of
     the ``h = (w + 1) / 2`` sites of one parity plus the vector's.
     """

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from itertools import zip_longest
 from pathlib import Path
 from unittest import mock
@@ -228,7 +229,8 @@ class TestSquaringPath:
         assert _prefers_squaring(om.size, 20000)
         assert _squared_log(om, 20000, True) is None
         got = confined_log_prob(env, 20000, 64, require_bridge=True)
-        assert got == dp_log(om, 20000, True)
+        assert got == kernel._bridge_log(om, 10000, 0.0)[0]
+        assert_close_log(got, dp_log(om, 20000, True))
 
     def test_dispatch_points(self):
         assert _prefers_squaring(127, 65536)
@@ -550,6 +552,105 @@ class TestTwoStepEdges:
             assert exits[t] == pytest.approx(exact, abs=1e-12)
 
 
+ONE_WAY_OMEGAS = [0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.3]
+
+
+class TestHalfLengthBridge:
+    """The ``n``-step bridge by reversibility against the ``2n``-step DP
+    and enumeration."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150),
+           m=st.integers(1, 64))
+    def test_agrees_with_the_full_length_dp(self, law, seed, n, m):
+        env = env_for(law, seed, -2 * max(n, m), 2 * max(n, m))
+        assert_close_log(bridge_log_prob(env, n, truncation=0.0),
+                         dp_log(env.slice(-n, n), 2 * n, True))
+        om = env.slice(-(m - 1), m - 1)
+        want = dp_log(om, 2 * n, True)
+        assert_close_log(confined_log_prob(env, 2 * n, m, require_bridge=True), want)
+        assert_close_log(kernel._bridge_log(om, n, 0.0)[0], want)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(1, 7), elliptic=st.booleans(), data=st.data())
+    def test_matches_enumeration_with_one_way_sites(self, n, elliptic, data):
+        # exact 0 and 1 take the 2n-step fallback, the rest the n-step pass
+        values = ONE_WAY_OMEGAS[2:] if elliptic else ONE_WAY_OMEGAS
+        om = data.draw(st.lists(st.sampled_from(values), min_size=2 * n + 1,
+                                max_size=2 * n + 1))
+        env = Environment(-2 * n, np.pad(np.array(om), n, constant_values=0.5))
+        m = data.draw(st.integers(1, n + 1))
+        cases = [
+            (bridge_log_prob(env, n), oracles.bridge_probability(env, n)),
+            (kernel._bridge_log(env.slice(-(m - 1), m - 1), n, 0.0)[0],
+             oracles.confined_probability(env, 2 * n, m, require_bridge=True)),
+        ]
+        for got, exact in cases:
+            if exact == 0.0:
+                assert got == -np.inf
+            else:
+                assert abs(got - math.log(exact)) <= 1e-12, (got, exact)
+
+    @pytest.mark.parametrize("omega", [None, 0.0, 1.0])
+    def test_propagates_half_the_steps_unless_a_site_is_one_way(self, omega):
+        n, m, steps = 40, 64, 20
+        env = random_env(7, -2 * m, 2 * m)
+        if omega is not None:
+            env = Environment(-2 * m, np.where(np.arange(4 * m + 1) == 2 * m + 3, omega,
+                                               env.slice(-2 * m, 2 * m)))
+        assert not _prefers_squaring(2 * m - 1, steps)
+        for call, half, start in [(lambda: bridge_log_prob(env, n), n, n),
+                                  (lambda: confined_log_prob(env, steps, m, require_bridge=True),
+                                   steps // 2, m - 1)]:
+            with mock.patch.object(kernel, "_propagate", wraps=kernel._propagate) as spy:
+                call()
+            spy.assert_called_once()
+            args, kwargs = spy.call_args
+            if omega is None:
+                assert args[1:3] == (start, half) and "target" not in kwargs
+            else:
+                assert args[1:3] == (start, 2 * half) and kwargs["target"] == start
+
+    def test_truncation_bound_at_a_deep_floor(self):
+        n = 512
+        env = sample_environment(NESTLING_K2, 0, -2 * n, 2 * n)
+        lp, bound = bridge_log_prob(env, n, truncation=1e-100, with_error_bound=True)
+        assert -np.inf < bound < lp
+        exact = dp_log(env.slice(-n, n), 2 * n, True)
+        tol = 1e-12 * abs(exact)
+        assert lp <= exact + tol
+        assert exact <= np.logaddexp(lp, bound) + tol
+
+    def test_truncation_bound_needs_its_factor_two(self):
+        # mass dropped at an early state still feeds cells that are kept,
+        # so the loss (m - m~)(m + m~) exceeds the dropped mass here
+        n = 6
+        env = Environment(-2 * n, np.array([
+            0.95, 0.7, 0.5, 0.3, 0.99, 0.01, 0.7, 0.01, 0.7, 0.99, 0.99, 0.99, 0.05,
+            0.01, 0.01, 0.05, 0.5, 0.95, 0.05, 0.99, 0.3, 0.3, 0.01, 0.99, 0.99]))
+        lp, bound = bridge_log_prob(env, n, truncation=0.3, with_error_bound=True)
+        exact = oracles.bridge_probability(env, n)
+        loss = exact - math.exp(lp)
+        assert loss > 1.5 * math.exp(bound - math.log(2.0))
+        assert loss <= math.exp(bound)
+
+    @pytest.mark.parametrize("law", [NESTLING_K2, None])
+    def test_weights_are_rounded_about_once(self, law):
+        # against prefix sums of the same float64 log ratios in exact
+        # rationals; a plain cumsum is off by hundreds of ulp here
+        w = 4001
+        om = env_for(law, 5, 0, w - 1).slice(0, w - 1)
+        d = np.log(1.0 - om[1:]) - np.log(om[:-1])
+        sums = [Fraction(0)]
+        for v in d:
+            sums.append(sums[-1] + Fraction(float(v)))
+        start = w // 2
+        for par in (0, 1):
+            want = np.array([float(s - sums[start]) for s in sums[par::2]])
+            got = kernel._log_weights(om, start, par)
+            assert np.all(np.abs(got - want) <= np.spacing(np.abs(want)) + 1e-18)
+
+
 class TestBenchmarkReference:
     """``bridge_log_prob`` at the widths of the repository benchmark."""
 
@@ -753,12 +854,13 @@ def plain_cdf(env: Environment, n: int, m: int, bridge_lp: float) -> float:
 
 
 def underflowed_cone_cells(env: Environment, n: int) -> int:
-    """Double-cone cells that the bridge pass leaves at 0, over the states
-    it computes: those after an even number of steps."""
+    """Forward-cone cells that the bridge's ``n``-step pass leaves at 0,
+    over the states it computes: those after ``n % 2, n % 2 + 2, ..., n``
+    steps."""
     zeros = 0
-    for k, mass, _, _ in _propagate(env.slice(-n, n), n, 2 * n, target=n):
-        c = min(k, 2 * n - k)  # sites n - c .. n + c of om, step 2
-        zeros += np.count_nonzero(mass[(n - c) // 2 : (n + c) // 2 + 1] == 0.0)
+    for k, mass, _, _ in _propagate(env.slice(-n, n), n, n):
+        # sites n - k .. n + k of om, step 2
+        zeros += np.count_nonzero(mass[(n - k) // 2 : (n + k) // 2 + 1] == 0.0)
     return zeros
 
 
