@@ -44,7 +44,6 @@ from .environment import (
     RegimeClass,
     SiteDistribution,
     annealed_backtrack_bound,
-    bernoulli_rate,
     classify,
     mn_transform,
     mn_transform_law,
@@ -111,7 +110,6 @@ __all__ = [
     "solve_kappa",
     "speed",
     "rate_I0",
-    "bernoulli_rate",
     "annealed_backtrack_bound",
     "sample_environment",
     "mn_transform",

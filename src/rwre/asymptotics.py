@@ -200,10 +200,6 @@ class ScalingFit:
     transform_tag: str
     target: float | None = None
 
-    @property
-    def last(self) -> float:
-        return float(self.ys[-1])
-
     def residuals(self) -> np.ndarray:
         return self.ys - (self.slope * self.xs + self.intercept)
 

@@ -5,8 +5,8 @@ independent right-step probability ``omega_x`` drawn from a finite-support
 distribution.  This module provides:
 
 * :class:`SiteDistribution` -- the law of a single site, with the derived
-  quantities (ellipticity constant, minimal support value, support gap) that
-  the quenched computations need;
+  quantities (minimal support value, support gap, odds) that the quenched
+  computations need;
 * :func:`classify` -- the trichotomy of transient regimes (nestling,
   marginally nestling, non-nestling) plus the non-transient catch-all;
 * :func:`solve_kappa` -- the unique positive root of ``E[rho^kappa] = 1``
@@ -49,7 +49,6 @@ __all__ = [
     "solve_kappa",
     "speed",
     "rate_I0",
-    "bernoulli_rate",
     "annealed_backtrack_bound",
     "sample_environment",
     "mn_transform",
@@ -79,9 +78,8 @@ class SiteDistribution:
 
     Notes
     -----
-    The pair is stored sorted by support value.  The ellipticity constant
-    ``c = min(min support, min (1 - support))`` is inferred rather than
-    supplied; it is strictly positive for every valid distribution.
+    The pair is stored sorted by support value.  Every support value lies
+    strictly inside (0, 1), so the law is uniformly elliptic.
     """
 
     support: tuple[float, ...]
@@ -139,10 +137,6 @@ class SiteDistribution:
         if len(self.support) < 2:
             return 0.0
         return self.support[1] - self.support[0]
-
-    @property
-    def ellipticity_c(self) -> float:
-        return min(self.support[0], 1.0 - self.support[-1])
 
     @cached_property
     def mean_rho(self) -> float:
@@ -316,25 +310,6 @@ def rate_I0(dist: SiteDistribution) -> float:
     return -0.5 * float(np.log(4.0 * w * (1.0 - w)))
 
 
-def bernoulli_rate(p: float, x: float) -> float:
-    """Large-deviation rate of an empirical Bernoulli(p) frequency at x.
-
-    ``x log(x/p) + (1-x) log((1-x)/(1-p))`` with the 0 log 0 = 0 convention.
-    Governs how unlikely it is for a window of independent sites to show a
-    proportion x of fair sites when each is fair with probability p.
-    """
-    if not (0.0 < p < 1.0):
-        raise DomainError(f"p={p!r} outside (0, 1)")
-    if not (0.0 <= x <= 1.0):
-        raise DomainError(f"x={x!r} outside [0, 1]")
-    out = 0.0
-    if x > 0.0:
-        out += x * np.log(x / p)
-    if x < 1.0:
-        out += (1.0 - x) * np.log((1.0 - x) / (1.0 - p))
-    return float(out)
-
-
 def annealed_backtrack_bound(dist: SiteDistribution, x: int) -> float:
     """Upper bound on the annealed probability of ever backtracking x sites.
 
@@ -414,17 +389,6 @@ class Environment:
             )
         return float(self.omegas[i])
 
-    def rho(self, x: int) -> float:
-        """Odds against a right step at site x, ``(1 - omega_x) / omega_x``.
-
-        Infinite at a hard left reflection (``omega_x = 0``) and zero at a
-        hard right reflection (``omega_x = 1``).
-        """
-        w = self.omega(x)
-        if w == 0.0:
-            return np.inf
-        return (1.0 - w) / w
-
     def slice(self, lo: int, hi: int) -> np.ndarray:
         """Contiguous omega values for sites ``lo..hi`` inclusive (a view)."""
         if lo > hi:
@@ -444,19 +408,12 @@ class Environment:
                 f"[{lo}, {hi}]"
             )
 
-    def _with_origin(self, value: float, tag: str) -> "Environment":
-        self.require_window(0, 0)
-        om = self.omegas.copy()
-        om[-self.offset] = value
-        return Environment(self.offset, om, self.dist, f"{tag}({self.provenance})")
-
-    def reflect_minus(self) -> "Environment":
-        """Copy with a hard left reflection at the origin (``omega_0 = 0``)."""
-        return self._with_origin(0.0, "reflect-")
-
     def reflect_plus(self) -> "Environment":
         """Copy with a hard right reflection at the origin (``omega_0 = 1``)."""
-        return self._with_origin(1.0, "reflect+")
+        self.require_window(0, 0)
+        om = self.omegas.copy()
+        om[-self.offset] = 1.0
+        return Environment(self.offset, om, self.dist, f"reflect+({self.provenance})")
 
     def shift(self, x: int) -> "Environment":
         """Environment as seen from site x: the shifted window queries

@@ -11,7 +11,8 @@ below the state's largest underflows to exactly 0, and
 below ``n = 4096`` by default) wide bridges do lose such cells: 197,972
 forward-cone cells of the states of the ``n``-step pass at ``n = 2048``
 on a nestling law, holding at most about ``e**-579`` of the probability.
-A ``2n``-step bridge propagates only ``n`` steps and pairs the result
+A ``2n``-step bridge propagates only ``n`` steps over the sites it can
+use, cut at the first sites with omega 0 or 1, and pairs the result
 with itself by reversibility (:func:`_bridge_log`).  Confined corridors
 that run many more steps than they have sites may instead take guarded
 binary powers of a transfer matrix (see :func:`confined_log_prob`).
@@ -83,7 +84,6 @@ def _propagate(
     start: int,
     steps: int,
     trunc: float = 0.0,
-    target: int | None = None,
 ):
     """Propagate unit mass from index ``start`` through ``om``, killing any
     mass that steps outside its index range, two steps at a time.
@@ -108,17 +108,12 @@ def _propagate(
 
     Each iteration computes only a live window of entries and leaves
     exact zeros outside it.  The window grows by at most one entry per
-    side (the forward cone), so without ``target`` and ``trunc`` every
-    state is bit for bit the full-width two-step recursion's.  With
-    ``target`` (an index of parity ``par`` within ``steps`` of
-    ``start``), state ``k`` keeps only the indices within ``steps - k``
-    of it (the backward cone): the mass that can still be at ``target``
-    after ``steps`` steps, which is all a bridge through a site with
-    ``om`` 0 or 1 reads (:func:`_bridge_log`).  With
-    ``trunc > 0``, the entries below ``trunc`` times the window's maximum
-    are dropped from both ends of the window, each end up to its first
-    entry at or above that floor, and their mass is added to the bound;
-    entries inside are never dropped.
+    side (the forward cone), so without ``trunc`` every state is bit for
+    bit the full-width two-step recursion's.  With ``trunc > 0``, the
+    entries below ``trunc`` times the window's maximum are dropped from
+    both ends of the window, each end up to its first entry at or above
+    that floor, and their mass is added to the bound; entries inside are
+    never dropped.
     """
     par = (start + steps) % 2
     stay, from_left, from_right = _two_step(om, par)
@@ -129,10 +124,7 @@ def _propagate(
     k = steps % 2
     # unit mass at start, or one plain step on from it
     first = [(start - 1, 1.0 - om[start]), (start + 1, om[start])] if k else [(start, 1.0)]
-    cells = [
-        (i // 2, v) for i, v in first
-        if 0 <= i < om.size and (target is None or abs(i - target) <= steps - k)
-    ]
+    cells = [(i // 2, v) for i, v in first if 0 <= i < om.size]
     for j, v in cells:
         mass[j + 1] = v
     lo, hi = (cells[0][0], cells[-1][0]) if cells else (0, -1)
@@ -169,9 +161,6 @@ def _propagate(
             return
         k += 2
         a, b = max(lo - 1, 0), min(hi + 1, h - 1)
-        if target is not None:
-            reach = (steps - k) // 2
-            a, b = max(a, target // 2 - reach), min(b, target // 2 + reach)
         if old_lo < a:
             new[old_lo + 1 : a + 1] = 0.0
         if old_hi > b:
@@ -204,7 +193,8 @@ def _final_log(mass: np.ndarray, scale: float, index: int | None) -> float:
 def _log_weights(om: np.ndarray, start: int, par: int) -> np.ndarray:
     """``log pi(start) - log pi(x)`` at the indices ``x = par, par + 2, ...``
     of ``om``, for the reversible measure ``pi(x + 1) / pi(x) = om[x] /
-    (1 - om[x + 1])`` (every ``om`` strictly inside (0, 1)).
+    (1 - om[x + 1])``, finite where ``om`` is below 1 after the first
+    index and above 0 before the last.
 
     Each log ratio is split into its nearest multiple of ``2**-32`` and an
     exact remainder below ``2**-33``, and the two parts are summed apart.
@@ -223,27 +213,37 @@ def _log_weights(om: np.ndarray, start: int, par: int) -> np.ndarray:
     return (hi[par::2] - hi[start]) + (d[par::2] - d[start])
 
 
+def _reach(sites: np.ndarray, wall: float) -> int:
+    """How many sites past the first of ``sites`` (the centre, then
+    outwards) a bridge can use: up to the first site with ``om`` equal
+    to ``wall``, which the walk reaches but never steps past, or up to
+    just before the first later site with ``om`` equal to ``1 - wall``,
+    from which it never comes back."""
+    stop = np.flatnonzero((sites[:-1] == wall) | (sites[1:] == 1.0 - wall))
+    return int(stop[0]) if stop.size else sites.size - 1
+
+
 def _bridge_log(om: np.ndarray, n: int, trunc: float) -> tuple[float, float]:
     """``(log P, disc_log)`` for ``P`` the probability that a walk from the
     centre of ``om``, killed on leaving it, is back there after ``2n``
     steps, and ``disc_log`` a log upper bound on the part of ``P`` lost to
     the truncation floor ``trunc`` (``-inf`` when nothing was dropped).
 
-    The walk is reversible: ``pi(x) P_x(X_n = y) = pi(y) P_y(X_n = x)``
-    for the measure of :func:`_log_weights`, killed or not, so
-    ``P = sum_x P_0(X_n = x)**2 pi(0) / pi(x)``, summed in the log domain
-    over one ``n``-step :func:`_propagate`.  With ``m~ <= m`` the
-    truncated masses, ``P - P~ = sum (m - m~)(m + m~) pi(0) / pi(x)``
-    and ``m pi(0) / pi(x) = P_x(X_n = 0) <= 1``, so the loss is at most
-    twice the dropped mass: the bound is the pass's plus ``log 2``.  A
-    site with ``om`` 0 or 1 breaks reversibility; the bridge then
-    propagates all ``2n`` steps towards the centre (the backward cone).
+    ``om`` is first cut to the sites a bridge can use (:func:`_reach`;
+    right of the centre a 0 is kept and a 1 dropped, left of it the
+    reverse).  Every ``om`` left inside lies in (0, 1) but at an end
+    that the walk leaves only inwards, where the weights of
+    :func:`_log_weights` stay finite.  The cut walk is reversible,
+    ``pi(x) P_x(X_n = y) = pi(y) P_y(X_n = x)``, so ``P = sum_x
+    P_0(X_n = x)**2 pi(0) / pi(x)``, summed in the log domain over one
+    ``n``-step :func:`_propagate`.  With ``m~ <= m`` the truncated
+    masses, ``P - P~ = sum (m - m~)(m + m~) pi(0) / pi(x)`` and
+    ``m pi(0) / pi(x) = P_x(X_n = 0) <= 1``, so the loss is at most
+    twice the dropped mass: the bound is the pass's plus ``log 2``.
     """
     start = om.size // 2
-    if not (om.min() > 0.0 and om.max() < 1.0):
-        for _, mass, scale, disc_log in _propagate(om, start, 2 * n, trunc, target=start):
-            pass
-        return _final_log(mass, scale, start // 2), disc_log
+    right, left = _reach(om[start:], 0.0), _reach(om[start::-1], 1.0)
+    om, start = om[start - left : start + right + 1], left
     # the weights first, so their temporaries are gone before the pass
     log_w = _log_weights(om, start, (start + n) % 2)
     for _, mass, scale, disc_log in _propagate(om, start, n, trunc):
@@ -283,8 +283,7 @@ def bridge_log_prob(
         second element bounds from above the log of all probability
         unaccounted for by truncation (``-inf`` when nothing was dropped):
         ``log 2`` plus the log of the mass dropped from the ``n``-step
-        pass, or the dropped mass itself on the ``2n``-step path.  The
-        true probability ``P`` then satisfies
+        pass.  The true probability ``P`` then satisfies
         ``exp(log_prob) <= P <= exp(log_prob) + exp(log_discarded_bound)``.
 
     Notes
@@ -294,12 +293,12 @@ def bridge_log_prob(
     ``n`` steps are propagated, over the forward cone ``|x| <= k``, cut
     further to the support left by truncation.  Mass dropped from that
     pass costs ``P`` at most twice as much, hence the ``log 2`` in the
-    bound.  A
-    site with ``omega`` 0 or 1 breaks reversibility; the bridge then
-    propagates all ``2n`` steps over the double cone ``|x| <= min(k,
-    2n - k)``, and the mass outside its backward half, which cannot
-    return to the origin in time, is left out exactly, not dropped.
-    The documented window requirement stays the conservative ``[-2n, 2n]``.
+    bound.  A site with ``omega`` 0 or 1 ends the sites a bridge can
+    use: the walk never passes a 0 at or right of the origin or a 1 at
+    or left of it, and never comes back from a 1 right of it or a 0 left
+    of it, so the pass runs on the sites up to there and the identity
+    holds in every environment.  The documented window requirement
+    stays the conservative ``[-2n, 2n]``.
     """
     if n < 0:
         raise DomainError("n must be nonnegative")

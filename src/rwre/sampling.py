@@ -300,23 +300,8 @@ class MaxDispSamples:
         return int(np.quantile(self._sorted, q, method="inverted_cdf"))
 
     @property
-    def median(self) -> int:
-        return self.quantile(0.5)
-
-    @property
     def mean_b_count(self) -> float:
         return float(self.b_counts.mean())
-
-    def ecdf(self, m_values: np.ndarray) -> np.ndarray:
-        """Empirical P(max_abs <= m) at each of the given thresholds."""
-        ms = np.asarray(m_values)
-        return np.searchsorted(self._sorted, ms, side="right") / self.n_samples
-
-    def dkw_halfwidth(self, level: float = 0.99) -> float:
-        """Half-width of the two-sided DKW confidence band at `level`."""
-        if not (0.0 < level < 1.0):
-            raise DomainError("level must lie strictly between 0 and 1")
-        return float(np.sqrt(np.log(2.0 / (1.0 - level)) / (2.0 * self.n_samples)))
 
 
 def max_disp_samples(

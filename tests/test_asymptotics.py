@@ -286,7 +286,6 @@ class TestFits:
         assert np.max(np.abs(fit.residuals())) == fit.max_residual
         assert fit.transform_tag == "raw"
         assert fit.target == 1.23
-        assert fit.last == ys[-1]
 
     def test_ols_validation(self):
         with pytest.raises(DomainError):
@@ -323,7 +322,6 @@ class TestFits:
         assert np.max(np.abs(fit.ys + c)) < 1e-12
         assert fit.target == pytest.approx(NEG_PI_LOG2_SQ_OVER_4, abs=1e-15)
         assert fit.transform_tag == "lnln_sq_over_n"
-        assert fit.last == pytest.approx(-c, abs=1e-12)
 
     def test_lnln_constant_removes_exponential_part(self):
         ns = np.array([2.0**k for k in range(6, 14)])

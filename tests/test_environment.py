@@ -27,7 +27,6 @@ from rwre import (
     SiteDistribution,
     WindowTooSmallError,
     annealed_backtrack_bound,
-    bernoulli_rate,
     classify,
     mn_transform,
     mn_transform_law,
@@ -41,7 +40,6 @@ from rwre import (
 # formulas (mpmath), rounded to double precision.
 RATE_AT_06 = 0.020410997260127564777  # -0.5*ln(4*0.6*0.4)
 RATE_AT_075 = 0.14384103622589046372  # -0.5*ln(0.75)
-BERN_RATE_03_05 = 0.08717669357238887635  # 0.5*ln(5/3) + 0.5*ln(5/7)
 KAPPA_TILTED = 0.73060400285128863009  # ln(13/7)/ln(7/3), see test below
 
 
@@ -102,11 +100,9 @@ class TestSiteDistributionValidation:
         assert NESTLING_K2.omega_min == 0.25
         assert NESTLING_K2.alpha == 0.1
         assert NESTLING_K2.rho_max == 3.0
-        assert NESTLING_K2.ellipticity_c == 0.25
         assert math.isclose(NESTLING_K2.mean_rho, 0.6, rel_tol=1e-14)
         assert NESTLING_K2.eta == 0.5
         assert NON_NESTLING.eta == pytest.approx(0.2, abs=1e-15)
-        assert NON_NESTLING.ellipticity_c == pytest.approx(0.2, abs=1e-15)
         assert math.isclose(NON_NESTLING.rho_max, 2 / 3, rel_tol=1e-15)
         assert FAIR.eta == 0.0
 
@@ -270,31 +266,6 @@ class TestRateI0:
             rate_I0(FAIR)
 
 
-class TestBernoulliRate:
-    @pytest.mark.parametrize("p", [0.1, 0.3, 0.5, 0.9])
-    def test_zero_at_mean(self, p):
-        assert bernoulli_rate(p, p) == pytest.approx(0.0, abs=1e-15)
-
-    def test_endpoints(self):
-        assert bernoulli_rate(0.5, 1.0) == pytest.approx(math.log(2), rel=1e-15)
-        assert bernoulli_rate(0.5, 0.0) == pytest.approx(math.log(2), rel=1e-15)
-        assert bernoulli_rate(0.3, 1.0) == pytest.approx(-math.log(0.3), rel=1e-15)
-        assert bernoulli_rate(0.3, 0.0) == pytest.approx(-math.log(0.7), rel=1e-15)
-
-    def test_reference_value(self):
-        assert math.isclose(bernoulli_rate(0.3, 0.5), BERN_RATE_03_05, rel_tol=1e-13)
-
-    @pytest.mark.parametrize("p,x", [(0.5, -0.1), (0.5, 1.1), (0.0, 0.5), (1.0, 0.5)])
-    def test_domain_errors(self, p, x):
-        with pytest.raises(DomainError):
-            bernoulli_rate(p, x)
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.floats(0.01, 0.99), st.floats(0.0, 1.0))
-    def test_nonnegative(self, p, x):
-        assert bernoulli_rate(p, x) >= 0.0
-
-
 class TestBacktrackBound:
     def test_cap_at_one(self):
         pm = SiteDistribution(support=(0.625,), weights=(1.0,))  # E[rho] = 0.6
@@ -366,15 +337,14 @@ class TestSampleEnvironment:
 
 
 class TestEnvironmentAccess:
-    def test_omega_rho_and_window(self):
+    def test_omega_and_window(self):
         env = homogeneous_env(0.5, -3, 3)
         assert env.window() == (-3, 3)
-        assert env.rho(0) == 1.0
         assert env.omega(2) == 0.5
         with pytest.raises(OutOfWindowError):
             env.omega(4)
         with pytest.raises(OutOfWindowError):
-            env.rho(-4)
+            env.omega(-4)
         with pytest.raises(WindowTooSmallError):
             env.require_window(-3, 4)
 
@@ -391,12 +361,10 @@ class TestEnvironmentAccess:
     def test_reflections(self):
         env = sample_environment(NESTLING_K2, 4, -5, 5)
         plus = env.reflect_plus()
-        minus = env.reflect_minus()
         assert plus.omega(0) == 1.0
-        assert minus.omega(0) == 0.0
         for x in (-3, -1, 1, 3):
             assert plus.omega(x) == env.omega(x)
-            assert minus.omega(x) == env.omega(x)
+        assert env.omega(0) < 1.0  # a copy: the original is unchanged
 
     def test_reflect_plus_forces_first_step_right(self):
         env = homogeneous_env(0.5, -5, 5).reflect_plus()

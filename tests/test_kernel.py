@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -184,8 +184,7 @@ def dp_log(om: np.ndarray, steps: int, bridge: bool) -> float:
     """The confined (bridge) log probability by the propagation DP alone,
     looked up on the module so that a patched ``kernel._propagate`` runs."""
     start = om.size // 2
-    target = start if bridge else None
-    for _, mass, scale, _ in kernel._propagate(om, start, steps, target=target):
+    for _, mass, scale, _ in kernel._propagate(om, start, steps):
         pass
     return _final_log(mass, scale, start // 2 if bridge else None)
 
@@ -281,10 +280,10 @@ class TestSquaringPath:
         assert outputs[0] == outputs[1]
 
 
-def full_rectangle(om, start, steps, trunc=0.0, target=None):
+def full_rectangle(om, start, steps, trunc=0.0):
     """The two-step propagation recursion over every index of ``om`` of the
     parity of ``start + steps``, after one plain step when ``steps`` is odd,
-    truncating through a mask over the whole vector; ``target`` is ignored.
+    truncating through a mask over the whole vector.
     The reference the windowed :func:`_propagate` is held to: its weights
     come from the one-step weights, each two-step weight one product (two
     summed for staying), so they carry the same bits."""
@@ -371,18 +370,13 @@ class TestWindowedCore:
     @given(law=LAWS, seed=st.integers(0, 2**32 - 1), m=st.integers(1, 40),
            steps=st.integers(0, 400), bridge=st.booleans())
     def test_confined_dp(self, law, seed, m, steps, bridge):
-        # without a target the DP is bit-equal; the bridge's backward cone
-        # changes only where rescaling rounds
         steps -= steps % 2 if bridge else 0
         om = env_for(law, seed, -m, m).slice(-(m - 1), m - 1)
         got = dp_log(om, steps, bridge)
         with mock.patch.object(kernel, "_propagate", wraps=full_rectangle) as rect:
             want = dp_log(om, steps, bridge)
         rect.assert_called_once()
-        if bridge:
-            assert_close_log(got, want)
-        else:
-            assert got == want
+        assert got == want
 
     @settings(max_examples=60, deadline=None)
     @given(law=LAWS, seed=st.integers(0, 2**32 - 1), n=st.integers(1, 150))
@@ -414,34 +408,10 @@ class TestWindowedCore:
     def test_truncation_trims_both_tails(self, law, seed, n, floor):
         # every state's support starts and ends at or above the floor
         om = env_for(law, seed, -n, n).slice(-n, n)
-        for _, mass, _, _ in _propagate(om, n, 2 * n, floor, target=n):
+        for _, mass, _, _ in _propagate(om, n, 2 * n, floor):
             support = mass[np.flatnonzero(mass)]
             least = floor * support.max() * (1.0 - 1e-12)
             assert support[0] >= least and support[-1] >= least
-
-    @settings(max_examples=80, deadline=None)
-    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), w=st.integers(1, 30),
-           data=st.data())
-    def test_states_live_in_the_double_cone(self, law, seed, w, data):
-        # every state of a targeted run is zero off the forward and backward
-        # cones (no stale cell of a reused buffer survives) and equals the
-        # full recursion on them, up to its own rescaling
-        start = data.draw(st.integers(0, w - 1))
-        target = data.draw(st.integers(0, w - 1))
-        steps = abs(target - start) + 2 * data.draw(st.integers(0, 60))
-        om = env_for(law, seed, 0, w - 1).slice(0, w - 1)
-        states = zip_longest(_propagate(om, start, steps, target=target),
-                             full_rectangle(om, start, steps))
-        sites = parity_sites(w, start, steps)
-        for (k, mass, scale, _), (ref_k, ref, ref_scale, _) in states:
-            assert k == ref_k
-            cone = (np.abs(sites - start) <= k) & (np.abs(sites - target) <= steps - k)
-            assert not mass[~cone].any()
-            both = cone & (ref > 0.0)
-            with np.errstate(divide="ignore"):
-                got = np.log(mass[both]) + scale
-            want = np.log(ref[both]) + ref_scale
-            assert np.all(np.abs(got - want) <= 1e-12 * np.maximum(1.0, np.abs(want)))
 
     @pytest.mark.parametrize("w,start,target,steps", [
         (1, 0, 0, 0), (1, 0, 0, 5), (2, 0, 1, 1), (2, 1, 0, 9), (5, 0, 4, 4),
@@ -453,9 +423,9 @@ class TestWindowedCore:
         # steps) is never occupied, so its mass is the total, 0
         om = random_env(w + steps, 0, w - 1).slice(0, w - 1)
         index = target // 2 if (start + steps - target) % 2 == 0 else None
-        *_, (_, mass, scale, _) = _propagate(om, start, steps, target=target)
+        *_, (_, mass, scale, _) = _propagate(om, start, steps)
         *_, (_, ref, ref_scale, _) = full_rectangle(om, start, steps)
-        assert_close_log(_final_log(mass, scale, index), _final_log(ref, ref_scale, index))
+        assert _final_log(mass, scale, index) == _final_log(ref, ref_scale, index)
         for got, want in zip_longest(_propagate(om, start, steps),
                                      full_rectangle(om, start, steps)):
             assert got[0] == want[0]
@@ -515,7 +485,7 @@ class TestTwoStepEdges:
         env = random_env(w + start + target + steps, -12, 12)
         om = env.slice(0, w - 1)
         stays = inside(w, start)
-        *_, (_, mass, scale, _) = _propagate(om, start, steps, target=target)
+        *_, (_, mass, scale, _) = _propagate(om, start, steps)
         exact = oracles.event_probability(
             env.shift(start), steps, lambda s: stays(s) and s[-1] + start == target
         )
@@ -555,6 +525,23 @@ class TestTwoStepEdges:
 ONE_WAY_OMEGAS = [0.0, 1.0, 1e-9, 1.0 - 1e-9, 0.3]
 
 
+@st.composite
+def one_way_windows(draw):
+    """``(n, om, m)``: the ``2n + 1`` omegas of ``[-n, n]``, exact 0 and 1
+    among the values unless drawn elliptic, and a corridor's ``M``."""
+    n = draw(st.integers(1, 7))
+    values = ONE_WAY_OMEGAS[2:] if draw(st.booleans()) else ONE_WAY_OMEGAS
+    om = draw(st.lists(st.sampled_from(values), min_size=2 * n + 1, max_size=2 * n + 1))
+    return n, om, draw(st.integers(1, n + 1))
+
+
+def with_omega(env: Environment, x: int, omega: float) -> Environment:
+    """A copy of ``env`` with ``omega_x`` set to ``omega``."""
+    om = env.omegas.copy()
+    om[x - env.lo] = omega
+    return Environment(env.lo, om)
+
+
 class TestHalfLengthBridge:
     """The ``n``-step bridge by reversibility against the ``2n``-step DP
     and enumeration."""
@@ -572,14 +559,23 @@ class TestHalfLengthBridge:
         assert_close_log(kernel._bridge_log(om, n, 0.0)[0], want)
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.integers(1, 7), elliptic=st.booleans(), data=st.data())
-    def test_matches_enumeration_with_one_way_sites(self, n, elliptic, data):
-        # exact 0 and 1 take the 2n-step fallback, the rest the n-step pass
-        values = ONE_WAY_OMEGAS[2:] if elliptic else ONE_WAY_OMEGAS
-        om = data.draw(st.lists(st.sampled_from(values), min_size=2 * n + 1,
-                                max_size=2 * n + 1))
+    @given(one_way_windows())
+    # omega_0 = 0 and 1 (the walk's first step is forced)
+    @example((3, [0.3, 0.7, 0.5, 0.0, 0.5, 0.3, 0.7], 4))
+    @example((3, [0.3, 0.7, 0.5, 1.0, 0.5, 0.3, 0.7], 4))
+    # (omega_-1, omega_0) = (1, 0): a sure bounce, P = 1
+    @example((3, [0.3, 0.7, 1.0, 0.0, 0.5, 0.3, 0.7], 4))
+    @example((3, [0.3, 0.7, 1.0, 0.0, 0.5, 0.3, 0.7], 2))
+    # (omega_0, omega_1) = (1, 1): a sure escape, P = 0
+    @example((3, [0.3, 0.7, 0.5, 1.0, 1.0, 0.3, 0.7], 4))
+    # a one-way site on the last site M - 1 of the corridor, M = 3
+    @example((3, [0.3, 0.7, 0.5, 0.5, 0.7, 1.0, 0.3], 3))
+    @example((3, [0.3, 0.7, 0.5, 0.5, 0.7, 0.0, 0.3], 3))
+    @example((3, [0.3, 1.0, 0.5, 0.5, 0.7, 0.3, 0.3], 3))
+    def test_matches_enumeration_with_one_way_sites(self, case):
+        # exact 0 and 1 cut the slice, near-one-way values do not
+        n, om, m = case
         env = Environment(-2 * n, np.pad(np.array(om), n, constant_values=0.5))
-        m = data.draw(st.integers(1, n + 1))
         cases = [
             (bridge_log_prob(env, n), oracles.bridge_probability(env, n)),
             (kernel._bridge_log(env.slice(-(m - 1), m - 1), n, 0.0)[0],
@@ -593,23 +589,41 @@ class TestHalfLengthBridge:
 
     @pytest.mark.parametrize("omega", [None, 0.0, 1.0])
     def test_propagates_half_the_steps_unless_a_site_is_one_way(self, omega):
+        # a one-way site at x = 3 does not force all 2n steps either: the
+        # n-step pass runs on the slice that ends at x = 3 (omega 0, which
+        # the walk never passes) or at x = 2 (omega 1, from which it never
+        # comes back)
         n, m, steps = 40, 64, 20
         env = random_env(7, -2 * m, 2 * m)
         if omega is not None:
-            env = Environment(-2 * m, np.where(np.arange(4 * m + 1) == 2 * m + 3, omega,
-                                               env.slice(-2 * m, 2 * m)))
+            env = with_omega(env, 3, omega)
+        end = {None: None, 0.0: 3, 1.0: 2}[omega]
         assert not _prefers_squaring(2 * m - 1, steps)
-        for call, half, start in [(lambda: bridge_log_prob(env, n), n, n),
+        for call, half, width in [(lambda: bridge_log_prob(env, n), n, n),
                                   (lambda: confined_log_prob(env, steps, m, require_bridge=True),
                                    steps // 2, m - 1)]:
             with mock.patch.object(kernel, "_propagate", wraps=kernel._propagate) as spy:
-                call()
+                got = call()
             spy.assert_called_once()
             args, kwargs = spy.call_args
-            if omega is None:
-                assert args[1:3] == (start, half) and "target" not in kwargs
-            else:
-                assert args[1:3] == (start, 2 * half) and kwargs["target"] == start
+            assert args[1:3] == (width, half) and not kwargs
+            want = env.slice(-width, width if end is None else end)
+            assert np.array_equal(args[0], want)
+            assert_close_log(got, dp_log(env.slice(-width, width), 2 * half, True))
+
+    def test_a_far_wall_cuts_the_slice(self):
+        # omega = 0 at x = 30 of a bridge with n = 40: the walk never
+        # passes it, so one n-step pass over [-n, 30] gives the 2n-step
+        # DP's value over [-n, n]
+        n, wall = 40, 30
+        env = with_omega(sample_environment(NESTLING_K2, 0, -2 * n, 2 * n), wall, 0.0)
+        with mock.patch.object(kernel, "_propagate", wraps=kernel._propagate) as spy:
+            got = bridge_log_prob(env, n)
+        spy.assert_called_once()
+        args, kwargs = spy.call_args
+        assert args[1:3] == (n, n) and not kwargs
+        assert np.array_equal(args[0], env.slice(-n, wall)) and args[0][-1] == 0.0
+        assert_close_log(got, dp_log(env.slice(-n, n), 2 * n, True))
 
     def test_truncation_bound_at_a_deep_floor(self):
         n = 512
