@@ -12,14 +12,18 @@ exit-time moment generating functions, longest fair-site runs).
 
 Entry points
 ------------
-* Build a :class:`SiteDistribution`, classify its regime, and sample an
-  :class:`Environment` window with :func:`sample_environment`.
+* Build a :class:`SiteDistribution` (or read one from a law file with
+  :func:`load_distribution`), classify its regime, and sample an
+  :class:`Environment` window with :func:`sample_environment`; the law,
+  the seed and the window reproduce the environment exactly.
 * Exact probabilities: :func:`bridge_log_prob`,
   :func:`confined_log_prob`, :func:`hitting_cdf`,
   :func:`max_disp_bridge_cdf`, :func:`exit_prob_closed_form`.
-* Exact conditioned sampling: :func:`sample_bridge`,
-  :func:`sample_bridge_paths`, :func:`max_disp_samples`, each of which
-  takes a step table built once by :func:`backward_table`.
+* Exact conditioned sampling, all in plain integer arrays:
+  :func:`sample_bridge` (one bridge's sites), :func:`sample_bridge_paths`
+  (a matrix of them) and :func:`max_disp_samples` (each bridge's maximal
+  displacement and :func:`b_count`).  Each takes a step table built once by
+  :func:`backward_table`.
 * The ``rwre`` command line (see :mod:`rwre.cli`) wraps the canned,
   reproducible experiments of :mod:`rwre.experiments`.
 """
@@ -65,12 +69,7 @@ from .errors import (
     RwreError,
     WindowTooSmallError,
 )
-from .io import (
-    dump_distribution,
-    dump_environment,
-    load_distribution,
-    load_environment,
-)
+from .io import load_distribution
 from .kernel import (
     bridge_log_prob,
     bridge_max_quantile,
@@ -89,8 +88,6 @@ from .measure_change import (
     verify_com_identity,
 )
 from .sampling import (
-    BridgePath,
-    MaxDispSamples,
     backward_table,
     max_disp_samples,
     sample_bridge,
@@ -116,9 +113,6 @@ __all__ = [
     "mn_transform_law",
     # io
     "load_distribution",
-    "dump_distribution",
-    "load_environment",
-    "dump_environment",
     # kernel
     "bridge_log_prob",
     "confined_log_prob",
@@ -127,8 +121,6 @@ __all__ = [
     "hitting_cdf",
     "exit_prob_closed_form",
     # sampling
-    "BridgePath",
-    "MaxDispSamples",
     "backward_table",
     "sample_bridge",
     "sample_bridge_paths",

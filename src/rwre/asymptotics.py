@@ -76,7 +76,7 @@ def srw_smalldev_constant(n_steps: int, x: int) -> tuple[float, float]:
         raise DomainError("x must be at least 1")
     if n_steps < 0:
         raise DomainError("n_steps must be nonnegative")
-    env = Environment(-(x + 1), np.full(2 * x + 3, 0.5), provenance="srw")
+    env = Environment(-(x + 1), np.full(2 * x + 3, 0.5))
     logp = confined_log_prob(env, n_steps, x + 1)
     return logp, (x * x / n_steps) * logp if n_steps > 0 else 0.0
 
@@ -133,12 +133,12 @@ def exit_mgf_closed(ell: int, lam: float) -> float:
     return math.cos(c * (ell - 1)) / math.cos(c * ell)
 
 
-def exit_mgf_dp(ell: int, lam: float, tail_tol: float = 1e-12) -> float:
+def exit_mgf_dp(ell: int, lam: float) -> float:
     """Series evaluation of the exit-time MGF by absorbing propagation.
 
     Accumulates ``sum_k P(sigma = k) exp(lam k)`` from the exact exit-time
     distribution and stops once a rigorous bound on the remaining tail
-    falls below ``tail_tol``.  The tail bound uses the numerically
+    falls below 1e-12.  The tail bound uses the numerically
     computed spectral radius of the interior transition matrix (survival
     decays geometrically at that rate), keeping this evaluation
     independent of the trigonometric closed form.
@@ -153,8 +153,6 @@ def exit_mgf_dp(ell: int, lam: float, tail_tol: float = 1e-12) -> float:
         raise DomainError("ell must be at least 1")
     if lam < 0.0:
         raise DomainError("lam must be nonnegative")
-    if tail_tol <= 0.0:
-        raise DomainError("tail_tol must be positive")
     if ell == 1:
         return math.exp(lam)  # sigma = 1 deterministically
     width = 2 * ell - 1
@@ -175,7 +173,7 @@ def exit_mgf_dp(ell: int, lam: float, tail_tol: float = 1e-12) -> float:
     states = _propagate(np.full(width, 0.5), 0, 50_000_000)
     for k, mass, scale, _ in states:
         f = math.exp(scale + k * lam)
-        if k and float(mass.sum()) * f * tail_coeff < tail_tol:
+        if k and float(mass.sum()) * f * tail_coeff < 1e-12:
             return total
         total += 0.5 * (mass[0] + mass[-1]) * f * growth
     raise DomainError("series failed to converge")  # pragma: no cover
@@ -185,11 +183,10 @@ def exit_mgf_dp(ell: int, lam: float, tail_tol: float = 1e-12) -> float:
 class ScalingFit:
     """Least-squares line through a transformed probability series.
 
-    ``xs`` and ``ys`` are the fitted coordinates after the transform named
-    by ``transform_tag`` (``loglog_neglog`` fits ``log(-log P)`` against
-    ``log n``; ``lnln_sq_over_n`` fits the ``(log n)^2 / n`` constant;
-    ``raw`` fits the coordinates as given).  ``target`` carries the
-    theoretical limit when one exists.
+    ``xs`` and ``ys`` are the fitted coordinates after the caller's
+    transform (:func:`fit_exponent` fits ``log(-log P)`` against
+    ``log n``; :func:`fit_constant_lnln` fits the ``(log n)^2 / n``
+    constant).  ``target`` carries the theoretical limit when one exists.
     """
 
     xs: np.ndarray
@@ -197,16 +194,13 @@ class ScalingFit:
     slope: float
     intercept: float
     max_residual: float
-    transform_tag: str
     target: float | None = None
 
     def residuals(self) -> np.ndarray:
         return self.ys - (self.slope * self.xs + self.intercept)
 
 
-def ols_fit(
-    xs, ys, transform_tag: str = "raw", target: float | None = None
-) -> ScalingFit:
+def ols_fit(xs, ys, target: float | None = None) -> ScalingFit:
     """Ordinary least squares line through ``(xs, ys)``."""
     xs = np.asarray(xs, dtype=np.float64)
     ys = np.asarray(ys, dtype=np.float64)
@@ -222,7 +216,6 @@ def ols_fit(
         slope=float(slope),
         intercept=float(intercept),
         max_residual=float(np.max(np.abs(resid))),
-        transform_tag=transform_tag,
         target=target,
     )
 
@@ -238,7 +231,7 @@ def fit_exponent(ns, log_probs, target: float | None = None) -> ScalingFit:
     lps = np.asarray(log_probs, dtype=np.float64)
     if np.any(lps >= 0.0):
         raise DomainError("log probabilities must be strictly negative")
-    return ols_fit(np.log(ns), np.log(-lps), "loglog_neglog", target)
+    return ols_fit(np.log(ns), np.log(-lps), target)
 
 
 def lnln_target(alpha: float, gamma: float | None = None, rate_removed: bool = False) -> float:
@@ -281,5 +274,4 @@ def fit_constant_lnln(
         raise DomainError("rate0 must be nonnegative")
     ys = (np.log(ns) ** 2 / ns) * (lps + 2.0 * ns * rate0)
     target = lnln_target(alpha, gamma, rate_removed=rate0 > 0.0)
-    fit = ols_fit(np.log(ns), ys, "lnln_sq_over_n", target)
-    return fit
+    return ols_fit(np.log(ns), ys, target)

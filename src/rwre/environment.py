@@ -59,6 +59,9 @@ __all__ = [
 # as non-transient: below this scale the sign is numerical noise.
 _TRANSIENCE_TOL = 1e-12
 
+# Bound on |E[rho^kappa] - 1| at the root solve_kappa returns.
+_KAPPA_TOL = 1e-12
+
 # Stream offset so that site indices (which may be negative) map to
 # nonnegative draw positions of the counter-based generator.
 _SITE_STREAM_OFFSET = 1 << 62
@@ -222,20 +225,14 @@ def _log_mean_rho_pow(dist: SiteDistribution, kappa: float) -> float:
     return float(np.logaddexp.reduce(terms))
 
 
-def solve_kappa(dist: SiteDistribution, tol: float = 1e-12) -> float:
+def solve_kappa(dist: SiteDistribution) -> float:
     """Positive root of ``E[rho^kappa] = 1`` for a nestling distribution.
 
     The map ``kappa -> E[rho^kappa]`` equals 1 at zero, has negative slope
     there (the mean log-odds), is convex, and diverges, so the positive
     root exists and is unique exactly in the nestling regime.  The root is
-    bracketed by doubling and then bisected; no derivative information is
-    used.
-
-    Parameters
-    ----------
-    dist : SiteDistribution
-    tol : float
-        Required bound on ``|E[rho^kappa] - 1|`` at the returned point.
+    bracketed by doubling and then bisected, until ``|E[rho^kappa] - 1|``
+    is at most 1e-12; no derivative information is used.
 
     Raises
     ------
@@ -260,9 +257,9 @@ def solve_kappa(dist: SiteDistribution, tol: float = 1e-12) -> float:
             hi = mid
         else:
             lo = mid
-        if hi - lo <= 1e-16 * hi and abs(np.expm1(g)) <= tol:
+        if hi - lo <= 1e-16 * hi and abs(np.expm1(g)) <= _KAPPA_TOL:
             break
-    if abs(np.expm1(_log_mean_rho_pow(dist, mid))) > tol:  # pragma: no cover
+    if abs(np.expm1(_log_mean_rho_pow(dist, mid))) > _KAPPA_TOL:  # pragma: no cover
         raise DomainError("bisection failed to meet the requested tolerance")
     return mid
 
@@ -345,7 +342,6 @@ class Environment:
     offset: int
     omegas: np.ndarray
     dist: SiteDistribution | None = None
-    provenance: str = "explicit"
 
     def __post_init__(self):
         om = np.ascontiguousarray(self.omegas, dtype=np.float64)
@@ -354,7 +350,7 @@ class Environment:
         if not np.all((om >= 0.0) & (om <= 1.0)):  # nan too
             raise DomainError("omega values must lie in [0, 1]")
         object.__setattr__(self, "omegas", om)
-        object.__setattr__(self, "offset", int(self.offset))
+        object.__setattr__(self, "offset", _check_site("offset", self.offset))
 
     @property
     def lo(self) -> int:
@@ -363,10 +359,6 @@ class Environment:
     @property
     def hi(self) -> int:
         return self.offset + self.omegas.size - 1
-
-    def window(self) -> tuple[int, int]:
-        """Inclusive site range ``(lo, hi)`` covered by this window."""
-        return (self.lo, self.hi)
 
     @property
     def omega_min(self) -> float:
@@ -413,14 +405,19 @@ class Environment:
         self.require_window(0, 0)
         om = self.omegas.copy()
         om[-self.offset] = 1.0
-        return Environment(self.offset, om, self.dist, f"reflect+({self.provenance})")
+        return Environment(self.offset, om, self.dist)
 
     def shift(self, x: int) -> "Environment":
         """Environment as seen from site x: the shifted window queries
         ``y -> omega_{x+y}``.  Shares the underlying array."""
-        return Environment(
-            self.offset - x, self.omegas, self.dist, f"shift[{x}]({self.provenance})"
-        )
+        return Environment(self.offset - x, self.omegas, self.dist)
+
+
+def _check_site(name: str, x: int) -> int:
+    """``x`` as a site index: an integer (not a bool), numpy integers too."""
+    if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
+        return int(x)
+    raise DomainError(f"{name} must be an integer site, got {x!r}")
 
 
 def _check_seed(seed: int) -> int:
@@ -449,6 +446,7 @@ def sample_environment(
     lo, hi : int
         Inclusive site range; ``lo <= hi`` required.
     """
+    lo, hi = _check_site("lo", lo), _check_site("hi", hi)
     if lo > hi:
         raise DomainError(f"empty site range [{lo}, {hi}]")
     seed = _check_seed(seed)
@@ -465,9 +463,7 @@ def sample_environment(
     cumw[-1] = 1.0  # guard against rounding in the final edge
     idx = np.searchsorted(cumw, uniforms, side="right")
     omegas = dist.support_array[idx]
-    return Environment(
-        lo, omegas, dist, provenance=f"philox:{seed}:{dist.canonical_id()}"
-    )
+    return Environment(lo, omegas, dist)
 
 
 def _require_mn_source(law: SiteDistribution | None) -> SiteDistribution:
@@ -526,6 +522,4 @@ def mn_transform(
     rho_max = law.rho_max
     rho = (1.0 - env.omegas) / env.omegas
     new_om = rho_max / (rho + rho_max)
-    return Environment(
-        env.offset, new_om, mn_transform_law(law), provenance=f"mn({env.provenance})"
-    )
+    return Environment(env.offset, new_om, mn_transform_law(law))

@@ -582,8 +582,7 @@ def _run_sample_bridge(cfg: ExperimentConfig, out: _Outputs) -> None:
     summary = []
     for n in cfg.params["n_grid"]:
         draws = [d for _, m, d, _ in results if m == n]
-        max_abs = np.concatenate([d.max_abs for d in draws])
-        b_counts = np.concatenate([d.b_counts for d in draws])
+        max_abs, b_counts = map(np.concatenate, zip(*draws))
         q05, med, q95 = np.quantile(max_abs, [0.05, 0.5, 0.95], method="inverted_cdf")
         summary.append(
             (n, len(seeds), int(med), int(q05), int(q95), float(b_counts.mean()))
@@ -593,7 +592,7 @@ def _run_sample_bridge(cfg: ExperimentConfig, out: _Outputs) -> None:
         for i, path in enumerate(paths):
             out.csv(
                 f"path-s{seed}-n{n}-{i}.csv", "k,x",
-                [(k, int(x)) for k, x in enumerate(path.sites)],
+                [(k, int(x)) for k, x in enumerate(path)],
             )
 
 

@@ -32,8 +32,7 @@ from .environment import (
     mn_transform,
     rate_I0,
 )
-from .errors import DomainError, GapError, RegimeError
-from .sampling import _bridge_sites
+from .errors import DomainError, GapError, NotABridgeError, RegimeError
 
 __all__ = [
     "ComConstants",
@@ -50,13 +49,28 @@ __all__ = [
 _MAX_ENUM_N = 8
 
 
+def _bridge_sites(path) -> np.ndarray:
+    """Validated site sequence of a 2n-step bridge: a unit-step walk from
+    0 to 0 with an odd number of sites >= 3."""
+    sites = np.asarray(path, dtype=np.int64)
+    if sites.ndim != 1 or sites.size < 3 or sites.size % 2 == 0:
+        raise NotABridgeError(
+            f"a 2n-step bridge has an odd number of sites >= 3, got {sites.size}"
+        )
+    if sites[0] != 0 or sites[-1] != 0:
+        raise NotABridgeError("bridge must start and end at the origin")
+    if np.any(np.abs(np.diff(sites)) != 1):
+        raise NotABridgeError("consecutive sites must differ by exactly 1")
+    return sites
+
+
 def b_count(env: Environment, path) -> int:
     """Number of steps taken from a site above the minimal support value.
 
     Counts ``k < 2n`` with ``omega_{X_k} > omega_min`` where ``omega_min``
     comes from the environment's source law (window minimum for explicit
-    environments).  Accepts a :class:`~rwre.sampling.BridgePath` or a raw
-    site sequence.
+    environments).  ``path`` is a bridge's site sequence, such as the
+    array :func:`~rwre.sampling.sample_bridge` returns.
     """
     sites = _bridge_sites(path)
     lo, hi = int(sites.min()), int(sites.max())
@@ -120,8 +134,10 @@ def rn_log_derivative(
     ----------
     env : Environment
         The original (non-nestling) environment.
-    path : BridgePath or site sequence
-        A 2n-step bridge; its sites must lie inside the window.
+    path : sequence of int
+        Site sequence of a 2n-step bridge, such as the array
+        :func:`~rwre.sampling.sample_bridge` returns; its sites must lie
+        inside the window.
     dist : SiteDistribution, optional
         Source law, defaulting to ``env.dist``.
 
@@ -167,8 +183,9 @@ class ComReport:
     n: int
     rows: tuple[ComRow, ...]
 
-    def ok(self, tol: float = 1e-12) -> bool:
-        return all(r.max_abs_violation <= tol for r in self.rows)
+    def ok(self) -> bool:
+        """Every row's violation is at most 1e-12."""
+        return all(r.max_abs_violation <= 1e-12 for r in self.rows)
 
 
 def _enumerate_bridges(n: int):

@@ -20,62 +20,18 @@ vectorized across samples.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .environment import Environment, _check_seed
-from .errors import DegenerateBridgeError, DomainError, NotABridgeError
+from .errors import DegenerateBridgeError, DomainError
 
 __all__ = [
-    "BridgePath",
-    "MaxDispSamples",
     "backward_table",
     "sample_bridge",
     "sample_bridge_paths",
     "max_disp_samples",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class BridgePath:
-    """One sampled bridge: the site sequence and its summary statistics.
-
-    ``sites[k]`` is the position after k steps, so the array has length
-    ``2n + 1`` and starts and ends at 0.  ``b_count`` counts the steps
-    ``k < 2n`` taken from a site whose transition probability exceeds the
-    law's minimal support value.
-    """
-
-    n: int
-    sites: np.ndarray
-    max_abs: int
-    b_count: int
-    seed: int
-
-    def __post_init__(self):
-        object.__setattr__(self, "sites", _bridge_sites(self.sites, self.n))
-
-
-def _bridge_sites(path, n: int | None = None) -> np.ndarray:
-    """Validated sites of a :class:`BridgePath` or raw site sequence: a
-    unit-step walk from 0 to 0 with ``2n + 1`` sites (any odd count >= 3
-    when ``n`` is None)."""
-    sites = np.asarray(getattr(path, "sites", path), dtype=np.int64)
-    if n is not None:
-        if sites.shape != (2 * n + 1,):
-            raise NotABridgeError(
-                f"expected {2 * n + 1} sites for n={n}, got {sites.size}"
-            )
-    elif sites.ndim != 1 or sites.size < 3 or sites.size % 2 == 0:
-        raise NotABridgeError(
-            f"a 2n-step bridge has an odd number of sites >= 3, got {sites.size}"
-        )
-    if sites[0] != 0 or sites[-1] != 0:
-        raise NotABridgeError("bridge must start and end at the origin")
-    if np.any(np.abs(np.diff(sites)) != 1):
-        raise NotABridgeError("consecutive sites must differ by exactly 1")
-    return sites
 
 
 # Bridge lengths are capped by the cells a full (2n + 1) x (2n + 3) backward
@@ -219,8 +175,11 @@ def _sample_batch(
 
 def sample_bridge(
     env: Environment, n: int, seed: int, table: _StepTable | None = None
-) -> BridgePath:
+) -> np.ndarray:
     """Draw one 2n-step bridge from the quenched conditional law.
+
+    Returns the int64 site sequence: ``sites[k]`` is the position after k
+    steps, so the array has length ``2n + 1`` and starts and ends at 0.
 
     Parameters
     ----------
@@ -237,21 +196,14 @@ def sample_bridge(
         O(n^2).  A table built for another ``n``, or for an environment
         with other omegas on ``[-n, n]``, raises :class:`DomainError`.
     """
-    rng, p_right, trap = _sampler_inputs(env, n, seed, table)
+    rng, p_right, _ = _sampler_inputs(env, n, seed, table)
     right = 0
     sites = [0]
     for k, u in enumerate(rng.random(2 * n).tolist()):
         if u < p_right[k][right]:
             right += 1
         sites.append(2 * right - (k + 1))
-    sites = np.array(sites, dtype=np.int64)
-    return BridgePath(
-        n=n,
-        sites=sites,
-        max_abs=int(np.abs(sites).max()),
-        b_count=int(np.count_nonzero(trap[sites[:-1] + n])),
-        seed=seed,
-    )
+    return np.array(sites, dtype=np.int64)
 
 
 def sample_bridge_paths(
@@ -276,48 +228,23 @@ def sample_bridge_paths(
     return paths
 
 
-@dataclass(frozen=True, eq=False)
-class MaxDispSamples:
-    """Empirical maximal displacement of a batch of sampled bridges."""
-
-    n: int
-    seed: int
-    max_abs: np.ndarray
-    b_counts: np.ndarray
-
-    @property
-    def n_samples(self) -> int:
-        return self.max_abs.size
-
-    @cached_property
-    def _sorted(self) -> np.ndarray:
-        return np.sort(self.max_abs)
-
-    def quantile(self, q: float) -> int:
-        """Smallest m whose empirical CDF reaches q (inverse-CDF convention)."""
-        if not 0.0 <= q <= 1.0:
-            raise DomainError(f"quantile level must lie in [0, 1], got {q!r}")
-        return int(np.quantile(self._sorted, q, method="inverted_cdf"))
-
-    @property
-    def mean_b_count(self) -> float:
-        return float(self.b_counts.mean())
-
-
 def max_disp_samples(
     env: Environment,
     n: int,
     n_samples: int,
     seed: int,
     table: _StepTable | None = None,
-) -> MaxDispSamples:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample ``n_samples`` bridges and collect their maximal displacements.
 
-    Paths themselves are not kept; per-sample maxima and trap-exposure
-    counts are.  The draw stream is identical to sampling the same batch
-    path by path with :func:`sample_bridge` semantics.
+    Returns ``(max_abs, b_counts)``, two int64 arrays of length
+    ``n_samples``: each bridge's ``max_k |X_k|``, and its count of steps
+    ``k < 2n`` taken from a site whose transition probability exceeds the
+    law's minimal support value.  Paths themselves are not kept.  The
+    draw stream is the one :func:`sample_bridge_paths` uses for the same
+    arguments.
     """
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
     _, max_abs, b_counts = _sample_batch(env, n, n_samples, seed, table, False)
-    return MaxDispSamples(n=n, seed=seed, max_abs=max_abs, b_counts=b_counts)
+    return max_abs, b_counts

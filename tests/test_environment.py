@@ -333,13 +333,28 @@ class TestSampleEnvironment:
         a = sample_environment(NESTLING_K2, np.uint64(2**64 - 1), -4, 4)
         b = sample_environment(NESTLING_K2, 2**64 - 1, -4, 4)
         assert np.array_equal(a.omegas, b.omegas)
-        assert a.provenance == b.provenance
+
+    @pytest.mark.parametrize("bad", [1.5, -1.5, 2.0, "3", None, True])
+    def test_non_integer_site_bound_rejected(self, bad):
+        with pytest.raises(DomainError, match="integer site"):
+            sample_environment(NESTLING_K2, 0, bad, 3)
+        with pytest.raises(DomainError, match="integer site"):
+            sample_environment(NESTLING_K2, 0, -3, bad)
+        with pytest.raises(DomainError, match="integer site"):
+            Environment(bad, np.full(3, 0.5))
+
+    def test_numpy_integer_site_bounds_are_the_same_window(self):
+        a = sample_environment(NESTLING_K2, 5, np.int32(-4), np.int64(4))
+        b = sample_environment(NESTLING_K2, 5, -4, 4)
+        assert type(a.offset) is int and (a.lo, a.hi) == (-4, 4)
+        assert np.array_equal(a.omegas, b.omegas)
+        assert type(Environment(np.int64(-2), np.full(3, 0.5)).offset) is int
 
 
 class TestEnvironmentAccess:
     def test_omega_and_window(self):
         env = homogeneous_env(0.5, -3, 3)
-        assert env.window() == (-3, 3)
+        assert (env.lo, env.hi) == (-3, 3)
         assert env.omega(2) == 0.5
         with pytest.raises(OutOfWindowError):
             env.omega(4)
@@ -376,7 +391,7 @@ class TestEnvironmentAccess:
         shifted = env.shift(3)
         assert shifted.omega(-3) == env.omega(0)
         assert shifted.omega(0) == env.omega(3)
-        assert shifted.window() == (-8, 2)
+        assert (shifted.lo, shifted.hi) == (-8, 2)
 
 
 class TestMnTransform:

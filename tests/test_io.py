@@ -1,41 +1,35 @@
-"""Text round-trips for distributions and environment windows."""
+"""Reading site-distribution files."""
 
 from __future__ import annotations
 
 import re
 
-import numpy as np
 import pytest
-from hypothesis import example, given, settings
-from hypothesis import strategies as st
 
-from conftest import NESTLING_K2, NON_NESTLING
-from rwre import (
-    DomainError,
-    dump_distribution,
-    dump_environment,
-    load_distribution,
-    load_environment,
-    sample_environment,
-)
+from conftest import NESTLING_K2
+from rwre import DomainError, SiteDistribution, load_distribution
+
+
+def write_law(path, dist: SiteDistribution) -> None:
+    """Write ``dist`` as ``omega weight`` lines with shortest round-trip floats."""
+    lines = [f"{v!r} {w!r}\n" for v, w in zip(dist.support, dist.weights)]
+    path.write_text("".join(lines), encoding="utf-8")
 
 
 class TestDistributionFiles:
     def test_round_trip_is_exact(self, tmp_path):
         path = tmp_path / "dist.txt"
-        dump_distribution(NESTLING_K2, path)
+        write_law(path, NESTLING_K2)
         loaded = load_distribution(path)
         assert loaded.support == NESTLING_K2.support
         assert loaded.weights == NESTLING_K2.weights
 
     def test_round_trip_preserves_awkward_floats(self, tmp_path):
-        from rwre import SiteDistribution
-
         dist = SiteDistribution((1 / 3, 2 / 3), (1 / 3, 2 / 3))
         path = tmp_path / "dist.txt"
-        dump_distribution(dist, path)
+        write_law(path, dist)
         loaded = load_distribution(path)
-        assert loaded.support == dist.support  # bit-exact via 17 digits
+        assert loaded.support == dist.support  # bit-exact
         assert loaded.weights == dist.weights
 
     def test_comments_and_blank_lines_ignored(self, tmp_path):
@@ -71,40 +65,7 @@ class TestDistributionFiles:
             load_distribution(path)
 
 
-class TestEnvironmentFiles:
-    def test_round_trip_is_exact(self, tmp_path):
-        env = sample_environment(NON_NESTLING, 12, -7, 9)
-        path = tmp_path / "env.txt"
-        dump_environment(env, path)
-        loaded = load_environment(path)
-        assert loaded.offset == env.offset
-        assert np.array_equal(loaded.omegas, env.omegas)
-
-    def test_header_and_seventeen_digits(self, tmp_path):
-        env = sample_environment(NESTLING_K2, 12, -2, 2)
-        path = tmp_path / "env.txt"
-        dump_environment(env, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        header = [ln for ln in lines if ln.strip() and not ln.startswith("#")][0]
-        assert header.replace(" ", "") == "offset=-2"
-        # a third of a unit survives the round trip only with >= 17 digits
-        third_env = load_environment(path)
-        assert np.array_equal(third_env.omegas, env.omegas)
-
-    def test_missing_header_rejected(self, tmp_path):
-        path = tmp_path / "env.txt"
-        path.write_text("0.5\n0.5\n", encoding="utf-8")
-        with pytest.raises(DomainError):
-            load_environment(path)
-
-    def test_bad_value_reports_location(self, tmp_path):
-        path = tmp_path / "env.txt"
-        path.write_text("offset=0\n0.5\nhuh\n", encoding="utf-8")
-        with pytest.raises(DomainError, match=":3"):
-            load_environment(path)
-
-
-@pytest.mark.parametrize("load", [load_distribution, load_environment])
+@pytest.mark.parametrize("load", [load_distribution])
 class TestUnreadablePaths:
     """Every loader failure is a DomainError naming the file, never a bare
     OSError."""
@@ -125,25 +86,3 @@ class TestUnreadablePaths:
     def test_nul_in_name(self, tmp_path, load):
         with pytest.raises(DomainError, match="cannot read"):
             load(tmp_path / "a\x00b")
-
-
-ENV_LINES = st.one_of(
-    st.floats().map(repr),  # out of range, inf and nan too
-    st.floats(0.0, 1.0).map(repr),
-    st.text(max_size=10),
-)
-
-
-@settings(max_examples=100, deadline=None)
-@given(header=st.sampled_from(["offset=-2\n", "offset=x\n", ""]),
-       lines=st.lists(ENV_LINES, max_size=6), tail=st.binary(max_size=4))
-@example(header="offset=-2\n", lines=["0.5", "nan", "0.5"], tail=b"")
-@example(header="offset=-2\n", lines=["0.5"], tail=b"\xff")
-def test_loaded_environment_is_valid_or_rejected(tmp_path_factory, header, lines, tail):
-    path = tmp_path_factory.mktemp("env") / "env.txt"
-    path.write_bytes((header + "\n".join(lines) + "\n").encode() + tail)
-    try:
-        env = load_environment(path)
-    except DomainError:
-        return
-    assert np.all((env.omegas >= 0.0) & (env.omegas <= 1.0))

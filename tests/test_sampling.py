@@ -12,11 +12,9 @@ import oracles
 from conftest import NESTLING_K2, NON_NESTLING, homogeneous_env
 import rwre.sampling
 from rwre import (
-    BridgePath,
     DegenerateBridgeError,
     DomainError,
     Environment,
-    NotABridgeError,
     b_count,
     backward_table,
     bridge_log_prob,
@@ -184,8 +182,8 @@ class TestGoldenStream:
     def test_batches(self, env, seed, paths_digest, maxdisp_digest):
         paths = sample_bridge_paths(env, self.N, 32, seed)
         assert stream_digest(paths) == paths_digest
-        s = max_disp_samples(env, self.N, 32, seed)
-        assert stream_digest(s.max_abs, s.b_counts) == maxdisp_digest
+        max_abs, b_counts = max_disp_samples(env, self.N, 32, seed)
+        assert stream_digest(max_abs, b_counts) == maxdisp_digest
 
     @pytest.mark.parametrize(
         "seed,digest,max_abs,b",
@@ -196,20 +194,20 @@ class TestGoldenStream:
         ],
     )
     def test_single_paths(self, env, seed, digest, max_abs, b):
-        path = sample_bridge(env, self.N, seed)
-        assert stream_digest(path.sites) == digest
-        assert (path.max_abs, path.b_count) == (max_abs, b)
+        sites = sample_bridge(env, self.N, seed)
+        assert stream_digest(sites) == digest
+        assert (np.abs(sites).max(), b_count(env, sites)) == (max_abs, b)
 
     def test_every_table_source_draws_the_same_paths(self, env):
         n = self.N
         sources = [None, backward_table(env, n)]
         batches = [sample_bridge_paths(env, n, 16, 11, table=t) for t in sources]
-        singles = [sample_bridge(env, n, 12, table=t).sites for t in sources]
+        singles = [sample_bridge(env, n, 12, table=t) for t in sources]
         draws = [max_disp_samples(env, n, 16, 13, table=t) for t in sources]
         assert np.array_equal(batches[1], batches[0])
         assert np.array_equal(singles[1], singles[0])
-        assert np.array_equal(draws[1].max_abs, draws[0].max_abs)
-        assert np.array_equal(draws[1].b_counts, draws[0].b_counts)
+        assert np.array_equal(draws[1][0], draws[0][0])
+        assert np.array_equal(draws[1][1], draws[0][1])
 
     def test_step_table_for_another_length_rejected(self, env):
         table = backward_table(env, self.N - 1)
@@ -234,8 +232,8 @@ class TestGoldenStream:
         # the same omegas on [-8, 8] in another window are accepted
         wider = sample_environment(NESTLING_K2, 0, -32, 32)
         assert np.array_equal(
-            max_disp_samples(wider, 8, 200, 1, table=table).max_abs,
-            max_disp_samples(a, 8, 200, 1).max_abs,
+            max_disp_samples(wider, 8, 200, 1, table=table)[0],
+            max_disp_samples(a, 8, 200, 1)[0],
         )
 
 
@@ -254,7 +252,7 @@ class TestSeedContract:
         env = random_env(2, -8, 8)
         top = 2**64 - 1
         assert np.array_equal(
-            sample_bridge(env, 3, np.uint64(top)).sites, sample_bridge(env, 3, top).sites
+            sample_bridge(env, 3, np.uint64(top)), sample_bridge(env, 3, top)
         )
         assert np.array_equal(
             sample_bridge_paths(env, 3, 5, np.int64(7)), sample_bridge_paths(env, 3, 5, 7)
@@ -267,32 +265,27 @@ class TestSampleBridge:
         n = 8
         table = backward_table(env, n)
         for seed in range(25):
-            path = sample_bridge(env, n, seed, table=table)
-            sites = path.sites
+            sites = sample_bridge(env, n, seed, table=table)
+            assert sites.dtype == np.int64 and sites.shape == (2 * n + 1,)
             assert sites[0] == 0 and sites[-1] == 0
             assert np.all(np.abs(np.diff(sites)) == 1)
-            assert path.max_abs == int(np.max(np.abs(sites)))
-            assert 1 <= path.max_abs <= n
-            assert path.b_count == b_count(env, path)
+            assert 1 <= np.abs(sites).max() <= n
 
     def test_deterministic_in_seed(self):
         env = sample_environment(NESTLING_K2, 17, -8, 8)
         a = sample_bridge(env, 4, 123)
         b = sample_bridge(env, 4, 123)
-        c = sample_bridge(env, 4, 124)
-        assert np.array_equal(a.sites, b.sites)
+        assert np.array_equal(a, b)
         assert any(
-            not np.array_equal(sample_bridge(env, 4, s).sites, a.sites)
-            for s in range(125, 135)
+            not np.array_equal(sample_bridge(env, 4, s), a) for s in range(124, 134)
         )
-        assert c.seed == 124
 
     def test_table_reuse_matches_fresh_build(self):
         env = sample_environment(NON_NESTLING, 9, -10, 10)
         table = backward_table(env, 5)
         with_table = sample_bridge(env, 5, 77, table=table)
         without = sample_bridge(env, 5, 77)
-        assert np.array_equal(with_table.sites, without.sites)
+        assert np.array_equal(with_table, without)
 
     def test_mismatched_table_rejected(self):
         env = sample_environment(NON_NESTLING, 9, -10, 10)
@@ -303,15 +296,15 @@ class TestSampleBridge:
         env = sample_environment(NON_NESTLING, 9, -10, 10)
         n = 5
         table = backward_table(env, n)
-        fresh = sample_bridge(env, n, 77).sites
+        fresh = sample_bridge(env, n, 77)
 
         def refuse(*args, **kwargs):
             raise AssertionError("the sampler rebuilt the step table")
 
         monkeypatch.setattr(rwre.sampling, "backward_table", refuse)
-        assert np.array_equal(sample_bridge(env, n, 77, table=table).sites, fresh)
+        assert np.array_equal(sample_bridge(env, n, 77, table=table), fresh)
         assert sample_bridge_paths(env, n, 4, 3, table=table).shape == (4, 2 * n + 1)
-        assert max_disp_samples(env, n, 4, 3, table=table).n_samples == 4
+        assert max_disp_samples(env, n, 4, 3, table=table)[0].shape == (4,)
         # a log table or any other array is not a step table
         log_table = oracles.backward_log_table(env, n)
         with pytest.raises(DomainError, match="step table"):
@@ -329,7 +322,7 @@ class TestSampleBridge:
         n_draws = 20_000
         table = backward_table(env, 1)
         went_right = sum(
-            sample_bridge(env, 1, seed, table=table).sites[1] == 1
+            sample_bridge(env, 1, seed, table=table)[1] == 1
             for seed in range(n_draws)
         )
         se = math.sqrt(p_right * (1.0 - p_right) / n_draws)
@@ -345,7 +338,7 @@ class TestSampleBridge:
         for seed in (0, 1, 2):
             path = sample_bridge(env, n, seed, table=table)
             for k in range(2 * n):
-                x = int(path.sites[k])
+                x = int(path[k])
                 here = h[k, x + n + 1]
                 assert here > -np.inf  # never visits impossible states
                 p_up = math.exp(math.log(env.omega(x)) + h[k + 1, x + n + 2] - here)
@@ -369,15 +362,16 @@ class TestSampleBridgePaths:
         for seed in range(10):
             single = sample_bridge(env, n, seed, table=table)
             batch = sample_bridge_paths(env, n, 1, seed, table=table)
-            assert np.array_equal(batch[0], single.sites)
+            assert np.array_equal(batch[0], single)
 
     def test_shares_the_draw_stream_with_displacement_summary(self):
         env = random_env(8, -12, 12)
         n = 5
         table = backward_table(env, n)
         paths = sample_bridge_paths(env, n, 200, seed=3, table=table)
-        stats = max_disp_samples(env, n, 200, seed=3, table=table)
-        assert np.array_equal(np.abs(paths).max(axis=1), stats.max_abs)
+        max_abs, b_counts = max_disp_samples(env, n, 200, seed=3, table=table)
+        assert np.array_equal(np.abs(paths).max(axis=1), max_abs)
+        assert np.array_equal(b_counts, [b_count(env, p) for p in paths])
 
     def test_batched_frequencies_match_exact_law(self):
         env = random_env(14, -10, 10)
@@ -399,31 +393,23 @@ class TestSampleBridgePaths:
             sample_bridge_paths(env, 2, 4, seed=0, table=backward_table(env, 3))
 
 
-class TestBridgePathValidation:
-    def test_rejects_non_bridge(self):
-        with pytest.raises(NotABridgeError):
-            BridgePath(1, np.array([0, 1, 1]), 1, 0, 0)
-        with pytest.raises(NotABridgeError):
-            BridgePath(1, np.array([0, 1, 2]), 2, 0, 0)
-        with pytest.raises(NotABridgeError):
-            BridgePath(2, np.array([0, 1, 0]), 1, 0, 0)
-
-
 class TestMaxDispSamples:
     def test_single_sample_is_degenerate(self):
         env = sample_environment(NESTLING_K2, 4, -8, 8)
-        s = max_disp_samples(env, 4, 1, seed=5)
-        assert s.n_samples == 1
-        assert s.quantile(0.05) == s.quantile(0.5) == s.quantile(0.95)
+        max_abs, b_counts = max_disp_samples(env, 4, 1, seed=5)
+        assert max_abs.shape == b_counts.shape == (1,)
+        q05, med, q95 = np.quantile(max_abs, [0.05, 0.5, 0.95], method="inverted_cdf")
+        assert q05 == med == q95 == max_abs[0]
 
     def test_batch_matches_pathwise_stream(self):
         env = sample_environment(NESTLING_K2, 4, -8, 8)
-        s = max_disp_samples(env, 4, 64, seed=9)
-        assert s.max_abs.shape == (64,)
-        assert np.all(s.max_abs >= 1)
-        assert np.all(s.max_abs <= 4)
-        assert np.all(s.b_counts >= 0)
-        assert np.all(s.b_counts <= 8)
+        max_abs, b_counts = max_disp_samples(env, 4, 64, seed=9)
+        assert max_abs.dtype == b_counts.dtype == np.int64
+        assert max_abs.shape == b_counts.shape == (64,)
+        assert np.all(max_abs >= 1)
+        assert np.all(max_abs <= 4)
+        assert np.all(b_counts >= 0)
+        assert np.all(b_counts <= 8)
 
     def test_invalid_sample_count(self):
         env = sample_environment(NESTLING_K2, 4, -8, 8)
@@ -433,37 +419,33 @@ class TestMaxDispSamples:
     def test_empirical_cdf_in_dkw_band(self):
         env = sample_environment(NESTLING_K2, 23, -12, 12)
         n = 3
-        s = max_disp_samples(env, n, 100_000, seed=40)
+        n_samples = 100_000
+        max_abs, _ = max_disp_samples(env, n, n_samples, seed=40)
         ms = np.arange(1, n + 1)
         # the empirical P(max <= m) against the exact strict-below CDF
         # shifted by one, within the two-sided DKW band at level 0.99
-        ecdf = np.searchsorted(np.sort(s.max_abs), ms, side="right") / s.n_samples
+        ecdf = np.searchsorted(np.sort(max_abs), ms, side="right") / n_samples
         exact = max_disp_bridge_cdf(env, n, m_values=ms + 1)
-        band = math.sqrt(math.log(2.0 / 0.01) / (2.0 * s.n_samples))
+        band = math.sqrt(math.log(2.0 / 0.01) / (2.0 * n_samples))
         assert np.max(np.abs(ecdf - exact)) <= band
 
-    @pytest.mark.parametrize("q", [-0.01, 1.01, float("nan")])
-    def test_quantile_level_outside_unit_interval_rejected(self, q):
-        s = max_disp_samples(random_env(2, -8, 8), 3, 10, seed=1)
-        with pytest.raises(DomainError):
-            s.quantile(q)
-
     def test_quantile_is_inverse_ecdf(self):
+        # the quantile convention of the sample-bridge summary and demo 03
         env = sample_environment(NESTLING_K2, 23, -12, 12)
-        s = max_disp_samples(env, 5, 4097, seed=8)
+        max_abs, _ = max_disp_samples(env, 5, 4097, seed=8)
         for q in (0.05, 0.5, 0.95):
-            m = s.quantile(q)
-            assert np.mean(s.max_abs <= m) >= q
+            m = np.quantile(max_abs, q, method="inverted_cdf")
+            assert np.mean(max_abs <= m) >= q
             if m > 1:
-                assert np.mean(s.max_abs <= m - 1) < q
+                assert np.mean(max_abs <= m - 1) < q
 
 
 class TestScaleDiagnostics:
     def test_fair_bridge_maximum_has_diffusive_scale(self):
         n = 200
         env = homogeneous_env(0.5, -2 * n, 2 * n)
-        s = max_disp_samples(env, n, 4000, seed=31)
-        ratio = s.quantile(0.5) / math.sqrt(2 * n)
+        max_abs, _ = max_disp_samples(env, n, 4000, seed=31)
+        ratio = np.quantile(max_abs, 0.5, method="inverted_cdf") / math.sqrt(2 * n)
         assert 0.3 <= ratio <= 1.5
 
     def test_nestling_bridge_maximum_has_subdiffusive_scale(self):
@@ -476,8 +458,8 @@ class TestScaleDiagnostics:
         per_env_medians = []
         for env_seed in range(16):
             env = sample_environment(NESTLING_K2, env_seed, -2 * n, 2 * n)
-            s = max_disp_samples(env, n, 400, seed=77)
-            per_env_medians.append(s.quantile(0.5))
+            max_abs, _ = max_disp_samples(env, n, 400, seed=77)
+            per_env_medians.append(np.quantile(max_abs, 0.5, method="inverted_cdf"))
         pooled = float(np.median(per_env_medians))
         assert n**0.5 <= pooled <= n**0.8
 
@@ -492,7 +474,7 @@ def test_sampler_agrees_with_exact_two_point_distribution():
     counts = {path: 0 for path in exact}
     for seed in range(n_draws):
         path = sample_bridge(env, n, seed, table=table)
-        counts[tuple(int(v) for v in path.sites)] += 1
+        counts[tuple(path.tolist())] += 1
     for path, p in exact.items():
         se = math.sqrt(p * (1.0 - p) / n_draws)
         assert abs(counts[path] / n_draws - p) <= 4.5 * se
