@@ -374,7 +374,7 @@ class Environment:
 
     def omega(self, x: int) -> float:
         """Right-step probability at site x."""
-        i = x - self.offset
+        i = _check_site("x", x) - self.offset
         if i < 0 or i >= self.omegas.size:
             raise OutOfWindowError(
                 f"site {x} outside window [{self.lo}, {self.hi}]"
@@ -383,6 +383,7 @@ class Environment:
 
     def slice(self, lo: int, hi: int) -> np.ndarray:
         """Contiguous omega values for sites ``lo..hi`` inclusive (a view)."""
+        lo, hi = _check_site("lo", lo), _check_site("hi", hi)
         if lo > hi:
             raise DomainError(f"empty site range [{lo}, {hi}]")
         if lo < self.lo or hi > self.hi:
@@ -394,6 +395,7 @@ class Environment:
 
     def require_window(self, lo: int, hi: int) -> None:
         """Raise :class:`WindowTooSmallError` unless the window covers [lo, hi]."""
+        lo, hi = _check_site("lo", lo), _check_site("hi", hi)
         if lo < self.lo or hi > self.hi:
             raise WindowTooSmallError(
                 f"window [{self.lo}, {self.hi}] does not cover required "
@@ -410,11 +412,12 @@ class Environment:
     def shift(self, x: int) -> "Environment":
         """Environment as seen from site x: the shifted window queries
         ``y -> omega_{x+y}``.  Shares the underlying array."""
-        return Environment(self.offset - x, self.omegas, self.dist)
+        return Environment(self.offset - _check_site("x", x), self.omegas, self.dist)
 
 
 def _check_site(name: str, x: int) -> int:
-    """``x`` as a site index: an integer (not a bool), numpy integers too."""
+    """``x`` as a site index or a count: an integer (not a bool), numpy
+    integers too."""
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return int(x)
     raise DomainError(f"{name} must be an integer site, got {x!r}")

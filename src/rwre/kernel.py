@@ -8,14 +8,14 @@ results are exact log probabilities down to extremely small magnitudes.
 Within one iteration, though, a cell that falls more than about 1e-300
 below the state's largest underflows to exactly 0, and
 ``log_discarded_bound`` does not count it.  With truncation off (bridges
-below ``n = 4096`` by default) wide bridges do lose such cells: 197,972
+below ``n = 4096`` by default) wide bridges do lose such cells: 160,407
 forward-cone cells of the states of the ``n``-step pass at ``n = 2048``
-on a nestling law, holding at most about ``e**-579`` of the probability.
-A ``2n``-step bridge propagates only ``n`` steps over the sites it can
-use, cut at the first sites with omega 0 or 1, and pairs the result
-with itself by reversibility (:func:`_bridge_log`).  Confined corridors
-that run many more steps than they have sites may instead take guarded
-binary powers of a transfer matrix (see :func:`confined_log_prob`).
+on a nestling law, holding at most about ``e**-675`` of the probability.
+A ``2n``-step bridge propagates only ``n`` steps of a symmetric walk
+with the same bridge paths, and sums the squares of its masses
+(:func:`_bridge_log`).  Confined corridors that run many more steps
+than they have sites may instead take guarded binary powers of a
+transfer matrix (see :func:`confined_log_prob`).
 
 Step-count conventions: :func:`bridge_log_prob` and
 :func:`max_disp_bridge_cdf` take the half length ``n`` of a ``2n``-step
@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .environment import Environment
+from .environment import Environment, _check_site
 from .errors import (
     DegenerateBridgeError,
     DomainError,
@@ -47,9 +47,11 @@ __all__ = [
     "exit_prob_closed_form",
 ]
 
-# Rescale the linear mass vector when its maximum leaves this band.
-_RESCALE_LO = 1e-100
-_RESCALE_HI = 1e100
+# Rescale the linear mass vector when its maximum leaves this band.  The
+# bridge's symmetric walk does not preserve mass; a narrow band keeps the
+# 1e-300 truncation floor out of most of the slow subnormal range.
+_RESCALE_LO = 1e-16
+_RESCALE_HI = 1e16
 
 # Above this half length, bridge computations drop relatively negligible
 # sites by default (see bridge_log_prob).
@@ -57,17 +59,19 @@ _AUTO_TRUNCATION_N = 4096
 _AUTO_TRUNCATION_THRESHOLD = 1e-300
 
 
-def _two_step(om: np.ndarray, parity: int):
+def _two_step(right: np.ndarray, left: np.ndarray, parity: int):
     """The two-step killing operator ``B`` on the sites ``parity,
-    parity + 2, ...`` of ``om`` as ``(stay, from_left, from_right)``:
-    entry ``j`` weighs the mass reaching site ``parity + 2j`` from itself
-    and from the sites two to its left and right (0 off ``om``)."""
-    w = om.size
-    # two zero guard cells per side: index i of om is cell i + 2
+    parity + 2, ...`` of a walk that steps from index ``i`` to ``i + 1``
+    with weight ``right[i]`` and to ``i - 1`` with weight ``left[i]``, as
+    ``(stay, from_left, from_right)``: entry ``j`` weighs the mass reaching
+    site ``parity + 2j`` from itself and from the sites two to its left
+    and right (0 off the arrays)."""
+    w = right.size
+    # two zero guard cells per side: index i of the weights is cell i + 2
     p = np.zeros(w + 4)
-    p[2:-2] = om
+    p[2:-2] = right
     q = np.zeros(w + 4)
-    q[2:-2] = 1.0 - om
+    q[2:-2] = left
 
     def at(x, shift):  # x at the sites parity + 2j + shift, as a view
         return x[parity + 2 + shift : w + 2 + shift : 2]
@@ -80,29 +84,32 @@ def _two_step(om: np.ndarray, parity: int):
 
 
 def _propagate(
-    om: np.ndarray,
+    right: np.ndarray,
+    left: np.ndarray,
     start: int,
     steps: int,
     trunc: float = 0.0,
 ):
-    """Propagate unit mass from index ``start`` through ``om``, killing any
-    mass that steps outside its index range, two steps at a time.
+    """Propagate unit mass from index ``start`` by the step weights
+    ``right`` and ``left`` (:func:`_two_step`; ``(om, 1 - om)`` for the
+    walk itself), killing any mass that steps outside their index range,
+    two steps at a time.
 
     After ``k`` steps the mass sits on the indices of the parity of
     ``start + k``, so only the states with ``k`` of the parity of
     ``steps`` exist here: an odd ``steps`` first takes one plain step,
     then each iteration applies the two-step operator (:func:`_two_step`)
     to the indices ``par, par + 2, ...``, ``par = (start + steps) % 2``:
-    three contiguous multiplies and two adds over at most half of ``om``.
+    three contiguous multiplies and two adds over at most half the sites.
     Yields ``(k, mass, log_scale, disc_log)`` for ``k = steps % 2,
     steps % 2 + 2, ..., steps``: the scaled linear mass, whose entry ``j``
-    is index ``par + 2j`` of ``om`` (index ``i`` is entry ``i // 2``), the
-    log factor to add back, and a log-domain upper bound on all mass
-    dropped by the relative floor ``trunc`` (``-inf`` when nothing was
-    dropped).  The mass of state ``k`` leaving ``om`` on step ``k + 1``
-    is ``(1 - om[0]) * mass[0]`` on the left if ``par`` is 0 and
-    ``om[-1] * mass[-1]`` on the right if ``om.size - 1`` has parity
-    ``par``, times ``exp(log_scale)``.  Stops early after yielding an
+    is index ``par + 2j`` (index ``i`` is entry ``i // 2``), the log
+    factor to add back, and a log-domain upper bound on all mass dropped
+    by the relative floor ``trunc`` (``-inf`` when nothing was dropped).
+    The mass of state ``k`` leaving the range on step ``k + 1`` is
+    ``left[0] * mass[0]`` on the left if ``par`` is 0 and ``right[-1] *
+    mass[-1]`` on the right if ``right.size - 1`` has parity ``par``,
+    times ``exp(log_scale)``.  Stops early after yielding an
     all-zero state.  The yielded vector is overwritten later, so callers
     read it before advancing.
 
@@ -116,15 +123,15 @@ def _propagate(
     never dropped.
     """
     par = (start + steps) % 2
-    stay, from_left, from_right = _two_step(om, par)
+    stay, from_left, from_right = _two_step(right, left, par)
     h = stay.size
     # Buffers carry one zero guard cell per side: entry j is buffer cell
     # j + 1, and the guards' zero mass keeps the edges exact.
     mass, new, tmp = np.zeros(h + 2), np.zeros(h + 2), np.empty(h)
     k = steps % 2
     # unit mass at start, or one plain step on from it
-    first = [(start - 1, 1.0 - om[start]), (start + 1, om[start])] if k else [(start, 1.0)]
-    cells = [(i // 2, v) for i, v in first if 0 <= i < om.size]
+    first = [(start - 1, left[start]), (start + 1, right[start])] if k else [(start, 1.0)]
+    cells = [(i // 2, v) for i, v in first if 0 <= i < right.size]
     for j, v in cells:
         mass[j + 1] = v
     lo, hi = (cells[0][0], cells[-1][0]) if cells else (0, -1)
@@ -190,71 +197,34 @@ def _final_log(mass: np.ndarray, scale: float, index: int | None) -> float:
     return -np.inf if v == 0.0 else float(np.log(v)) + scale
 
 
-def _log_weights(om: np.ndarray, start: int, par: int) -> np.ndarray:
-    """``log pi(start) - log pi(x)`` at the indices ``x = par, par + 2, ...``
-    of ``om``, for the reversible measure ``pi(x + 1) / pi(x) = om[x] /
-    (1 - om[x + 1])``, finite where ``om`` is below 1 after the first
-    index and above 0 before the last.
-
-    Each log ratio is split into its nearest multiple of ``2**-32`` and an
-    exact remainder below ``2**-33``, and the two parts are summed apart.
-    The first sum is exact while it stays below ``2**21`` in magnitude
-    (every partial is a multiple of ``2**-32`` with at most 53 bits), and
-    the second adds tiny terms, so each weight is rounded about once; a
-    plain ``cumsum`` errs by about ``w`` roundings of the running sum.
-    """
-    d = np.zeros(om.size)  # d[x] = log pi(x - 1) - log pi(x)
-    np.log(1.0 - om[1:], out=d[1:])
-    d[1:] -= np.log(om[:-1])
-    hi = np.rint(d * 2.0**32) * 2.0**-32
-    d -= hi
-    np.cumsum(hi, out=hi)
-    np.cumsum(d, out=d)
-    return (hi[par::2] - hi[start]) + (d[par::2] - d[start])
-
-
-def _reach(sites: np.ndarray, wall: float) -> int:
-    """How many sites past the first of ``sites`` (the centre, then
-    outwards) a bridge can use: up to the first site with ``om`` equal
-    to ``wall``, which the walk reaches but never steps past, or up to
-    just before the first later site with ``om`` equal to ``1 - wall``,
-    from which it never comes back."""
-    stop = np.flatnonzero((sites[:-1] == wall) | (sites[1:] == 1.0 - wall))
-    return int(stop[0]) if stop.size else sites.size - 1
-
-
 def _bridge_log(om: np.ndarray, n: int, trunc: float) -> tuple[float, float]:
     """``(log P, disc_log)`` for ``P`` the probability that a walk from the
     centre of ``om``, killed on leaving it, is back there after ``2n``
     steps, and ``disc_log`` a log upper bound on the part of ``P`` lost to
     the truncation floor ``trunc`` (``-inf`` when nothing was dropped).
 
-    ``om`` is first cut to the sites a bridge can use (:func:`_reach`;
-    right of the centre a 0 is kept and a 1 dropped, left of it the
-    reverse).  Every ``om`` left inside lies in (0, 1) but at an end
-    that the walk leaves only inwards, where the weights of
-    :func:`_log_weights` stay finite.  The cut walk is reversible,
-    ``pi(x) P_x(X_n = y) = pi(y) P_y(X_n = x)``, so ``P = sum_x
-    P_0(X_n = x)**2 pi(0) / pi(x)``, summed in the log domain over one
-    ``n``-step :func:`_propagate`.  With ``m~ <= m`` the truncated
-    masses, ``P - P~ = sum (m - m~)(m + m~) pi(0) / pi(x)`` and
-    ``m pi(0) / pi(x) = P_x(X_n = 0) <= 1``, so the loss is at most
-    twice the dropped mass: the bound is the pass's plus ``log 2``.
+    A path back to the centre crosses each edge ``(x, x + 1)`` as often
+    rightwards as leftwards, so it has the same probability under the
+    symmetric walk ``K~`` that steps across that edge either way with
+    weight ``s[x] = sqrt(om[x] (1 - om[x + 1]))``.  Hence ``P = K~^2n(0,
+    0) = sum_x K~^n(0, x)**2``, the squared masses of one ``n``-step
+    :func:`_propagate` of ``K~``.  An edge that the walk crosses one way
+    only gets ``s = 0`` both ways, so no weight is needed anywhere and
+    every environment is covered.
+
+    ``K~`` is symmetric, and between two such edges it is ``D^1/2 K
+    D^-1/2`` for the killed walk ``K`` and its reversible measure ``D``,
+    so ``||K~||_2 = rho(K) <= 1``: mass ``d`` dropped at any step moves
+    the final masses by at most ``d`` in the 2-norm.  With ``m~ <= m``
+    the truncated masses, ``P - P~ = sum (m - m~)(m + m~) <= ||m - m~||
+    2 ||m|| <= 2 sqrt(P) dropped``, so the bound is the pass's plus
+    ``log 2``.
     """
-    start = om.size // 2
-    right, left = _reach(om[start:], 0.0), _reach(om[start::-1], 1.0)
-    om, start = om[start - left : start + right + 1], left
-    # the weights first, so their temporaries are gone before the pass
-    log_w = _log_weights(om, start, (start + n) % 2)
-    for _, mass, scale, disc_log in _propagate(om, start, n, trunc):
+    s = np.sqrt(om[:-1] * (1.0 - om[1:]))
+    right, left = np.append(s, 0.0), np.insert(s, 0, 0.0)
+    for _, mass, scale, disc_log in _propagate(right, left, om.size // 2, n, trunc):
         pass
-    live = mass > 0.0
-    if not live.any():
-        return -np.inf, disc_log
-    t = 2.0 * np.log(mass[live]) + log_w[live]
-    top = t.max()
-    logp = float(top + np.log(np.exp(t - top).sum())) + 2.0 * scale
-    return logp, disc_log + math.log(2.0)
+    return _final_log(np.square(mass), 2.0 * scale, None), disc_log + math.log(2.0)
 
 
 def bridge_log_prob(
@@ -288,18 +258,20 @@ def bridge_log_prob(
 
     Notes
     -----
-    The walk is reversible, ``pi(x + 1) / pi(x) = omega_x / (1 -
-    omega_{x+1})``, so ``P = sum_x P(X_n = x)**2 pi(0) / pi(x)``: only
-    ``n`` steps are propagated, over the forward cone ``|x| <= k``, cut
-    further to the support left by truncation.  Mass dropped from that
-    pass costs ``P`` at most twice as much, hence the ``log 2`` in the
-    bound.  A site with ``omega`` 0 or 1 ends the sites a bridge can
-    use: the walk never passes a 0 at or right of the origin or a 1 at
-    or left of it, and never comes back from a 1 right of it or a 0 left
-    of it, so the pass runs on the sites up to there and the identity
-    holds in every environment.  The documented window requirement
-    stays the conservative ``[-2n, 2n]``.
+    A bridge crosses each edge as often rightwards as leftwards, so every
+    bridge path has the same probability under the symmetric walk that
+    crosses the edge ``(x, x + 1)`` either way with weight ``sqrt(omega_x
+    (1 - omega_{x+1}))``, and ``P = sum_x Q(X_n = x)**2`` for that walk
+    ``Q``: only ``n`` steps are propagated, over the forward cone ``|x|
+    <= k``, cut further to the support left by truncation.  The symmetric
+    walk's operator has 2-norm at most 1, so mass dropped from that pass
+    costs ``P`` at most twice as much, hence the ``log 2`` in the bound.
+    An edge that the walk crosses one way only (``omega`` 0 or 1 at one
+    of its ends) gets weight 0, so the identity holds in every
+    environment.  The documented window requirement stays the
+    conservative ``[-2n, 2n]``.
     """
+    n = _check_site("n", n)
     if n < 0:
         raise DomainError("n must be nonnegative")
     if truncation is not None and not 0.0 <= truncation < 1.0:
@@ -348,9 +320,11 @@ def confined_log_prob(
     an entry the result needs could leave the normal double range.  Both
     agree to about 1e-13 relative in the log; the a-priori bound of the
     squaring path is about ``steps * (2M - 1) * 2**-53`` relative in P.
-    The DP of a bridge corridor propagates ``steps / 2`` steps and pairs
-    them by reversibility, as :func:`bridge_log_prob` does.
+    The DP of a bridge corridor propagates ``steps / 2`` steps of the
+    symmetric walk and sums the squared masses, as :func:`bridge_log_prob`
+    does.
     """
+    steps, M = _check_site("steps", steps), _check_site("M", M)
     if steps < 0:
         raise DomainError("steps must be nonnegative")
     if M < 1:
@@ -371,7 +345,7 @@ def _confined_log(om: np.ndarray, steps: int, bridge: bool) -> float:
             return logp
     if bridge:
         return _bridge_log(om, steps // 2, 0.0)[0]
-    for _, mass, scale, _ in _propagate(om, om.size // 2, steps):
+    for _, mass, scale, _ in _propagate(om, 1.0 - om, om.size // 2, steps):
         pass
     return _final_log(mass, scale, None)
 
@@ -441,7 +415,7 @@ def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
     """
     start = om.size // 2
     parity = (start + steps) % 2
-    stay, from_left, from_right = _two_step(om, parity)
+    stay, from_left, from_right = _two_step(om, 1.0 - om, parity)
     h = stay.size
     a = np.diag(stay) + np.diag(from_left[1:], 1) + np.diag(from_right[:-1], -1)
     v = np.zeros(h)
@@ -494,6 +468,7 @@ def _max_disp_cdf(env: Environment, n: int):
     The returned bound is the bridge probability's
     ``log_discarded_bound`` (``-inf`` when truncation dropped nothing).
     """
+    n = _check_site("n", n)
     if n < 1:
         raise DomainError("n must be at least 1")
     env.require_window(-2 * n, 2 * n)
@@ -567,6 +542,7 @@ def max_disp_bridge_cdf(
         If the bridge event itself has zero probability, which uniform
         ellipticity rules out for genuine environments.
     """
+    n = _check_site("n", n)
     if m_values is None:
         ms = np.arange(1, 2 * n + 2)
     else:
@@ -612,6 +588,7 @@ def hitting_cdf(env: Environment, target: int, horizon: int) -> np.ndarray:
     horizon : int
         Largest step count in the returned array (length ``horizon + 1``).
     """
+    target, horizon = _check_site("target", target), _check_site("horizon", horizon)
     if horizon < 0:
         raise DomainError("horizon must be nonnegative")
     cdf = np.zeros(horizon + 1)
@@ -633,7 +610,7 @@ def hitting_cdf(env: Environment, target: int, horizon: int) -> np.ndarray:
     first = np.zeros(horizon)
     steps = horizon - 1 - (horizon - 1 - end + start) % 2
     if steps >= 0:
-        for k, mass, scale, _ in _propagate(om, start, steps):
+        for k, mass, scale, _ in _propagate(om, 1.0 - om, start, steps):
             first[k] = out * mass[end // 2] * math.exp(scale)
     cdf[1:] = np.cumsum(first)
     return cdf
@@ -660,6 +637,7 @@ def exit_prob_closed_form(
         Strictly ordered ``a < x < b``.
     first : {"a", "b"}
     """
+    a, x, b = _check_site("a", a), _check_site("x", x), _check_site("b", b)
     if not (a < x < b):
         raise OrderingError(f"need a < x < b, got a={a}, x={x}, b={b}")
     if first not in ("a", "b"):

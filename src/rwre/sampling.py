@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Environment, _check_seed
+from .environment import Environment, _check_seed, _check_site
 from .errors import DegenerateBridgeError, DomainError
 
 __all__ = [
@@ -84,6 +84,7 @@ def backward_table(env: Environment, n: int) -> _StepTable:
 
     The environment window must cover ``[-2n, 2n]``.
     """
+    n = _check_site("n", n)
     if n < 1:
         raise DomainError("n must be at least 1")
     env.require_window(-2 * n, 2 * n)
@@ -123,7 +124,7 @@ def _sampler_inputs(
     ``trap[x + n]`` flags the sites ``|x| <= n`` whose transition
     probability exceeds the law's minimal support value.
     """
-    seed = _check_seed(seed)
+    seed, n = _check_seed(seed), _check_site("n", n)
     if table is None:
         table = backward_table(env, n)
     elif not isinstance(table, _StepTable) or table.n != n:
@@ -222,6 +223,7 @@ def sample_bridge_paths(
     one batch can be obtained without resampling; a batch of size 1
     reproduces :func:`sample_bridge` for the same seed.
     """
+    n_samples = _check_site("n_samples", n_samples)
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
     paths, _, _ = _sample_batch(env, n, n_samples, seed, table, True)
@@ -244,6 +246,7 @@ def max_disp_samples(
     draw stream is the one :func:`sample_bridge_paths` uses for the same
     arguments.
     """
+    n_samples = _check_site("n_samples", n_samples)
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
     _, max_abs, b_counts = _sample_batch(env, n, n_samples, seed, table, False)

@@ -27,10 +27,19 @@ from rwre import (
     SiteDistribution,
     WindowTooSmallError,
     annealed_backtrack_bound,
+    backward_table,
+    bridge_log_prob,
+    bridge_max_quantile,
     classify,
+    confined_log_prob,
+    exit_prob_closed_form,
+    hitting_cdf,
+    max_disp_bridge_cdf,
+    max_disp_samples,
     mn_transform,
     mn_transform_law,
     rate_I0,
+    sample_bridge,
     sample_environment,
     solve_kappa,
     speed,
@@ -392,6 +401,46 @@ class TestEnvironmentAccess:
         assert shifted.omega(-3) == env.omega(0)
         assert shifted.omega(0) == env.omega(3)
         assert (shifted.lo, shifted.hi) == (-8, 2)
+
+
+# every site or count argument, with the others valid; v stands for it
+INTEGER_ARGUMENTS = {
+    "omega": lambda env, v: env.omega(v),
+    "slice": lambda env, v: env.slice(v, 2),
+    "require_window": lambda env, v: env.require_window(-2, v),
+    "shift": lambda env, v: env.shift(v),
+    "bridge_log_prob": lambda env, v: bridge_log_prob(env, v),
+    "confined_steps": lambda env, v: confined_log_prob(env, v, 2),
+    "confined_M": lambda env, v: confined_log_prob(env, 4, v),
+    "max_disp_bridge_cdf": lambda env, v: max_disp_bridge_cdf(env, v),
+    "bridge_max_quantile": lambda env, v: bridge_max_quantile(env, v, 0.5),
+    "hitting_target": lambda env, v: hitting_cdf(env, v, 2),
+    "hitting_horizon": lambda env, v: hitting_cdf(env, 1, v),
+    "exit_prob": lambda env, v: exit_prob_closed_form(env, -2, v, 2),
+    "backward_table": lambda env, v: backward_table(env, v),
+    "sample_bridge": lambda env, v: sample_bridge(env, v, 0),
+    "n_samples": lambda env, v: max_disp_samples(env, 2, v, 0),
+}
+
+
+class TestIntegerArguments:
+    @pytest.mark.parametrize("bad", [1.5, 4.0, True, "2", None])
+    @pytest.mark.parametrize("call", sorted(INTEGER_ARGUMENTS))
+    def test_non_integers_raise_domain_error(self, call, bad):
+        env = sample_environment(NESTLING_K2, 0, -8, 8)
+        with pytest.raises(DomainError, match="integer"):
+            INTEGER_ARGUMENTS[call](env, bad)
+
+    @pytest.mark.parametrize("call", sorted(INTEGER_ARGUMENTS))
+    def test_numpy_integers_are_accepted(self, call):
+        env = sample_environment(NESTLING_K2, 0, -8, 8)
+        got, want = INTEGER_ARGUMENTS[call](env, np.int32(1)), INTEGER_ARGUMENTS[call](env, 1)
+        if isinstance(want, Environment):
+            assert (got.lo, got.hi) == (want.lo, want.hi)
+        elif call == "backward_table":  # cells off the bridge's cone are unset
+            assert type(got.n) is int and got.n == want.n
+        else:
+            assert np.array_equal(got, want)
 
 
 class TestMnTransform:
