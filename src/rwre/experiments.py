@@ -400,10 +400,13 @@ class _Outputs:
         self.fields: dict[str, Any] = {}
 
     def csv(self, name: str, header: str, rows: Iterable[tuple]) -> None:
+        lines = (",".join(_fmt(v) for v in row) + "\n" for row in rows)
+        self.write(name, header + "\n" + "".join(lines))
+
+    def write(self, name: str, text: str) -> None:
+        """Write one CSV file's full text and list it in ``files``."""
         with open(self.path / name, "w", encoding="utf-8", newline="") as fh:
-            fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+            fh.write(text)
         self.files.append(name)
 
     def truncation_bound(self, log_bounds: Iterable[float]) -> None:
@@ -590,10 +593,9 @@ def _run_sample_bridge(cfg: ExperimentConfig, out: _Outputs) -> None:
     out.csv("sampler_summary.csv", "n,seed_count,median,q05,q95,mean_b_count", summary)
     for seed, n, _, paths in results:
         for i, path in enumerate(paths):
-            out.csv(
-                f"path-s{seed}-n{n}-{i}.csv", "k,x",
-                [(k, int(x)) for k, x in enumerate(path)],
-            )
+            # the integer rows _fmt would write, formatted in one pass
+            text = "".join(f"{k},{x}\n" for k, x in enumerate(path.tolist()))
+            out.write(f"path-s{seed}-n{n}-{i}.csv", "k,x\n" + text)
 
 
 def _run_scaling(cfg: ExperimentConfig, out: _Outputs) -> None:

@@ -217,14 +217,18 @@ def _bridge_log(om: np.ndarray, n: int, trunc: float) -> tuple[float, float]:
     so ``||K~||_2 = rho(K) <= 1``: mass ``d`` dropped at any step moves
     the final masses by at most ``d`` in the 2-norm.  With ``m~ <= m``
     the truncated masses, ``P - P~ = sum (m - m~)(m + m~) <= ||m - m~||
-    2 ||m|| <= 2 sqrt(P) dropped``, so the bound is the pass's plus
-    ``log 2``.
+    2 ||m|| <= 2 sqrt(P) d`` for ``d`` the mass the pass dropped.  Solved
+    for ``sqrt(P)``, this gives ``sqrt(P) <= d + sqrt(d^2 + P~)``, so the
+    bound is ``2 d (d + sqrt(d^2 + P~))``, taken in the log domain, or
+    ``2 d`` (``sqrt(P) <= 1``) where that is smaller.
     """
     s = np.sqrt(om[:-1] * (1.0 - om[1:]))
     right, left = np.append(s, 0.0), np.insert(s, 0, 0.0)
     for _, mass, scale, disc_log in _propagate(right, left, om.size // 2, n, trunc):
         pass
-    return _final_log(np.square(mass), 2.0 * scale, None), disc_log + math.log(2.0)
+    log_p = _final_log(np.square(mass), 2.0 * scale, None)
+    log_root = np.logaddexp(disc_log, 0.5 * np.logaddexp(2.0 * disc_log, log_p))
+    return log_p, float(math.log(2.0) + disc_log + min(log_root, 0.0))
 
 
 def bridge_log_prob(
@@ -252,8 +256,9 @@ def bridge_log_prob(
         When set, return ``(log_prob, log_discarded_bound)`` where the
         second element bounds from above the log of all probability
         unaccounted for by truncation (``-inf`` when nothing was dropped):
-        ``log 2`` plus the log of the mass dropped from the ``n``-step
-        pass.  The true probability ``P`` then satisfies
+        ``log(2 d min(1, d + sqrt(d^2 + P~)))`` for ``d`` the mass
+        dropped from the ``n``-step pass and ``P~ = exp(log_prob)``.  The
+        true probability ``P`` then satisfies
         ``exp(log_prob) <= P <= exp(log_prob) + exp(log_discarded_bound)``.
 
     Notes
@@ -264,8 +269,9 @@ def bridge_log_prob(
     (1 - omega_{x+1}))``, and ``P = sum_x Q(X_n = x)**2`` for that walk
     ``Q``: only ``n`` steps are propagated, over the forward cone ``|x|
     <= k``, cut further to the support left by truncation.  The symmetric
-    walk's operator has 2-norm at most 1, so mass dropped from that pass
-    costs ``P`` at most twice as much, hence the ``log 2`` in the bound.
+    walk's operator has 2-norm at most 1, so mass ``d`` dropped from that
+    pass costs ``P`` at most ``2 sqrt(P) d``; solving that for ``P`` gives
+    the bound above, which shrinks with ``P`` as well as with ``d``.
     An edge that the walk crosses one way only (``omega`` 0 or 1 at one
     of its ends) gets weight 0, so the identity holds in every
     environment.  The documented window requirement stays the

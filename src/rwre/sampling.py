@@ -12,9 +12,10 @@ beyond floating point.
 
 :func:`backward_table` builds that step table in O(n^2) time and memory
 once per (environment, n): the recursion keeps two rolling log rows and
-visits only the cells of the bridge's double cone.  Every sampler takes
-it as ``table=``, so each further path costs O(n), with batches
-vectorized across samples.
+visits only the cells of the bridge's double cone, and the table stores
+exactly those ``n^2 + 2n`` cells, row after row in one flat array.  Every
+sampler takes it as ``table=``, so each further path costs O(n), with
+batches vectorized across samples.
 """
 
 from __future__ import annotations
@@ -35,8 +36,9 @@ __all__ = [
 
 
 # Bridge lengths are capped by the cells a full (2n + 1) x (2n + 3) backward
-# log table would take, although the step table holds about half as many;
-# this keeps the accepted lengths at n <= 6122.
+# log table would take, although the step table holds only its n^2 + 2n
+# cone cells, about a quarter as many; this keeps the accepted lengths at
+# n <= 6122.
 _MAX_TABLE_ENTRIES = 150_000_000
 
 
@@ -58,29 +60,33 @@ _DRAW_BLOCK = 8
 class _StepTable:
     """Conditioned right-step probabilities of a 2n-step bridge.
 
-    ``p_right[k, j]`` is the probability that the bridge steps right at
-    step ``k`` after ``j`` right steps, i.e. from site ``2j - k``.  Only the
-    cells of the double cone ``max(0, k - n) <= j <= min(k, n)`` (sites
-    ``|x| <= min(k, 2n - k)``) are filled; no bridge reads the others.
-    ``omega`` is the environment's slice over ``[-n, n]`` that the table
-    was built from; the samplers accept the table only for that slice.
+    ``p_right[base[k] + j]`` is the probability that the bridge steps
+    right at step ``k`` after ``j`` right steps, i.e. from site ``2j - k``.
+    Only the cells of the double cone ``max(0, k - n) <= j <= min(k, n)``
+    (sites ``|x| <= min(k, 2n - k)``) are stored, since no bridge reads
+    the others: row ``k`` is contiguous, rows follow in step order, and
+    ``p_right`` holds ``n^2 + 2n`` float64 cells.  ``base[k]`` is row k's
+    offset minus its first ``j``.  ``omega`` is the environment's slice
+    over ``[-n, n]`` that the table was built from; the samplers accept
+    the table only for that slice.
     """
 
     n: int
     p_right: np.ndarray
+    base: list[int]
     omega: np.ndarray
 
 
 def backward_table(env: Environment, n: int) -> _StepTable:
     """Step table of the 2n-step bridge: build it once, sample it often.
 
-    Returns the conditioned right-step probabilities ``p_right`` of shape
-    ``(2n, n + 1)``, which the samplers accept as ``table=``.  They come
-    from the backward log probabilities ``log P(X_{2n} = 0 | X_k = x)``
-    of one recursion that keeps two rolling log rows and computes only
-    the cells of the double cone; row k of the table folds log rows k and
-    k + 1.  Bridge lengths are capped as for a full ``(2n + 1) x
-    (2n + 3)`` log table.
+    Returns the conditioned right-step probabilities ``p_right``, packed
+    to the ``n^2 + 2n`` cells of the double cone (see :class:`_StepTable`),
+    which the samplers accept as ``table=``.  They come from the backward
+    log probabilities ``log P(X_{2n} = 0 | X_k = x)`` of one recursion
+    that keeps two rolling log rows and computes only the cells of the
+    double cone; row k of the table folds log rows k and k + 1.  Bridge
+    lengths are capped as for a full ``(2n + 1) x (2n + 3)`` log table.
 
     The environment window must cover ``[-2n, 2n]``.
     """
@@ -90,11 +96,17 @@ def backward_table(env: Environment, n: int) -> _StepTable:
     env.require_window(-2 * n, 2 * n)
     _check_table_size(n)
     om = env.slice(-n, n)
-    p_right = np.empty((2 * n, n + 1))
+    base, size = [], 0
+    for k in range(2 * n):
+        lo, hi = max(0, k - n), min(k, n)
+        base.append(size - lo)
+        size += hi - lo + 1
+    p_right = np.empty(size)
     # h[k % 2, j] holds log P(X_{2n} = 0 | X_k = 2j - k); column n + 1 and
     # every cell outside the cone stay -inf
     h = np.full((2, n + 2), -np.inf)
     h[0, n] = 0.0
+    up, down = np.empty(n + 1), np.empty(n + 1)
     with np.errstate(divide="ignore", invalid="ignore"):
         log_p = np.log(om)
         log_q = np.log1p(-om)
@@ -103,23 +115,27 @@ def backward_table(env: Environment, n: int) -> _StepTable:
             # indices x + n of the row's sites x = 2j - k
             i = slice(2 * lo - k + n, 2 * hi - k + n + 1, 2)
             nxt, here = h[(k + 1) % 2, lo : hi + 2], h[k % 2, lo : hi + 1]
-            up = log_p[i] + nxt[1:]
-            down = log_q[i] + nxt[:-1]
-            np.logaddexp(up, down, out=here)
-            pr = np.exp(up - here)
-            pl = np.exp(down - here)
-            p_right[k, lo : hi + 1] = pr / (pr + pl)
+            # the row's cells: m of them, from p_right[s] on
+            m, s = hi - lo + 1, base[k] + lo
+            u, d = up[:m], down[:m]
+            np.add(log_p[i], nxt[1:], out=u)
+            np.add(log_q[i], nxt[:-1], out=d)
+            np.logaddexp(u, d, out=here)
+            # u, d become the right and left weights pr, pl, then pr + pl
+            np.exp(np.subtract(u, here, out=u), out=u)
+            np.exp(np.subtract(d, here, out=d), out=d)
+            np.divide(u, np.add(u, d, out=d), out=p_right[s : s + m])
     if here[0] == -np.inf:
         raise DegenerateBridgeError(
             "conditioning event X_{2n} = 0 has zero probability"
         )
-    return _StepTable(n, p_right, om.copy())
+    return _StepTable(n, p_right, base, om.copy())
 
 
 def _sampler_inputs(
     env: Environment, n: int, seed: int, table: _StepTable | None
-) -> tuple[np.random.Generator, np.ndarray, np.ndarray]:
-    """Validated ``(rng, p_right, trap)`` for sampling 2n-step bridges.
+) -> tuple[np.random.Generator, _StepTable, np.ndarray]:
+    """Validated ``(rng, table, trap)`` for sampling 2n-step bridges.
 
     ``trap[x + n]`` flags the sites ``|x| <= n`` whose transition
     probability exceeds the law's minimal support value.
@@ -137,7 +153,7 @@ def _sampler_inputs(
             "table was built for another environment; build one with backward_table"
         )
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng, table.p_right, om > env.omega_min
+    return rng, table, om > env.omega_min
 
 
 def _sample_batch(
@@ -154,7 +170,8 @@ def _sample_batch(
     seed's stream, so results for a given (env, n, n_samples, seed) are
     reproducible and independent of batching by the caller.
     """
-    rng, p_right, trap = _sampler_inputs(env, n, seed, table)
+    rng, table, trap = _sampler_inputs(env, n, seed, table)
+    p_right, base = table.p_right, table.base
     right = np.zeros(n_samples, dtype=np.int64)
     site = np.zeros(n_samples, dtype=np.int64)
     max_abs = np.zeros(n_samples, dtype=np.int64)
@@ -166,7 +183,7 @@ def _sample_batch(
         if k % _DRAW_BLOCK == 0:
             u = rng.random((min(_DRAW_BLOCK, 2 * n - k), n_samples))
         b_counts += trap[site + n]
-        right += u[k % _DRAW_BLOCK] < p_right[k][right]
+        right += u[k % _DRAW_BLOCK] < p_right[base[k] :].take(right)
         site = 2 * right - (k + 1)
         np.maximum(max_abs, np.abs(site), out=max_abs)
         if keep_paths:
@@ -197,11 +214,12 @@ def sample_bridge(
         O(n^2).  A table built for another ``n``, or for an environment
         with other omegas on ``[-n, n]``, raises :class:`DomainError`.
     """
-    rng, p_right, _ = _sampler_inputs(env, n, seed, table)
+    rng, table, _ = _sampler_inputs(env, n, seed, table)
+    p_right, base = table.p_right, table.base
     right = 0
     sites = [0]
     for k, u in enumerate(rng.random(2 * n).tolist()):
-        if u < p_right[k][right]:
+        if u < p_right[base[k] + right]:
             right += 1
         sites.append(2 * right - (k + 1))
     return np.array(sites, dtype=np.int64)

@@ -437,8 +437,9 @@ class TestIntegerArguments:
         got, want = INTEGER_ARGUMENTS[call](env, np.int32(1)), INTEGER_ARGUMENTS[call](env, 1)
         if isinstance(want, Environment):
             assert (got.lo, got.hi) == (want.lo, want.hi)
-        elif call == "backward_table":  # cells off the bridge's cone are unset
+        elif call == "backward_table":
             assert type(got.n) is int and got.n == want.n
+            assert np.array_equal(got.p_right, want.p_right, equal_nan=True)
         else:
             assert np.array_equal(got, want)
 

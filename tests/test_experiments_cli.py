@@ -833,7 +833,8 @@ class TestSampleBridgeExperiment:
             assert all(abs(a - b) == 1 for a, b in zip(sites, sites[1:]))
 
     def test_builds_no_backward_log_table(self, workdir, capsys, monkeypatch):
-        # one step table per task, shaped (2n, n + 1): no log table is built
+        # one step table per task, packed to its n^2 + 2n cone cells: no log
+        # table is built
         built = []
         build = rwre.sampling.backward_table
 
@@ -858,7 +859,7 @@ class TestSampleBridgeExperiment:
         )
         out_root = workdir / "runs"
         assert run_cli(capsys, "sample-bridge", cfg, out_root)[0] == 0
-        assert sorted(built) == [(3, (6, 4))] * 2 + [(5, (10, 6))] * 2
+        assert sorted(built) == [(3, (15,))] * 2 + [(5, (35,))] * 2
 
     def test_thread_invariance_of_sampled_output(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)

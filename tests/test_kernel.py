@@ -564,6 +564,21 @@ def with_omega(env: Environment, x: int, omega: float) -> Environment:
     return Environment(env.lo, om)
 
 
+def truncated_bridge(env: Environment, n: int, floor: float) -> tuple[float, float, float]:
+    """``bridge_log_prob(env, n, floor, with_error_bound=True)`` and the log
+    of the mass ``d`` that its ``n``-step pass dropped."""
+    disc_logs = []
+
+    def spied(*args):
+        for state in _propagate(*args):
+            disc_logs.append(state[3])
+            yield state
+
+    with mock.patch.object(kernel, "_propagate", spied):
+        lp, bound = bridge_log_prob(env, n, truncation=floor, with_error_bound=True)
+    return lp, bound, disc_logs[-1]
+
+
 class TestHalfLengthBridge:
     """The ``n``-step bridge by reversibility against the ``2n``-step DP
     and enumeration."""
@@ -641,7 +656,7 @@ class TestHalfLengthBridge:
     def test_truncation_loss_is_at_most_2_root_p_dropped(self):
         # a coarse floor drops mass at early states that still feeds kept
         # cells; ||K~||_2 <= 1 bounds the loss by 2 sqrt(P) times the mass
-        # dropped, which the bound 2 * dropped contains
+        # dropped, which the bound 2 * dropped (P near 1 here) contains
         n = 6
         env = Environment(-2 * n, np.array([
             0.95, 0.7, 0.5, 0.3, 0.99, 0.01, 0.7, 0.01, 0.7, 0.99, 0.99, 0.99, 0.05,
@@ -652,6 +667,29 @@ class TestHalfLengthBridge:
         assert loss > 0.0
         assert loss <= math.sqrt(exact) * math.exp(bound) * (1.0 + 1e-12)
         assert loss <= math.exp(bound)
+
+    @settings(max_examples=40, deadline=None)
+    @given(envs_strategy(10), st.integers(1, 5), st.sampled_from([0.01, 0.1, 0.3, 0.6]))
+    def test_quadratic_bound_sandwiches_the_enumeration(self, env, n, floor):
+        lp, bound, log_d = truncated_bridge(env, n, floor)
+        exact = oracles.bridge_probability(env, n)
+        assert math.exp(lp) <= exact * (1.0 + 1e-12)
+        assert exact <= (math.exp(lp) + math.exp(bound)) * (1.0 + 1e-12)
+        # never looser than the earlier bound 2 d
+        assert bound <= math.log(2.0) + log_d
+
+    @pytest.mark.parametrize("p,n,floor", [(0.8, 40, 1e-4), (0.9, 20, 1e-3)])
+    def test_quadratic_bound_certifies_where_2d_did_not(self, p, n, floor):
+        # the drift keeps P small, while the early states, still of mass
+        # near 1, drop d: the earlier bound 2 d is above P, the new one below
+        env = homogeneous_env(p, -2 * n, 2 * n)
+        lp, bound, log_d = truncated_bridge(env, n, floor)
+        want = math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) + n * math.log(p * (1 - p))
+        assert math.log(2.0) + log_d >= want
+        assert bound < want
+        tol = 1e-12 * abs(want)
+        assert lp <= want + tol
+        assert want <= np.logaddexp(lp, bound) + tol
 
 
 class TestBenchmarkReference:

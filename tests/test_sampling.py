@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -81,10 +82,12 @@ class TestBackwardTable:
         env = random_env(2, -6, 6)
         table = backward_table(env, 3)
         assert table.n == 3
-        assert table.p_right.shape == (6, 4)
+        # the cone's rows hold 1, 2, 3, 4, 3, 2 cells, packed in step order
+        assert table.p_right.shape == (15,)
+        assert table.base == [0, 1, 3, 6, 9, 11]
         # the last step must go back to the origin: left from 1, right from -1
-        assert table.p_right[5, 3] == 0.0
-        assert table.p_right[5, 2] == 1.0
+        assert table.p_right[table.base[5] + 3] == 0.0
+        assert table.p_right[table.base[5] + 2] == 1.0
 
     def test_validation(self):
         env = random_env(2, -6, 6)
@@ -129,11 +132,33 @@ class TestStepTable:
         ]
         for env in envs:
             h = oracles.backward_log_table(env, n)
-            p_right = backward_table(env, n).p_right
+            table = backward_table(env, n)
+            p_right, base = table.p_right, table.base
             for k in range(2 * n):
                 lo, hi = max(0, k - n), min(k, n)
                 expected = folded_row(env, n, h, k)
-                assert np.array_equal(p_right[k, lo : hi + 1], expected, equal_nan=True)
+                assert np.array_equal(
+                    p_right[base[k] + lo : base[k] + hi + 1], expected, equal_nan=True
+                )
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 256])
+    def test_stores_only_the_cone(self, n):
+        env = random_env(n, -2 * n, 2 * n)
+        assert backward_table(env, n).p_right.size == n * n + 2 * n
+
+    def test_build_peaks_at_the_table_plus_working_rows(self):
+        # a (2n, n + 1) rectangle would take about n^2 more cells, four
+        # times the margin of 64 rows of n + 1 cells allowed here
+        n = 256
+        env = random_env(0, -2 * n, 2 * n)
+        backward_table(env, n)
+        tracemalloc.start()
+        try:
+            table = backward_table(env, n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= table.p_right.nbytes + 64 * 8 * (n + 1)
 
     def test_degenerate_bridge_detected(self):
         env = Environment(-4, np.ones(9))  # every step forced right
