@@ -409,10 +409,18 @@ class _Outputs:
             fh.write(text)
         self.files.append(name)
 
-    def truncation_bound(self, log_bounds: Iterable[float]) -> None:
-        """Record the largest log bound on mass dropped by truncation (null: none)."""
-        worst = max(log_bounds, default=-math.inf)
-        self.fields["log_discarded_bound"] = None if worst == -math.inf else float(worst)
+    def truncation_bound(self, bounded: Iterable[tuple[float, float]]) -> None:
+        """Record, over the ``(log P, log bound)`` pairs of a run's rows,
+        the largest log bound on mass dropped by truncation and the
+        largest ``log bound - log P`` (both null when nothing was dropped;
+        the second also when a row with a bound reads ``P = 0``), and
+        whether every row's bound lies below its value."""
+        pairs = [(lp, bound) for lp, bound in bounded if bound > -math.inf]
+        worst = max((bound for _, bound in pairs), default=None)
+        rel = max((bound - lp for lp, bound in pairs), default=-math.inf)
+        self.fields["log_discarded_bound"] = worst
+        self.fields["log_rel_bound"] = float(rel) if math.isfinite(rel) else None
+        self.fields["certified"] = bool(rel < 0.0)
 
 
 def _hashable(value: Any) -> Any:
@@ -515,7 +523,7 @@ def _run_bridge_prob(cfg: ExperimentConfig, out: _Outputs) -> None:
 
     rows = _map_seeded(cfg, work)
     out.csv("bridge_prob.csv", "seed,n,log_prob", [row[:3] for row in rows])
-    out.truncation_bound(row[3] for row in rows)
+    out.truncation_bound(row[2:] for row in rows)
 
 
 def _run_confined(cfg: ExperimentConfig, out: _Outputs) -> None:
@@ -544,7 +552,7 @@ def _run_max_disp_exact(cfg: ExperimentConfig, out: _Outputs) -> None:
     cdf_points = cfg.params.get("cdf_points", 33)
 
     def work(env, seed: int, n: int):
-        cdf, bound = _max_disp_cdf(env, n)
+        cdf, bridge = _max_disp_cdf(env, n)
         grid = []
         if cdf_points > 0:
             grid = np.unique(
@@ -552,7 +560,7 @@ def _run_max_disp_exact(cfg: ExperimentConfig, out: _Outputs) -> None:
             ).tolist()
         cdf_rows = [(seed, n, m, cdf(m)) for m in grid]
         q05, med, q95 = [_quantile(cdf, n, q, grid) for q in (0.05, 0.5, 0.95)]
-        return (seed, n, med, q05, q95), cdf_rows, bound
+        return (seed, n, med, q05, q95), cdf_rows, bridge
 
     results = _map_seeded(cfg, work)
     out.csv("maxdisp_summary.csv", "seed,n,median,q05,q95", [r[0] for r in results])
@@ -619,7 +627,7 @@ def _run_scaling(cfg: ExperimentConfig, out: _Outputs) -> None:
 
     rows = _map_seeded(cfg, work)
     out.csv("data.csv", "seed,n,log_prob", [row[:3] for row in rows])
-    out.truncation_bound(row[3] for row in rows)
+    out.truncation_bound(row[2:] for row in rows)
 
     target = None
     if mode == "exponent" and regime.tag is Regime.NESTLING:
@@ -733,14 +741,14 @@ def _run_conjecture(cfg: ExperimentConfig, out: _Outputs) -> None:
     betas = cfg.params["beta_grid"]
 
     def work(env, seed: int, n: int) -> tuple[list[tuple], float]:
-        cdf, bound = _max_disp_cdf(env, n)
+        cdf, bridge = _max_disp_cdf(env, n)
         ms = [max(1, round(n / math.log(n) ** beta)) for beta in betas]
-        return [(seed, n, b, m, 1.0 - cdf(m)) for b, m in zip(betas, ms)], bound
+        return [(seed, n, b, m, 1.0 - cdf(m)) for b, m in zip(betas, ms)], bridge
 
     results = _map_seeded(cfg, work)
     rows = [row for chunk, _ in results for row in chunk]
     out.csv("conjecture.csv", "seed,n,beta,M,p_exceed", rows)
-    out.truncation_bound(bound for _, bound in results)
+    out.truncation_bound(bridge for _, bridge in results)
 
 
 _RUNNERS: dict[str, Callable[[ExperimentConfig, _Outputs], None]] = {

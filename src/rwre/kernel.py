@@ -1,16 +1,18 @@
 """Exact quenched probabilities via dynamic programming over site occupation.
 
 All computations propagate occupation mass two steps at a time through
-a fixed environment window (:func:`_propagate`).  Mass is stored linearly
-but rescaled whenever it drifts out of comfortable floating-point range,
+a fixed environment window (:func:`_propagate`); those that read only
+the final state leap ``_LEAP`` two-steps per iteration.  Mass is stored
+linearly but rescaled whenever it drifts out of comfortable floating-point range,
 with the accumulated log scale folded back into every returned value, so
 results are exact log probabilities down to extremely small magnitudes.
 Within one iteration, though, a cell that falls more than about 1e-300
 below the state's largest underflows to exactly 0, and
 ``log_discarded_bound`` does not count it.  With truncation off (bridges
-below ``n = 4096`` by default) wide bridges do lose such cells: 160,407
-forward-cone cells of the states of the ``n``-step pass at ``n = 2048``
-on a nestling law, holding at most about ``e**-675`` of the probability.
+below ``n = 4096`` by default) wide bridges do lose such cells: 19,990
+forward-cone cells of the 129 states that the leaping ``n``-step pass
+computes at ``n = 2048`` on a nestling law, holding at most about
+``e**-675`` of the probability.
 A ``2n``-step bridge propagates only ``n`` steps of a symmetric walk
 with the same bridge paths, and sums the squares of its masses
 (:func:`_bridge_log`).  Confined corridors that run many more steps
@@ -48,10 +50,19 @@ __all__ = [
 ]
 
 # Rescale the linear mass vector when its maximum leaves this band.  The
-# bridge's symmetric walk does not preserve mass; a narrow band keeps the
-# 1e-300 truncation floor out of most of the slow subnormal range.
-_RESCALE_LO = 1e-16
-_RESCALE_HI = 1e16
+# bridge's symmetric walk does not preserve mass; a band this narrow keeps
+# the 1e-300 truncation floor times the maximum a normal double, out of
+# the slow subnormal range.
+_RESCALE_LO = 1e-7
+_RESCALE_HI = 1e7
+
+# Two-steps per iteration of a pass that needs only its final state, the
+# smallest entry a leap's band may hold (a normal double even times the
+# lower end of the rescale band), and the rows per block of the band,
+# built on first use.
+_LEAP = 8
+_LEAP_FLOOR = np.finfo(float).tiny / _RESCALE_LO
+_LEAP_BLOCK = 256
 
 # Above this half length, bridge computations drop relatively negligible
 # sites by default (see bridge_log_prob).
@@ -89,6 +100,7 @@ def _propagate(
     start: int,
     steps: int,
     trunc: float = 0.0,
+    leap: int = 1,
 ):
     """Propagate unit mass from index ``start`` by the step weights
     ``right`` and ``left`` (:func:`_two_step`; ``(om, 1 - om)`` for the
@@ -121,28 +133,51 @@ def _propagate(
     both ends of the window, each end up to its first entry at or above
     that floor, and their mass is added to the bound; entries inside are
     never dropped.
+
+    A ``leap`` above 1 is for callers that read only the final state.
+    After ``(steps // 2) % leap`` plain two-steps, each iteration advances
+    ``leap`` two-steps at once, one sum of products per entry over its
+    band row of the two-step operator's ``leap``-th power (:class:`_Leap`,
+    by ``np.einsum``, never BLAS), and the window grows by up to ``leap``
+    entries per side.  Only every ``leap``-th state is then yielded,
+    truncated and rescaled, and an all-zero state comes after the leap in
+    which the mass ran out.  The leap is shortened, down to the plain
+    two-step core, to the longest whose band entries all stay normal
+    doubles: for ``b`` the smallest positive two-step weight, ``b**leap``
+    must stay at or above ``_LEAP_FLOOR``.  A leap rounds differently from
+    the two-steps it replaces, so its states agree with theirs to
+    rounding, not bit for bit; at ``leap = 1`` every state is as above.
     """
     par = (start + steps) % 2
     stay, from_left, from_right = _two_step(right, left, par)
     h = stay.size
-    # Buffers carry one zero guard cell per side: entry j is buffer cell
-    # j + 1, and the guards' zero mass keeps the edges exact.
-    mass, new, tmp = np.zeros(h + 2), np.zeros(h + 2), np.empty(h)
+    if steps // 2 >= leap > 1:
+        least = min(x.min(where=x > 0.0, initial=np.inf) for x in (stay, from_left, from_right))
+        while leap > 1 and least**leap < _LEAP_FLOOR:
+            leap -= 1
+    else:
+        leap = 1
+    # Buffers carry ``leap`` zero guard cells per side: entry j is buffer
+    # cell j + leap, and the guards' zero mass keeps the edges exact.
+    g = leap
+    mass, new, tmp = np.zeros(h + 2 * g), np.zeros(h + 2 * g), np.empty(h)
+    if leap > 1:
+        jump = _Leap(stay, from_left, from_right, leap)
     k = steps % 2
     # unit mass at start, or one plain step on from it
     first = [(start - 1, left[start]), (start + 1, right[start])] if k else [(start, 1.0)]
     cells = [(i // 2, v) for i, v in first if 0 <= i < right.size]
     for j, v in cells:
-        mass[j + 1] = v
+        mass[j + g] = v
     lo, hi = (cells[0][0], cells[-1][0]) if cells else (0, -1)
     old_lo, old_hi = lo, lo - 1  # window new held two states back
-    a, live = lo, mass[lo + 1 : hi + 2]
+    a, live = lo, mass[lo + g : hi + g + 1]
     scale, disc_log = 0.0, -np.inf
     while True:
         m = live.max(initial=0.0)
         if m == 0.0:
             # everything was killed; later states stay empty
-            yield k, mass[1:-1], scale, disc_log
+            yield k, mass[g:-g], scale, disc_log
             return
         if trunc > 0.0:
             # drop each tail up to its first cell at or above the floor;
@@ -163,24 +198,91 @@ def _propagate(
         if m < _RESCALE_LO or m > _RESCALE_HI:
             live /= m
             scale += float(np.log(m))
-        yield k, mass[1:-1], scale, disc_log
+        yield k, mass[g:-g], scale, disc_log
         if k == steps:
             return
-        k += 2
-        a, b = max(lo - 1, 0), min(hi + 1, h - 1)
+        # a full leap once the plain two-steps have taken the remainder
+        span = leap if (steps - k) // 2 % leap == 0 else 1
+        k += 2 * span
+        a, b = max(lo - span, 0), min(hi + span, h - 1)
         if old_lo < a:
-            new[old_lo + 1 : a + 1] = 0.0
+            new[old_lo + g : a + g] = 0.0
         if old_hi > b:
-            new[b + 2 : old_hi + 2] = 0.0
-        live = new[a + 1 : b + 2]
-        part = tmp[: b - a + 1]
-        np.multiply(mass[a + 1 : b + 2], stay[a : b + 1], out=live)
-        np.multiply(mass[a : b + 1], from_left[a : b + 1], out=part)
-        live += part
-        np.multiply(mass[a + 2 : b + 3], from_right[a : b + 1], out=part)
-        live += part
+            new[b + g + 1 : old_hi + g + 1] = 0.0
+        live = new[a + g : b + g + 1]
+        if span > 1:
+            jump(mass, a, b, live)
+        else:
+            part = tmp[: b - a + 1]
+            np.multiply(mass[a + g : b + g + 1], stay[a : b + 1], out=live)
+            np.multiply(mass[a + g - 1 : b + g], from_left[a : b + 1], out=part)
+            live += part
+            np.multiply(mass[a + g + 1 : b + g + 2], from_right[a : b + 1], out=part)
+            live += part
         mass, new = new, mass
         old_lo, old_hi, lo, hi = lo, hi, a, b
+
+
+class _Leap:
+    """``m`` two-steps at once, by the ``(2m + 1)``-band of the two-step
+    operator's ``m``-th power (:func:`_leap_band`), built block by block
+    for the rows that the leaps reach."""
+
+    def __init__(self, stay, from_left, from_right, m: int):
+        self.m = m
+        self.weights = stay, from_left, from_right
+        self.coeff = np.empty((stay.size, 2 * m + 1))
+        self.built = (0, 0)  # blocks [first, last) hold their rows
+        self.views = {}
+
+    def __call__(self, mass: np.ndarray, a: int, b: int, out: np.ndarray) -> None:
+        """Entries ``a .. b`` of the state ``m`` two-steps on from
+        ``mass``, a buffer with ``m`` zero guard cells per side, into
+        ``out``: one sum of products per entry over its band row."""
+        view = self.views.get(id(mass))
+        if view is None:  # row i is entries i - m .. i + m of the buffer
+            width = 2 * self.m + 1
+            view = np.lib.stride_tricks.as_strided(
+                mass, (mass.size - width + 1, width), mass.strides * 2, writeable=False
+            )
+            self.views[id(mass)] = view
+        np.einsum("ij,ij->i", view[a : b + 1], self._rows(a, b), out=out)
+
+    def _rows(self, a: int, b: int) -> np.ndarray:
+        """Band rows ``a .. b``, building the blocks that hold them."""
+        first, last = self.built
+        lo, hi = a // _LEAP_BLOCK, b // _LEAP_BLOCK + 1
+        if first > lo or hi > last:
+            if first == last:
+                first = last = lo
+            for blk in [*range(lo, first), *range(last, hi)]:
+                i = blk * _LEAP_BLOCK
+                j = min(i + _LEAP_BLOCK, self.coeff.shape[0])
+                self.coeff[i:j] = _leap_band(*self.weights, i, j, self.m)
+            self.built = (min(first, lo), max(last, hi))
+        return self.coeff[a : b + 1]
+
+
+def _leap_band(stay, from_left, from_right, i: int, j: int, m: int) -> np.ndarray:
+    """Rows ``i .. j - 1`` of ``B^m`` for the two-step operator ``B``
+    (:func:`_two_step`) as a band: entry ``(r, t)`` weighs the mass
+    reaching entry ``i + r`` from entry ``i + r - m + t``, and rows off
+    the operator read 0.  Composed as ``B^(s + 1) = B B^s``: each power's
+    row draws on the rows of the last power one to either side."""
+    # rows lo .. hi - 1 of B, one row of ``band`` per offset from -1 to 1
+    lo, hi = i - m + 1, j + m - 1
+    a, b = max(lo, 0), min(hi, stay.size)
+    band = np.zeros((3, hi - lo))
+    band[:, a - lo : b - lo] = from_left[a:b], stay[a:b], from_right[a:b]
+    fl, s, fr = band
+    for r in range(1, m):
+        rows = slice(r, s.size - r)
+        nxt = np.zeros((2 * r + 3, s.size - 2 * r))
+        np.multiply(band[:, 1:-1], s[rows], out=nxt[1:-1])
+        nxt[:-2] += band[:, :-2] * fl[rows]
+        nxt[2:] += band[:, 2:] * fr[rows]
+        band = nxt
+    return band.T
 
 
 def _logsumexp(values: np.ndarray) -> float:
@@ -221,10 +323,14 @@ def _bridge_log(om: np.ndarray, n: int, trunc: float) -> tuple[float, float]:
     for ``sqrt(P)``, this gives ``sqrt(P) <= d + sqrt(d^2 + P~)``, so the
     bound is ``2 d (d + sqrt(d^2 + P~))``, taken in the log domain, or
     ``2 d`` (``sqrt(P) <= 1``) where that is smaller.
+
+    The pass leaps ``_LEAP`` two-steps per iteration, so it truncates
+    only every ``2 * _LEAP`` steps; the bound holds wherever mass is
+    dropped.  Its result agrees with the two-step recursion to rounding.
     """
     s = np.sqrt(om[:-1] * (1.0 - om[1:]))
     right, left = np.append(s, 0.0), np.insert(s, 0, 0.0)
-    for _, mass, scale, disc_log in _propagate(right, left, om.size // 2, n, trunc):
+    for _, mass, scale, disc_log in _propagate(right, left, om.size // 2, n, trunc, leap=_LEAP):
         pass
     log_p = _final_log(np.square(mass), 2.0 * scale, None)
     log_root = np.logaddexp(disc_log, 0.5 * np.logaddexp(2.0 * disc_log, log_p))
@@ -328,7 +434,7 @@ def confined_log_prob(
     squaring path is about ``steps * (2M - 1) * 2**-53`` relative in P.
     The DP of a bridge corridor propagates ``steps / 2`` steps of the
     symmetric walk and sums the squared masses, as :func:`bridge_log_prob`
-    does.
+    does; both DPs leap several two-steps per iteration (``_propagate``).
     """
     steps, M = _check_site("steps", steps), _check_site("M", M)
     if steps < 0:
@@ -345,34 +451,38 @@ def _confined_log(om: np.ndarray, steps: int, bridge: bool) -> float:
     """Log mass that survives ``steps`` killing steps from the centre of
     ``om`` (only the mass back at the centre when ``bridge``): by squaring
     where the cost model prefers it and its guard holds, else by the DP."""
-    if _prefers_squaring(om.size, steps):
+    if _prefers_squaring(om.size, steps, bridge):
         logp = _squared_log(om, steps, bridge)
         if logp is not None:
             return logp
     if bridge:
         return _bridge_log(om, steps // 2, 0.0)[0]
-    for _, mass, scale, _ in _propagate(om, 1.0 - om, om.size // 2, steps):
+    for _, mass, scale, _ in _propagate(om, 1.0 - om, om.size // 2, steps, leap=_LEAP):
         pass
     return _final_log(mass, scale, None)
 
 
-def _prefers_squaring(w: int, steps: int) -> bool:
+def _prefers_squaring(w: int, steps: int, bridge: bool) -> bool:
     """Whether squaring is predicted to beat the DP over ``w`` sites.
 
-    Seconds per call on a 2-vCPU x86-64 host (numpy 2.4): the DP costs
-    about ``4e-6 + 2e-9 w`` per step, fitted to the one-step DP (the
-    two-step DP measures ``2.7e-6 + 1e-9 w``, and a bridge corridor's DP
-    propagates only ``steps / 2`` steps, :func:`_bridge_log`; the rule is
-    kept as it was on purpose, so each corridor stays on its path);
-    squaring costs about
-    ``1e-5 + 3e-10 h^3`` per bit of ``steps // 2``, one matrix product of
-    the ``h = (w + 1) / 2`` sites of one parity plus the vector's.
+    Seconds per call on a 2-vCPU x86-64 host (numpy 2.4), fitted to
+    alternating timings of both paths on every corridor that the
+    ``maxdisp_probe`` and ``corridor_long`` benchmarks probe and on a grid
+    of 15-1023 sites by 512-32768 steps.  The DP takes ``t = steps / 2``
+    two-steps of a plain corridor and ``t = steps / 4`` of a bridge
+    corridor (:func:`_bridge_log`), ``_LEAP`` at a time, and costs about
+    ``2e-4 + 1e-6 h + (t / _LEAP) (7e-6 + 1.2e-8 h)``: the set-up, the
+    band rows, and one leap over the ``h = (w + 1) / 2`` sites of one
+    parity.
+    Squaring costs about ``1.3e-5 + 3.5e-10 h^3`` per bit of ``steps //
+    2``, one matrix product plus the vector's.
     """
-    if w < 3:
+    if w < 3 or steps < 2:
         return False
     h = (w + 1) // 2
     bits = (steps // 2).bit_length()
-    return bits * (1e-5 + 3e-10 * h**3) < steps * (4e-6 + 2e-9 * w)
+    leaps = (steps // 4 if bridge else steps // 2) / _LEAP
+    return bits * (1.3e-5 + 3.5e-10 * h**3) < 2e-4 + 1e-6 * h + leaps * (7e-6 + 1.2e-8 * h)
 
 
 # Every entry of a squaring operand that the reach pattern says is positive
@@ -457,8 +567,8 @@ def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
 
 
 def _max_disp_cdf(env: Environment, n: int):
-    """``(cdf, log_discarded_bound)`` for the maximal displacement of a
-    2n-step bridge.
+    """``(cdf, (log P, log_discarded_bound))`` for the maximal displacement
+    of a 2n-step bridge and its probability ``P``.
 
     ``cdf(M) = P(max_k |X_k| < M | X_{2n} = 0)`` is memoized: one bridge
     probability, then one confined propagation per distinct ``M <= n``
@@ -471,8 +581,9 @@ def _max_disp_cdf(env: Environment, n: int):
     bits below 1.0, may depend on the order of the queries, within that
     error.
 
-    The returned bound is the bridge probability's
-    ``log_discarded_bound`` (``-inf`` when truncation dropped nothing).
+    The returned pair is ``bridge_log_prob(env, n,
+    with_error_bound=True)``: the bound is ``-inf`` when truncation
+    dropped nothing.
     """
     n = _check_site("n", n)
     if n < 1:
@@ -496,7 +607,7 @@ def _max_disp_cdf(env: Environment, n: int):
             strip = m
         return value
 
-    return cdf, disc_log
+    return cdf, (bridge_lp, disc_log)
 
 
 def _quantile(cdf, n: int, q: float, known=()) -> int:

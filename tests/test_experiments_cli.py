@@ -729,7 +729,7 @@ class TestMaxDispExperiment:
 
     def test_certified_strips_run_no_corridor_probe(self, workdir, capsys, monkeypatch):
         cfg = small_config(workdir, "max-disp-exact", n_grid="64,128", seeds="0",
-                           cdf_points="17")
+                           cdf_points="33")
         law = rwre.load_distribution(workdir / "dist.txt")
         ns = (64, 128)
         envs = {n: rwre.sample_environment(law, 0, -2 * n, 2 * n) for n in ns}
@@ -1256,6 +1256,9 @@ class TestTruncationBound:
         _, manifest = run_once(capsys, workdir, "conjecture-explore", cfg, "runs")
         bound = manifest["log_discarded_bound"]
         assert math.isfinite(bound) if finite else bound is None
+        # the bound of the bridge that normalizes the CDF, against its value
+        assert (manifest["log_rel_bound"] is not None) == finite
+        assert manifest["certified"] is True
 
     def test_max_disp_records_the_bound(self, workdir, capsys):
         cfg = small_config(workdir, "max-disp-exact")
@@ -1265,6 +1268,37 @@ class TestTruncationBound:
     def test_untracked_experiments_have_no_bound_field(self, workdir, capsys):
         _, manifest = run_once(capsys, workdir, "kappa", small_config(workdir, "kappa"), "k")
         assert "log_discarded_bound" not in manifest
+        assert "log_rel_bound" not in manifest and "certified" not in manifest
+
+    @pytest.mark.parametrize("truncation,certified", [
+        ("0.3", False), ("1e-8", True), (None, True),
+    ])
+    def test_certified_only_where_every_bound_is_below_its_value(
+        self, workdir, capsys, truncation, certified
+    ):
+        # a coarse floor drops mass of the early states, whose scale is
+        # near 1, so its bound exceeds P; the default drops nothing here
+        keys = {"n_grid": "48,64", "seeds": "0,1"}
+        if truncation is not None:
+            keys["truncation"] = truncation
+        cfg = small_config(workdir, "bridge-prob", **keys)
+        csv, manifest = run_once(capsys, workdir, "bridge-prob", cfg, "runs")
+        assert manifest["certified"] is certified
+        if truncation is None:
+            assert manifest["log_discarded_bound"] is None
+            assert manifest["log_rel_bound"] is None
+            return
+        rows = [line.split(",") for line in csv["bridge_prob.csv"].decode().splitlines()[1:]]
+        law = rwre.load_distribution(workdir / "dist.txt")
+        worst = -math.inf
+        for seed, n, lp in rows:
+            env = rwre.sample_environment(law, int(seed), -2 * int(n), 2 * int(n))
+            got, bound = rwre.bridge_log_prob(env, int(n), truncation=float(truncation),
+                                              with_error_bound=True)
+            assert got == float(lp)
+            worst = max(worst, bound - got)
+        assert manifest["log_rel_bound"] == worst
+        assert (worst < 0.0) is certified
 
 
 def set_raw(cfg, key, raw):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+from contextlib import contextmanager
 from itertools import zip_longest
 from pathlib import Path
 from unittest import mock
@@ -59,6 +60,15 @@ def envs_strategy(half_width: int = 10):
     )
 
 
+@contextmanager
+def full_leaps():
+    """Spy on the band builder of the leaping core, checking that every
+    band it builds is for a full leap of ``kernel._LEAP`` two-steps."""
+    with mock.patch.object(kernel, "_leap_band", wraps=kernel._leap_band) as band:
+        yield band
+    assert all(call.args[-1] == kernel._LEAP for call in band.call_args_list)
+
+
 class TestBridgeLogProb:
     @pytest.mark.parametrize("p", [0.3, 0.5, 0.8])
     def test_two_step_closed_form(self, p):
@@ -83,8 +93,12 @@ class TestBridgeLogProb:
         # more than the double range
         env = homogeneous_env(p, -2 * n, 2 * n)
         want = math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) + n * math.log(p * (1 - p))
-        for got in (bridge_log_prob(env, n), bridge_log_prob(env, n, truncation=0.0),
-                    confined_log_prob(env, 2 * n, n + 1, require_bridge=True)):
+        for call in (lambda: bridge_log_prob(env, n),
+                     lambda: bridge_log_prob(env, n, truncation=0.0),
+                     lambda: confined_log_prob(env, 2 * n, n + 1, require_bridge=True)):
+            with full_leaps() as band:
+                got = call()
+            band.assert_called()
             assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -93,7 +107,9 @@ class TestBridgeLogProb:
         law = SiteDistribution(support=(0.93, 0.98), weights=(0.5, 0.5))
         env = sample_environment(law, seed, -2 * n, 2 * n)
         want = oracles.backward_log_table(env, n)[0, n + 1]
-        got = bridge_log_prob(env, n)
+        with full_leaps() as band:
+            got = bridge_log_prob(env, n)
+        band.assert_called()
         assert abs(got - want) <= 1e-12 * abs(want), (got, want)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -209,12 +225,12 @@ def dp_log(om: np.ndarray, steps: int, bridge: bool) -> float:
     return _final_log(mass, scale, start // 2 if bridge else None)
 
 
-def assert_close_log(got: float, want: float) -> None:
-    """Within 1e-12 relative in the log; for ``|log P| < 1``, 1e-12 in P."""
+def assert_close_log(got: float, want: float, rel: float = 1e-12) -> None:
+    """Within ``rel`` relative in the log; for ``|log P| < 1``, ``rel`` in P."""
     if want == -np.inf:
         assert got == -np.inf
     else:
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), (got, want)
+        assert abs(got - want) <= rel * max(1.0, abs(want)), (got, want)
 
 
 class TestSquaringPath:
@@ -245,17 +261,22 @@ class TestSquaringPath:
         # unguarded product would flush entries that the answer needs
         env = Environment(-64, np.full(129, omega))
         om = env.slice(-63, 63)
-        assert _prefers_squaring(om.size, 20000)
+        assert _prefers_squaring(om.size, 20000, True)
         assert _squared_log(om, 20000, True) is None
         got = confined_log_prob(env, 20000, 64, require_bridge=True)
         assert got == kernel._bridge_log(om, 10000, 0.0)[0]
         assert_close_log(got, dp_log(om, 20000, True))
 
     def test_dispatch_points(self):
-        assert _prefers_squaring(127, 65536)
-        assert not _prefers_squaring(2049, 4096)
-        assert not _prefers_squaring(1, 10**6)
-        assert not _prefers_squaring(127, 0)
+        assert _prefers_squaring(127, 65536, True)
+        assert not _prefers_squaring(2049, 4096, True)
+        assert not _prefers_squaring(1, 10**6, False)
+        assert not _prefers_squaring(127, 0, False)
+        # the corridor_long corridors stay on squaring, while the widest
+        # maxdisp_probe corridors leap (measured 1.3-1.8 ms against 8-15 ms)
+        assert _prefers_squaring(15, 16384, True) and _prefers_squaring(127, 16384, True)
+        assert not _prefers_squaring(233, 2048, True)
+        assert not _prefers_squaring(291, 2048, True)
 
     @pytest.mark.parametrize("bridge", [False, True])
     @pytest.mark.parametrize("m,steps", [(1, 0), (1, 6), (1, 4000), (5, 0), (64, 0),
@@ -273,11 +294,11 @@ class TestSquaringPath:
         # corridor_long-shaped calls, plus a corridor wide enough that
         # OpenBLAS's threaded gemm would give other bits at 2 threads
         law = Path(__file__).resolve().parents[1] / "demos" / "dists" / "marginal.txt"
-        calls = [(64, 4096), (64, 2000), (160, 65536)]
+        calls = [(64, 4096), (64, 6000), (160, 131072)]
         for m, steps in calls:
             env = sample_environment(rwre.load_distribution(law), 0, -m, m)
             om = env.slice(-(m - 1), m - 1)
-            assert _prefers_squaring(om.size, steps)
+            assert _prefers_squaring(om.size, steps, True)
             assert _squared_log(om, steps, True) is not None
         code = (
             "import rwre\n"
@@ -300,14 +321,17 @@ class TestSquaringPath:
         assert outputs[0] == outputs[1]
 
 
-def full_rectangle(right_w, left_w, start, steps, trunc=0.0):
+def full_rectangle(right_w, left_w, start, steps, trunc=0.0, leap=1):
     """The two-step propagation recursion by the step weights ``right_w``
     and ``left_w`` over every index of the parity of ``start + steps``,
     after one plain step when ``steps`` is odd, truncating through a mask
     over the whole vector.
     The reference the windowed :func:`_propagate` is held to: its weights
     come from the one-step weights, each two-step weight one product (two
-    summed for staying), so they carry the same bits."""
+    summed for staying), so they carry the same bits.  ``leap`` is taken,
+    so that the reference can stand in for a leaping pass, and ignored:
+    every state is yielded, and without truncation a leap changes the
+    final state by rounding only."""
     w = right_w.size
 
     def right(i):  # one step right from index i; 0 off the weights
@@ -469,6 +493,95 @@ class TestWindowedCore:
                 bridge_log_prob(env, 2, truncation=floor)
 
 
+def log_total(state, index=None) -> float:
+    """``_final_log`` of a yielded ``(k, mass, scale, disc_log)`` state."""
+    return _final_log(state[1], state[2], index)
+
+
+class TestLeap:
+    """The final state of a pass that advances ``kernel._LEAP`` two-steps
+    per iteration, against the two-step recursion."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), w=st.integers(1, 130),
+           steps=st.integers(0, 400), floor=st.sampled_from([0.0, 1e-3, 1e-8, 0.3]),
+           data=st.data())
+    # a single leap in a window narrower than the band, and remainders of 15
+    # steps in the widest windows
+    @example(law=None, seed=0, w=5, steps=16, floor=0.0, data=None)
+    @example(law=None, seed=1, w=130, steps=31, floor=0.3, data=None)
+    @example(law=None, seed=2, w=129, steps=399, floor=1e-8, data=None)
+    def test_final_state_matches_the_full_rectangle(self, law, seed, w, steps, floor, data):
+        start = w // 2 if data is None else data.draw(st.integers(0, w - 1))
+        om = env_for(law, seed, 0, w - 1).slice(0, w - 1)
+        args = (om, 1.0 - om, start, steps)
+        *_, got = _propagate(*args, floor, leap=kernel._LEAP)
+        *_, exact = full_rectangle(*args)
+        index = start // 2 if steps % 2 == 0 else None
+        if floor == 0.0:
+            # a leap yields an all-zero state after a full leap, not at the
+            # two-step where its mass ran out
+            assert got[0] == exact[0] or not exact[1].any()
+            assert got[3] == -np.inf
+            for i in {None, index}:
+                assert_close_log(log_total(got, i), log_total(exact, i), 1e-13)
+        # the truncation sandwich: the walk loses no more total mass than
+        # the pass dropped
+        lp, truth = log_total(got), log_total(exact)
+        if truth == -np.inf:
+            assert lp == -np.inf
+            return
+        tol = 1e-13 * max(1.0, abs(truth))
+        assert lp <= truth + tol
+        assert truth <= np.logaddexp(lp, got[3]) + tol
+
+    @settings(max_examples=60, deadline=None)
+    @given(law=LAWS, seed=st.integers(0, 2**32 - 1), n=st.integers(1, 200),
+           floor=st.sampled_from([0.0, 1e-3, 1e-8, 0.3]))
+    def test_bridge_sandwich(self, law, seed, n, floor):
+        env = env_for(law, seed, -2 * n, 2 * n)
+        lp, bound = bridge_log_prob(env, n, truncation=floor, with_error_bound=True)
+        exact = dp_log(env.slice(-n, n), 2 * n, True)
+        tol = 1e-13 * max(1.0, abs(exact))
+        if floor == 0.0:
+            assert bound == -np.inf
+            assert abs(lp - exact) <= tol
+        assert lp <= exact + tol
+        assert exact <= np.logaddexp(lp, bound) + tol
+
+    @staticmethod
+    def leap_lengths(call) -> tuple[float, set[int]]:
+        """``call()`` and the leap lengths whose bands it built."""
+        with mock.patch.object(kernel, "_leap_band", wraps=kernel._leap_band) as band:
+            got = call()
+        return got, {c.args[-1] for c in band.call_args_list}
+
+    @pytest.mark.parametrize("n", [60, 300])
+    def test_tiny_weights_shorten_the_leap(self, n):
+        # omega = 1e-40 everywhere: every two-step weight of the symmetric
+        # walk is 1e-40, so a full leap's band would hold subnormal entries
+        env = homogeneous_env(1e-40, -2 * n, 2 * n)
+        assert (1e-40) ** kernel._LEAP < np.finfo(float).tiny
+        got, lengths = self.leap_lengths(lambda: bridge_log_prob(env, n))
+        assert lengths == {kernel._LEAP - 1}
+        want = math.lgamma(2 * n + 1) - 2 * math.lgamma(n + 1) + n * math.log(1e-40 * (1 - 1e-40))
+        assert_close_log(got, want, 1e-13)
+        with mock.patch.object(kernel, "_LEAP", 1):  # the two-step core
+            assert_close_log(got, bridge_log_prob(env, n), 1e-13)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_a_stretch_of_tiny_weights(self, seed):
+        # the walk's two-step weights reach 1e-80 there, the symmetric
+        # walk's 1e-40: each pass takes the longest leap that stays normal
+        n = 400
+        om = random_env(seed, -n, n).slice(-n, n).copy()
+        om[n - 40 : n - 30] = 1e-40
+        for bridge, length in [(True, kernel._LEAP - 1), (False, 3)]:
+            got, lengths = self.leap_lengths(lambda: kernel._confined_log(om, 2 * n, bridge))
+            assert lengths == {length}
+            assert_close_log(got, dp_log(om, 2 * n, bridge), 1e-13)
+
+
 def inside(w: int, start: int):
     """Event on an oracle path from 0: it stays on indices ``[0, w)`` of om
     when shifted to ``start``."""
@@ -569,8 +682,8 @@ def truncated_bridge(env: Environment, n: int, floor: float) -> tuple[float, flo
     of the mass ``d`` that its ``n``-step pass dropped."""
     disc_logs = []
 
-    def spied(*args):
-        for state in _propagate(*args):
+    def spied(*args, **kwargs):
+        for state in _propagate(*args, **kwargs):
             disc_logs.append(state[3])
             yield state
 
@@ -632,7 +745,7 @@ class TestHalfLengthBridge:
         env = random_env(7, -2 * m, 2 * m)
         if omega is not None:
             env = with_omega(env, 3, omega)
-        assert not _prefers_squaring(2 * m - 1, steps)
+        assert not _prefers_squaring(2 * m - 1, steps, True)
         for call, half, width in [(lambda: bridge_log_prob(env, n), n, n),
                                   (lambda: confined_log_prob(env, steps, m, require_bridge=True),
                                    steps // 2, m - 1)]:
@@ -640,7 +753,7 @@ class TestHalfLengthBridge:
                 got = call()
             spy.assert_called_once()
             args, kwargs = spy.call_args
-            assert args[2:4] == (width, half) and not kwargs
+            assert args[2:4] == (width, half) and kwargs == {"leap": kernel._LEAP}
             assert_close_log(got, dp_log(env.slice(-width, width), 2 * half, True))
 
     def test_truncation_bound_at_a_deep_floor(self):
@@ -901,9 +1014,9 @@ def underflowed_cone_cells(env: Environment, n: int) -> int:
     2, ..., n`` steps."""
     zeros = 0
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         nonlocal zeros
-        for k, mass, scale, disc_log in _propagate(*args):
+        for k, mass, scale, disc_log in _propagate(*args, **kwargs):
             # sites n - k .. n + k of the slice, step 2
             zeros += np.count_nonzero(mass[(n - k) // 2 : (n + k) // 2 + 1] == 0.0)
             yield k, mass, scale, disc_log
