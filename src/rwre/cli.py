@@ -32,7 +32,7 @@ _HELP = {
     "scaling": "fit decay exponents or (log n)^2/n constants to exact series",
     "srw-smalldev": "simple-random-walk small-deviation constant",
     "mgf-check": "exit-time MGF: closed form vs series, and the 1 + C/ell bound",
-    "com-check": "change-of-measure identity and sandwich on enumerable bridges",
+    "com-check": "change-of-measure identity and sandwich over all bridges",
     "longest-run": "longest run of fair sites per environment window",
     "conjecture-explore": "P(max >= n/(log n)^beta | bridge) across beta (no gate)",
 }

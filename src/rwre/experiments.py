@@ -31,7 +31,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from functools import partial
 from pathlib import Path
@@ -317,7 +317,7 @@ _SIZES = ("n_samples", "export_paths", "cdf_points")
 
 # experiment -> least n_grid entry it can run (0 where unlisted)
 _LEAST_N = {"max-disp-exact": 1, "sample-bridge": 1, "srw-smalldev": 1,
-            "scaling": 2, "conjecture-explore": 2}
+            "scaling": 2, "conjecture-explore": 2, "com-check": 1}
 
 
 def _validate(experiment: str, params: dict[str, Any]) -> None:
@@ -355,8 +355,6 @@ def _validate(experiment: str, params: dict[str, Any]) -> None:
     least_n = _LEAST_N.get(experiment, 0)
     if min(params.get("n_grid", [least_n])) < least_n:
         raise ConfigError(f"{experiment} requires n_grid entries >= {least_n}")
-    if experiment == "com-check" and any(not 1 <= n <= 8 for n in params["n_grid"]):
-        raise ConfigError("com-check enumerates paths; n_grid entries must be in 1..8")
     if experiment == "scaling":
         mode = params["mode"]
         if mode not in ("exponent", "lnln"):
@@ -686,21 +684,13 @@ def _run_mgf_check(cfg: ExperimentConfig, out: _Outputs) -> None:
 def _run_com_check(cfg: ExperimentConfig, out: _Outputs) -> None:
     dist = cfg.params[_DIST]
     m = cfg.params.get("m", 2)
-    events = [
-        ("bridge", None),
-        (f"bridge_max_lt_{m}", lambda sites: int(np.max(np.abs(sites))) < m),
-    ]
 
     def work(env, seed: int, n: int):
-        report = verify_com_identity(env, n, events, dist)
-        rows = [
-            (r.event, r.lhs, r.rhs, r.lower, r.upper, r.max_abs_violation)
-            for r in report.rows
-        ]
-        return seed, n, rows
+        return seed, n, [astuple(r) for r in verify_com_identity(env, n, m, dist).rows]
 
+    header = "event,log_lhs,log_rhs,log_lower,log_upper,violation"
     for seed, n, rows in _map_seeded(cfg, work):
-        out.csv(f"com-s{seed}-n{n}.csv", "event,lhs,rhs,lower,upper,max_abs_violation", rows)
+        out.csv(f"com-s{seed}-n{n}.csv", header, rows)
 
 
 def _run_longest_run(cfg: ExperimentConfig, out: _Outputs) -> None:

@@ -299,25 +299,29 @@ def _final_log(mass: np.ndarray, scale: float, index: int | None) -> float:
     return -np.inf if v == 0.0 else float(np.log(v)) + scale
 
 
-def _bridge_log(om: np.ndarray, n: int, trunc: float) -> tuple[float, float]:
-    """``(log P, disc_log)`` for ``P`` the probability that a walk from the
-    centre of ``om``, killed on leaving it, is back there after ``2n``
-    steps, and ``disc_log`` a log upper bound on the part of ``P`` lost to
-    the truncation floor ``trunc`` (``-inf`` when nothing was dropped).
+def _bridge_log(right: np.ndarray, left: np.ndarray, n: int, trunc: float) -> tuple[float, float]:
+    """``(log P, disc_log)`` for ``P`` the total weight of the ``2n``-step
+    paths from the centre of the step weights ``right`` and ``left``
+    (:func:`_two_step`) back to it, killed on leaving them, and
+    ``disc_log`` a log upper bound on the part of ``P`` lost to the
+    truncation floor ``trunc`` (``-inf`` when nothing was dropped).  For
+    the walk itself, ``(om, 1 - om)``, ``P`` is the probability of that
+    return.
 
     A path back to the centre crosses each edge ``(x, x + 1)`` as often
-    rightwards as leftwards, so it has the same probability under the
+    rightwards as leftwards, so it has the same weight under the
     symmetric walk ``K~`` that steps across that edge either way with
-    weight ``s[x] = sqrt(om[x] (1 - om[x + 1]))``.  Hence ``P = K~^2n(0,
+    weight ``s[x] = sqrt(right[x] left[x + 1])``.  Hence ``P = K~^2n(0,
     0) = sum_x K~^n(0, x)**2``, the squared masses of one ``n``-step
-    :func:`_propagate` of ``K~``.  An edge that the walk crosses one way
-    only gets ``s = 0`` both ways, so no weight is needed anywhere and
-    every environment is covered.
+    :func:`_propagate` of ``K~``.  An edge with weight 0 one way gets
+    ``s = 0`` both ways, so no weight is needed anywhere and every
+    environment is covered.
 
-    ``K~`` is symmetric, and between two such edges it is ``D^1/2 K
-    D^-1/2`` for the killed walk ``K`` and its reversible measure ``D``,
-    so ``||K~||_2 = rho(K) <= 1``: mass ``d`` dropped at any step moves
-    the final masses by at most ``d`` in the 2-norm.  With ``m~ <= m``
+    The bound holds for the walk's own weights only.  Their ``K~`` is
+    symmetric, and between two such edges it is ``D^1/2 K D^-1/2`` for
+    the killed walk ``K`` and its reversible measure ``D``, so ``||K~||_2
+    = rho(K) <= 1``: mass ``d`` dropped at any step moves the final
+    masses by at most ``d`` in the 2-norm.  With ``m~ <= m``
     the truncated masses, ``P - P~ = sum (m - m~)(m + m~) <= ||m - m~||
     2 ||m|| <= 2 sqrt(P) d`` for ``d`` the mass the pass dropped.  Solved
     for ``sqrt(P)``, this gives ``sqrt(P) <= d + sqrt(d^2 + P~)``, so the
@@ -328,9 +332,9 @@ def _bridge_log(om: np.ndarray, n: int, trunc: float) -> tuple[float, float]:
     only every ``2 * _LEAP`` steps; the bound holds wherever mass is
     dropped.  Its result agrees with the two-step recursion to rounding.
     """
-    s = np.sqrt(om[:-1] * (1.0 - om[1:]))
-    right, left = np.append(s, 0.0), np.insert(s, 0, 0.0)
-    for _, mass, scale, disc_log in _propagate(right, left, om.size // 2, n, trunc, leap=_LEAP):
+    s = np.sqrt(right[:-1] * left[1:])
+    up, down = np.append(s, 0.0), np.insert(s, 0, 0.0)
+    for _, mass, scale, disc_log in _propagate(up, down, right.size // 2, n, trunc, leap=_LEAP):
         pass
     log_p = _final_log(np.square(mass), 2.0 * scale, None)
     log_root = np.logaddexp(disc_log, 0.5 * np.logaddexp(2.0 * disc_log, log_p))
@@ -393,7 +397,8 @@ def bridge_log_prob(
         return (0.0, -np.inf) if with_error_bound else 0.0
     if truncation is None:
         truncation = _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
-    logp, disc_log = _bridge_log(env.slice(-n, n), n, truncation)
+    om = env.slice(-n, n)
+    logp, disc_log = _bridge_log(om, 1.0 - om, n, truncation)
     return (logp, disc_log) if with_error_bound else logp
 
 
@@ -456,7 +461,7 @@ def _confined_log(om: np.ndarray, steps: int, bridge: bool) -> float:
         if logp is not None:
             return logp
     if bridge:
-        return _bridge_log(om, steps // 2, 0.0)[0]
+        return _bridge_log(om, 1.0 - om, steps // 2, 0.0)[0]
     for _, mass, scale, _ in _propagate(om, 1.0 - om, om.size // 2, steps, leap=_LEAP):
         pass
     return _final_log(mass, scale, None)

@@ -64,6 +64,38 @@ def confined_probability(env, steps: int, m: int, require_bridge: bool = False) 
     return event_probability(env, steps, event)
 
 
+def com_sums(env, n: int, m, omega_min: float, consts):
+    """``(lhs, rhs, lower, upper)`` of the change-of-measure check, each a
+    linear sum over the 2n-step bridges (with ``max |X| < m`` unless ``m``
+    is None), by enumeration.
+
+    ``lhs`` sums the path probabilities under ``env``; the others weigh
+    each path's probability under the tilted sites ``rho_max / (rho +
+    rho_max)`` by the density ``rho_max^-n prod ((1 - w) + w rho_max)``
+    and by ``exp(-2 n I0) c^B`` for ``c = c1, c2``, with ``B`` the steps
+    taken from a site above ``omega_min``.  ``consts`` supplies
+    ``rho_max``, ``c1``, ``c2`` and ``I0``.
+    """
+    rho_max, c1, c2 = consts.rho_max, consts.c1, consts.c2
+    damp = math.exp(-2.0 * n * consts.I0)
+    sums = [0.0] * 4
+    for sites in iter_paths(2 * n):
+        if sites[-1] != 0 or (m is not None and int(np.max(np.abs(sites))) >= m):
+            continue
+        p, p_tilt, density, b = 1.0, 1.0, rho_max**-n, 0
+        for k in range(2 * n):
+            w = env.omega(int(sites[k]))
+            w_tilt = rho_max / ((1.0 - w) / w + rho_max)
+            right = sites[k + 1] > sites[k]
+            p *= w if right else 1.0 - w
+            p_tilt *= w_tilt if right else 1.0 - w_tilt
+            density *= (1.0 - w) + w * rho_max
+            b += w > omega_min
+        for i, v in enumerate((p, density * p_tilt, damp * c1**b * p_tilt, damp * c2**b * p_tilt)):
+            sums[i] += v
+    return tuple(sums)
+
+
 def hitting_cdf(env, target: int, horizon: int) -> np.ndarray:
     """P(T_target <= k) for k = 0..horizon by grouping paths by first hit."""
     first_hit_mass = np.zeros(horizon + 1)

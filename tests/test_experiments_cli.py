@@ -216,16 +216,18 @@ class TestConfigErrors:
         code, _, err = run_cli(capsys, "scaling", cfg, workdir / "runs")
         assert code == 2
 
-    def test_com_check_rejects_unenumerable_n(self, workdir, capsys):
+    def test_com_check_n_grid_starts_at_one(self, workdir, capsys):
         dist = write_dist(workdir, NON_NESTLING)
-        cfg = write_config(
-            workdir,
-            "com-check",
-            {"distribution": dist.name, "n_grid": "9", "seeds": "0"},
-        )
-        code, _, err = run_cli(capsys, "com-check", cfg, workdir / "runs")
-        assert code == 2
-        assert "1..8" in err
+        # n = 9 was past the old enumeration cap
+        for n, want in (("0", 2), ("9", 0)):
+            cfg = write_config(
+                workdir,
+                "com-check",
+                {"distribution": dist.name, "n_grid": n, "seeds": "0"},
+            )
+            code, _, err = run_cli(capsys, "com-check", cfg, workdir / "runs")
+            assert code == want, err
+            assert ("n_grid entries >= 1" in err) == (want == 2)
 
     def test_nonpositive_threads(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)
@@ -728,11 +730,24 @@ class TestMaxDispExperiment:
         assert len(probes) == len(set(probes)) > 0
 
     def test_certified_strips_run_no_corridor_probe(self, workdir, capsys, monkeypatch):
-        cfg = small_config(workdir, "max-disp-exact", n_grid="64,128", seeds="0",
-                           cdf_points="33")
-        law = rwre.load_distribution(workdir / "dist.txt")
-        ns = (64, 128)
-        envs = {n: rwre.sample_environment(law, 0, -2 * n, 2 * n) for n in ns}
+        # A fair window whose sites +-(b + 1) push the walk out for good:
+        # no bridge goes past |x| = b.  A corridor that holds those sites
+        # (M > b + 1) trips the squaring guard, and the DP's weights are 0
+        # and 1/2, so at these n it sums the bridge's masses exactly in
+        # binary and reads exactly 1.0.  M = b + 1 would go to squaring,
+        # whose rescaling rounds, so it is off the grid (and no quantile
+        # search reaches it); every M <= b reads below 1.
+        b, ns = 9, (20, 24)
+
+        def barrier_env(dist, seed, lo, hi):
+            om = np.full(hi - lo + 1, 0.5)
+            om[b + 1 - lo], om[-b - 1 - lo] = 1.0, 0.0
+            return rwre.Environment(lo, om)
+
+        monkeypatch.setattr(experiments, "sample_environment", barrier_env)
+        cfg = small_config(workdir, "max-disp-exact", n_grid="20,24", seeds="0",
+                           cdf_points="17")
+        envs = {n: barrier_env(None, 0, -2 * n, 2 * n) for n in ns}
         bridge_lps = {n: rwre.bridge_log_prob(envs[n], n) for n in ns}
         probes = []  # (n, M, cdf(M)) in the order the probes ran
         real_probe = rwre.kernel.confined_log_prob
@@ -746,8 +761,10 @@ class TestMaxDispExperiment:
         monkeypatch.setattr(rwre.kernel, "confined_log_prob", probe)
         csv, _ = run_once(capsys, workdir, "max-disp-exact", cfg, "runs")
         rows = [r.split(",") for r in csv["maxdisp_cdf.csv"].decode().splitlines()[1:]]
-        skipped = 0
+        skipped = {}
         for n in ns:
+            assert all((value == 1.0) == (m > b) for k, m, value in probes if k == n)
+            assert b + 1 not in {m for k, m, _ in probes if k == n}
             strip = n + 1  # the smallest M of the task read as 1 so far
             for k, m, value in probes:
                 if k == n:
@@ -755,15 +772,17 @@ class TestMaxDispExperiment:
                     if value == 1.0:
                         strip = m
             probed = {m for k, m, _ in probes if k == n}
+            skipped[n] = []
             for _, _, m, value in (r for r in rows if int(r[1]) == n):
                 if int(m) in probed or int(m) > n:
                     continue
-                skipped += 1
+                skipped[n].append(int(m))
                 assert value == "1"
                 # the probe the skip replaced
                 joint = real_probe(envs[n], 2 * n, int(m), require_bridge=True)
                 assert abs(min(1.0, float(np.exp(joint - bridge_lps[n]))) - 1.0) <= 1e-12
-        assert skipped >= 4
+        # the grid points above the first one past b, M = 11, which ran
+        assert skipped == {20: [14, 17, 20], 24: [13, 16, 20, 24]}
 
     def test_quantile_bisections_start_inside_the_cdf_grid_bracket(
         self, workdir, capsys, monkeypatch
@@ -991,10 +1010,25 @@ class TestComCheckExperiment:
         (run_dir,) = out_root.iterdir()
         for n in (2, 3):
             header, rows = read_rows(run_dir / f"com-s0-n{n}.csv")
-            assert header == "event,lhs,rhs,lower,upper,max_abs_violation"
+            assert header == "event,log_lhs,log_rhs,log_lower,log_upper,violation"
             assert [r[0] for r in rows] == ["bridge", "bridge_max_lt_2"]
             for row in rows:
                 assert float(row[5]) < 1e-12
+
+    def test_shipped_config_holds_within_tolerance(self, workdir, capsys):
+        cfg = Path(__file__).resolve().parents[1] / "demos" / "configs" / "com_check.ini"
+        out_root = workdir / "runs"
+        assert run_cli(capsys, "com-check", cfg, out_root)[0] == 0
+        (run_dir,) = out_root.iterdir()
+        for n in (2, 3, 4, 100, 1000):
+            for seed in (0, 1):
+                _, rows = read_rows(run_dir / f"com-s{seed}-n{n}.csv")
+                report = rwre.ComReport(
+                    n, tuple(rwre.ComRow(r[0], *map(float, r[1:])) for r in rows)
+                )
+                assert len(report.rows) == 2
+                assert all(math.isfinite(r.log_lhs) for r in report.rows)
+                assert report.ok(), rows
 
 
 class TestLongestRunExperiment:

@@ -264,7 +264,7 @@ class TestSquaringPath:
         assert _prefers_squaring(om.size, 20000, True)
         assert _squared_log(om, 20000, True) is None
         got = confined_log_prob(env, 20000, 64, require_bridge=True)
-        assert got == kernel._bridge_log(om, 10000, 0.0)[0]
+        assert got == kernel._bridge_log(om, 1.0 - om, 10000, 0.0)[0]
         assert_close_log(got, dp_log(om, 20000, True))
 
     def test_dispatch_points(self):
@@ -706,7 +706,7 @@ class TestHalfLengthBridge:
         om = env.slice(-(m - 1), m - 1)
         want = dp_log(om, 2 * n, True)
         assert_close_log(confined_log_prob(env, 2 * n, m, require_bridge=True), want)
-        assert_close_log(kernel._bridge_log(om, n, 0.0)[0], want)
+        assert_close_log(kernel._bridge_log(om, 1.0 - om, n, 0.0)[0], want)
 
     @settings(max_examples=40, deadline=None)
     @given(one_way_windows())
@@ -726,9 +726,10 @@ class TestHalfLengthBridge:
         # exact 0 and 1 cut the slice, near-one-way values do not
         n, om, m = case
         env = Environment(-2 * n, np.pad(np.array(om), n, constant_values=0.5))
+        cut = env.slice(-(m - 1), m - 1)
         cases = [
             (bridge_log_prob(env, n), oracles.bridge_probability(env, n)),
-            (kernel._bridge_log(env.slice(-(m - 1), m - 1), n, 0.0)[0],
+            (kernel._bridge_log(cut, 1.0 - cut, n, 0.0)[0],
              oracles.confined_probability(env, 2 * n, m, require_bridge=True)),
         ]
         for got, exact in cases:

@@ -1,13 +1,16 @@
 """Tests for the bridge-path reweighting between a walk law and its
 fair-site transform: the step-count statistic, the sandwich constants,
-the pathwise log density, and the exhaustive small-n verifier."""
+the pathwise log density, and the verifier of both over all bridges."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from rwre import (
+    ComReport,
+    ComRow,
     DomainError,
     Environment,
     GapError,
@@ -25,6 +28,7 @@ from rwre import (
     sample_environment,
     verify_com_identity,
 )
+from rwre import measure_change
 
 import oracles
 from conftest import NON_NESTLING, homogeneous_env
@@ -207,59 +211,107 @@ class TestRnLogDerivative:
 
 
 class TestVerifyComIdentity:
-    @pytest.mark.parametrize("n", [2, 3])
-    @pytest.mark.parametrize("env_seed", [0, 5])
-    def test_identity_and_sandwich_hold_exhaustively(self, n, env_seed):
-        env = sample_environment(NON_NESTLING, env_seed, -n - 1, n + 1)
-        events = [
-            ("bridge", None),
-            ("confined", lambda s: int(np.abs(s).max()) < 2),
-        ]
-        report = verify_com_identity(env, n, events=events)
+    @pytest.mark.parametrize("m", [None, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("law", [NON_NESTLING, THREE_POINT], ids=["2pt", "3pt"])
+    def test_four_sums_match_enumeration(self, law, n, m):
+        env = sample_environment(law, n, -n - 1, n + 1)
+        report = verify_com_identity(env, n, m=m, dist=law)
+        row = report.rows[-1]
+        assert row.event == ("bridge" if m is None else f"bridge_max_lt_{m}")
+        exact = oracles.com_sums(env, n, m, env.omega_min, com_constants(law))
+        got = (row.log_lhs, row.log_rhs, row.log_lower, row.log_upper)
+        for g, e in zip(got, exact):
+            assert abs(g - math.log(e)) <= 1e-12, (got, exact)
         assert report.ok()
-        assert [row.event for row in report.rows] == ["bridge", "confined"]
-        for row in report.rows:
-            assert row.lhs == pytest.approx(row.rhs, abs=1e-12)
-            assert row.lower <= row.lhs + 1e-12
-            assert row.lhs <= row.upper + 1e-12
 
     def test_bridge_row_matches_kernel_probability(self):
         n = 3
         env = sample_environment(NON_NESTLING, 1, -2 * n, 2 * n)
-        report = verify_com_identity(env, n)
-        assert len(report.rows) == 1
-        assert report.rows[0].lhs == pytest.approx(
-            math.exp(bridge_log_prob(env, n)), abs=1e-13
-        )
+        (row,) = verify_com_identity(env, n).rows
+        assert row.log_lhs == bridge_log_prob(env, n)
 
     def test_three_point_law_keeps_strict_bracket(self):
         env = sample_environment(THREE_POINT, 11, -4, 4)
         report = verify_com_identity(env, 3, dist=THREE_POINT)
         (row,) = report.rows
         assert report.ok()
-        assert row.lower < row.lhs < row.upper
+        assert row.log_lower < row.log_lhs < row.log_upper
 
-    def test_empty_event_list_yields_empty_report(self):
+    @pytest.mark.parametrize(
+        "law,seed,n,m",
+        [
+            (NON_NESTLING, 0, 1000, 20),
+            (THREE_POINT, 0, 1000, 20),
+            # log P ~ -4800: the pass's summed log scale rounds by about 2e-11
+            (THREE_POINT, 5, 4000, 2),
+        ],
+    )
+    def test_identity_holds_at_large_n(self, law, seed, n, m):
+        env = sample_environment(law, seed, -n, n)
+        report = verify_com_identity(env, n, m=m, dist=law)
+        assert report.ok()
+        for row in report.rows:
+            assert math.isfinite(row.log_lhs)
+            assert row.log_lower <= row.log_upper
+
+    def test_ok_tolerance_grows_with_the_step_count_and_the_depth(self):
+        def row(v, depth=0.0):
+            return ComRow("bridge", -depth, v - depth, -depth, -depth, v)
+
+        assert ComReport(3, (row(1e-12),)).ok()
+        assert not ComReport(3, (row(2e-12),)).ok()
+        assert ComReport(1000, (row(2e-12),)).ok()
+        assert not ComReport(1000, (row(3e-12),)).ok()
+        assert ComReport(3, (row(1e-10, 4000.0),)).ok()
+        assert not ComReport(3, (row(2e-10, 4000.0),)).ok()
+        # an impossible event has no depth to round
+        assert not ComReport(3, (ComRow("x", -math.inf, 0.0, 0.0, 0.0, math.inf),)).ok()
+
+    def test_impossible_corridor_gives_a_minus_inf_row(self):
+        # max |X| < 1 pins the walk to the origin, which it must leave
         env = sample_environment(NON_NESTLING, 0, -3, 3)
-        report = verify_com_identity(env, 2, events=[])
-        assert report.rows == ()
+        report = verify_com_identity(env, 2, m=1)
+        row = report.rows[1]
+        assert row.log_lhs == row.log_rhs == row.log_lower == row.log_upper == -math.inf
+        assert row.violation == 0.0
         assert report.ok()
 
-    def test_impossible_event_gives_zero_rows(self):
-        env = sample_environment(NON_NESTLING, 0, -3, 3)
-        report = verify_com_identity(
-            env, 2, events=[("never", lambda s: bool(np.abs(s).max() < 1))]
-        )
-        (row,) = report.rows
-        assert row.lhs == row.rhs == row.lower == row.upper == 0.0
-        assert row.max_abs_violation == 0.0
+    @pytest.mark.parametrize("extra", [1, 2, 40])
+    def test_corridor_wider_than_the_bridge_is_the_bridge(self, extra):
+        n = 5
+        env = sample_environment(THREE_POINT, 2, -60, 60)
+        bridge, corridor = verify_com_identity(env, n, m=n + extra, dist=THREE_POINT).rows
+        assert corridor.event == f"bridge_max_lt_{n + extra}"
+        assert dataclasses.replace(corridor, event="bridge") == bridge
 
-    def test_rejects_enumeration_beyond_limit(self):
+    @pytest.mark.parametrize("n", [3, 100, 1000])
+    def test_swapped_sandwich_constants_fail(self, n, monkeypatch):
+        consts = com_constants(THREE_POINT)
+        swapped = dataclasses.replace(consts, c1=consts.c2, c2=consts.c1)
+        env = sample_environment(THREE_POINT, 0, -n, n)
+        assert verify_com_identity(env, n, m=2, dist=THREE_POINT).ok()
+        monkeypatch.setattr(measure_change, "com_constants", lambda law: swapped)
+        assert not verify_com_identity(env, n, m=2, dist=THREE_POINT).ok()
+
+    @pytest.mark.parametrize("n", [3, 100, 1000])
+    @pytest.mark.parametrize("law", [NON_NESTLING, THREE_POINT], ids=["2pt", "3pt"])
+    def test_perturbed_rho_max_fails(self, law, n, monkeypatch):
+        consts = com_constants(law)
+        nudged = dataclasses.replace(consts, rho_max=consts.rho_max * (1.0 + 1e-9))
+        env = sample_environment(law, 0, -n, n)
+        monkeypatch.setattr(measure_change, "com_constants", lambda law: nudged)
+        assert not verify_com_identity(env, n, m=2, dist=law).ok()
+
+    def test_runs_past_the_old_enumeration_limit(self):
+        env = sample_environment(NON_NESTLING, 0, -9, 9)
+        assert verify_com_identity(env, 9, m=2).ok()
+
+    @pytest.mark.parametrize("n,m", [(0, None), (-1, None), (1.5, None), (2, 0), (2, True)])
+    def test_rejects_bad_sizes(self, n, m):
         env = sample_environment(NON_NESTLING, 0, -10, 10)
         with pytest.raises(DomainError):
-            verify_com_identity(env, 9)
-        with pytest.raises(DomainError):
-            verify_com_identity(env, 0)
+            verify_com_identity(env, n, m=m)
 
     def test_requires_a_source_law(self):
         env = Environment(-3, np.full(7, 0.7))
