@@ -3,8 +3,9 @@
 All computations propagate occupation mass two steps at a time through
 a fixed environment window (:func:`_propagate`); those that read only
 the final state leap ``_LEAP`` two-steps per iteration.  Mass is stored
-linearly but rescaled whenever it drifts out of comfortable floating-point range,
-with the accumulated log scale folded back into every returned value, so
+linearly but rescaled by an exact power of two whenever it drifts out of
+comfortable floating-point range; the scale, an integer sum of exponents,
+is folded back into every returned value with one rounding of its log, so
 results are exact log probabilities down to extremely small magnitudes.
 Within one iteration, though, a cell that falls more than about 1e-300
 below the state's largest underflows to exactly 0, and
@@ -55,6 +56,7 @@ __all__ = [
 # the slow subnormal range.
 _RESCALE_LO = 1e-7
 _RESCALE_HI = 1e7
+_LN2 = math.log(2.0)
 
 # Two-steps per iteration of a pass that needs only its final state, the
 # smallest entry a leap's band may hold (a normal double even times the
@@ -116,14 +118,15 @@ def _propagate(
     Yields ``(k, mass, log_scale, disc_log)`` for ``k = steps % 2,
     steps % 2 + 2, ..., steps``: the scaled linear mass, whose entry ``j``
     is index ``par + 2j`` (index ``i`` is entry ``i // 2``), the log
-    factor to add back, and a log-domain upper bound on all mass dropped
-    by the relative floor ``trunc`` (``-inf`` when nothing was dropped).
-    The mass of state ``k`` leaving the range on step ``k + 1`` is
-    ``left[0] * mass[0]`` on the left if ``par`` is 0 and ``right[-1] *
-    mass[-1]`` on the right if ``right.size - 1`` has parity ``par``,
-    times ``exp(log_scale)``.  Stops early after yielding an
-    all-zero state.  The yielded vector is overwritten later, so callers
-    read it before advancing.
+    factor ``e log 2`` to add back (``e`` an integer, the sum of the
+    exponents of the powers of two the mass was rescaled by), and a
+    log-domain upper bound on all mass dropped by the relative floor
+    ``trunc`` (``-inf`` when nothing was dropped).  The mass of state
+    ``k`` leaving the range on step ``k + 1`` is ``left[0] * mass[0]`` on
+    the left if ``par`` is 0 and ``right[-1] * mass[-1]`` on the right if
+    ``right.size - 1`` has parity ``par``, times ``exp(log_scale)``.
+    Stops early after yielding an all-zero state.  The yielded vector is
+    overwritten later, so callers read it before advancing.
 
     Each iteration computes only a live window of entries and leaves
     exact zeros outside it.  The window grows by at most one entry per
@@ -172,16 +175,16 @@ def _propagate(
     lo, hi = (cells[0][0], cells[-1][0]) if cells else (0, -1)
     old_lo, old_hi = lo, lo - 1  # window new held two states back
     a, live = lo, mass[lo + g : hi + g + 1]
-    scale, disc_log = 0.0, -np.inf
+    scale, disc_log = 0, -np.inf  # mass is scaled by 2**-scale
     while True:
         m = live.max(initial=0.0)
         if m == 0.0:
             # everything was killed; later states stay empty
-            yield k, mass[g:-g], scale, disc_log
+            yield k, mass[g:-g], scale * _LN2, disc_log
             return
         if trunc > 0.0:
             # drop each tail up to its first cell at or above the floor;
-            # the maximum is one, so both scans stop inside the window
+            # the maximum is above it, so both scans stop inside the window
             floor = m * trunc
             dropped = 0.0
             while live[lo - a] < floor:
@@ -191,14 +194,15 @@ def _propagate(
                 dropped += live[hi - a]
                 hi -= 1
             if dropped > 0.0:
-                disc_log = float(np.logaddexp(disc_log, math.log(dropped) + scale))
+                disc_log = float(np.logaddexp(disc_log, math.log(dropped) + scale * _LN2))
             live[: lo - a] = 0.0
             live[hi - a + 1 :] = 0.0
             live = live[lo - a : hi - a + 1]
         if m < _RESCALE_LO or m > _RESCALE_HI:
-            live /= m
-            scale += float(np.log(m))
-        yield k, mass[g:-g], scale, disc_log
+            e = math.frexp(m)[1]
+            np.ldexp(live, -e, out=live)
+            scale += e
+        yield k, mass[g:-g], scale * _LN2, disc_log
         if k == steps:
             return
         # a full leap once the plain two-steps have taken the remainder
@@ -491,21 +495,22 @@ def _prefers_squaring(w: int, steps: int, bridge: bool) -> bool:
 
 
 # Every entry of a squaring operand that the reach pattern says is positive
-# must stay at least this far below the operand's maximum: every product
-# term is then a normal double.
+# must stay at or above this floor once the operand's maximum is scaled
+# into [1/2, 1): every product term is then a normal double.
 _SQUARING_FLOOR = 2.0**-500
 
 
-def _rescaled(x: np.ndarray, positive: int) -> float | None:
-    """Divide ``x`` by its maximum and return the log of that maximum, or
-    ``None`` unless ``positive`` entries stay at or above the floor."""
+def _rescaled(x: np.ndarray, positive: int) -> int | None:
+    """Scale ``x`` by ``2**-e``, its maximum into [1/2, 1), and return
+    ``e``, or ``None`` unless ``positive`` entries stay at or above the floor."""
     top = x.max()
     if not top > 0.0:
         return None
-    x /= top
+    e = math.frexp(top)[1]
+    np.ldexp(x, -e, out=x)
     if np.count_nonzero(x >= _SQUARING_FLOOR) != positive:
         return None
-    return math.log(top)
+    return e
 
 
 def _band_size(h: int, reach: int) -> int:
@@ -526,8 +531,9 @@ def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
     :func:`_propagate` applies (:func:`_two_step`).  ``B^r`` can be positive
     only on ``|i - l| <= r``, and the vector after ``k`` two-steps only on
     the sites within ``k`` of its first support; every other entry is an
-    exact zero.  Every operand is rescaled by its maximum after each
-    product, with the log scales accumulated, and all the entries its
+    exact zero.  After each product every operand is multiplied by the
+    power of two that puts its maximum in [1/2, 1), which rounds nothing,
+    with the exponents summed as integers, and all the entries its
     pattern allows must stay at or above ``_SQUARING_FLOOR`` (they are
     all positive when every ``om`` lies strictly inside (0, 1)), so the
     guard counts them against the pattern's size.  Products go through
@@ -551,7 +557,7 @@ def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
     a_log = _rescaled(a, _band_size(h, 1))
     if scale is None or a_log is None:
         return None
-    reach, k, m = 1, 0, steps // 2  # a = B^reach / exp(a_log); v holds k two-steps
+    reach, k, m = 1, 0, steps // 2  # a = B^reach / 2**a_log; v holds k two-steps
     while m:
         if m & 1:
             v = np.einsum("j,jk->k", v, a)
@@ -567,8 +573,8 @@ def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
             sq_log = _rescaled(a, _band_size(h, reach))
             if sq_log is None:
                 return None
-            a_log = 2.0 * a_log + sq_log
-    return _final_log(v, scale, lo if bridge else None)
+            a_log = 2 * a_log + sq_log
+    return _final_log(v, scale * _LN2, lo if bridge else None)
 
 
 def _max_disp_cdf(env: Environment, n: int):

@@ -183,16 +183,14 @@ class ComReport:
     rows: tuple[ComRow, ...]
 
     def ok(self) -> bool:
-        """Every row's violation is at most ``1e-12 + 2n 2**-50 + L**2
-        2**-57``, ``L = |log_lhs|`` (0 at ``-inf``): each of the ``2n``
-        steps may round a sum by a few parts in ``2**52``, and the pass
-        adds up its log scale (about ``L / 2``) one rescale of at least
-        ``7 log 10`` at a time, each addition rounding by up to ``2**-53``
-        of the total, which dominates in deep corridors."""
+        """Every row's violation is at most ``1e-12 + (2n + L) 2**-50``,
+        ``L = |log_lhs|`` (0 at ``-inf``): each of the ``2n`` steps may
+        round a sum by a few parts in ``2**52``, and the pass's scale, an
+        exact power of two, rounds once when taken to the log."""
 
         def tol(r: ComRow) -> float:
-            depth = r.log_lhs if math.isfinite(r.log_lhs) else 0.0
-            return 1e-12 + 2 * self.n * 2.0**-50 + depth * depth * 2.0**-57
+            depth = abs(r.log_lhs) if math.isfinite(r.log_lhs) else 0.0
+            return 1e-12 + (2 * self.n + depth) * 2.0**-50
 
         return all(r.violation <= tol(r) for r in self.rows)
 

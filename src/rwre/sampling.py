@@ -35,15 +35,12 @@ __all__ = [
 ]
 
 
-# Bridge lengths are capped by the cells a full (2n + 1) x (2n + 3) backward
-# log table would take, although the step table holds only its n^2 + 2n
-# cone cells, about a quarter as many; this keeps the accepted lengths at
-# n <= 6122.
-_MAX_TABLE_ENTRIES = 150_000_000
+# Most cells of a step table, n^2 + 2n of them: n <= 6122 (300 MB).
+_MAX_TABLE_ENTRIES = 37_500_000
 
 
 def _check_table_size(n: int) -> None:
-    if (2 * n + 1) * (2 * n + 3) > _MAX_TABLE_ENTRIES:
+    if n * n + 2 * n > _MAX_TABLE_ENTRIES:
         raise DomainError(
             f"a bridge of 2n = {2 * n} steps exceeds the sampler's "
             f"materialization cap of {_MAX_TABLE_ENTRIES} table cells"
@@ -86,7 +83,7 @@ def backward_table(env: Environment, n: int) -> _StepTable:
     log probabilities ``log P(X_{2n} = 0 | X_k = x)`` of one recursion
     that keeps two rolling log rows and computes only the cells of the
     double cone; row k of the table folds log rows k and k + 1.  Bridge
-    lengths are capped as for a full ``(2n + 1) x (2n + 3)`` log table.
+    lengths are capped at ``n^2 + 2n <= 37,500,000`` cells (n <= 6122).
 
     The environment window must cover ``[-2n, 2n]``.
     """
@@ -121,10 +118,8 @@ def backward_table(env: Environment, n: int) -> _StepTable:
             np.add(log_p[i], nxt[1:], out=u)
             np.add(log_q[i], nxt[:-1], out=d)
             np.logaddexp(u, d, out=here)
-            # u, d become the right and left weights pr, pl, then pr + pl
-            np.exp(np.subtract(u, here, out=u), out=u)
-            np.exp(np.subtract(d, here, out=d), out=d)
-            np.divide(u, np.add(u, d, out=d), out=p_right[s : s + m])
+            # here >= u, so the right-step probability is at most 1
+            np.exp(np.subtract(u, here, out=u), out=p_right[s : s + m])
     if here[0] == -np.inf:
         raise DegenerateBridgeError(
             "conditioning event X_{2n} = 0 has zero probability"

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 
 import oracles
 import rwre
+import rwre.cli
 from conftest import MARGINAL, NESTLING_K2, NON_NESTLING, homogeneous_env
 from rwre import (
     DegenerateBridgeError,
@@ -42,6 +44,8 @@ from rwre.kernel import _final_log, _prefers_squaring, _propagate, _squared_log
 # ln of the 20-step fair-walk return probability C(20,10)/2^20, frozen from
 # an exact rational evaluation.
 LOG_FAIR_RETURN_N10 = -1.7361522965964517491
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def random_env(seed: int, lo: int, hi: int) -> Environment:
@@ -100,6 +104,17 @@ class TestBridgeLogProb:
                 got = call()
             band.assert_called()
             assert abs(got - want) <= 1e-12 * abs(want), (got, want)
+
+    def test_deep_bridge_rounds_its_scale_once(self):
+        # log P ~ -64600: one rounding per step and one of the scale's log;
+        # a log scale summed rescale by rescale misses by 1.6e-10
+        import mpmath as mp
+
+        n, p = 20000, 0.99
+        got = bridge_log_prob(homogeneous_env(p, -2 * n, 2 * n), n, truncation=0.0)
+        with mp.workdps(40):
+            want = mp.log(mp.binomial(2 * n, n)) + n * mp.log(mp.mpf(p) * (1 - mp.mpf(p)))
+            assert abs(mp.mpf(got) - want) <= (2 * n + abs(got)) * 2.0**-50
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_strong_drift_matches_the_log_recursion(self, seed):
@@ -293,7 +308,7 @@ class TestSquaringPath:
     def test_bits_do_not_depend_on_blas_threads(self):
         # corridor_long-shaped calls, plus a corridor wide enough that
         # OpenBLAS's threaded gemm would give other bits at 2 threads
-        law = Path(__file__).resolve().parents[1] / "demos" / "dists" / "marginal.txt"
+        law = ROOT / "demos" / "dists" / "marginal.txt"
         calls = [(64, 4096), (64, 6000), (160, 131072)]
         for m, steps in calls:
             env = sample_environment(rwre.load_distribution(law), 0, -m, m)
@@ -331,7 +346,8 @@ def full_rectangle(right_w, left_w, start, steps, trunc=0.0, leap=1):
     summed for staying), so they carry the same bits.  ``leap`` is taken,
     so that the reference can stand in for a leaping pass, and ignored:
     every state is yielded, and without truncation a leap changes the
-    final state by rounding only."""
+    final state by rounding only.  Rescales are by the power of two that
+    puts the maximum in [1/2, 1), with the exponents summed as integers."""
     w = right_w.size
 
     def right(i):  # one step right from index i; 0 off the weights
@@ -350,20 +366,21 @@ def full_rectangle(right_w, left_w, start, steps, trunc=0.0, leap=1):
     for i, v in first:
         if 0 <= i < w:
             mass[i // 2] = v
-    scale, disc_log = 0.0, -np.inf
+    ln2, exponent, disc_log = math.log(2.0), 0, -np.inf  # mass is scaled by 2**-exponent
     while True:
         m = mass.max(initial=0.0)
         if m == 0.0:
-            yield k, mass, scale, disc_log
+            yield k, mass, exponent * ln2, disc_log
             return
         small = (mass > 0.0) & (mass < m * trunc)
         if small.any():
-            disc_log = np.logaddexp(disc_log, math.log(mass[small].sum()) + scale)
+            disc_log = np.logaddexp(disc_log, math.log(mass[small].sum()) + exponent * ln2)
             mass[small] = 0.0
         if m < kernel._RESCALE_LO or m > kernel._RESCALE_HI:
-            mass /= m
-            scale += math.log(m)
-        yield k, mass, scale, disc_log
+            e = math.frexp(m)[1]
+            mass = np.ldexp(mass, -e)
+            exponent += e
+        yield k, mass, exponent * ln2, disc_log
         if k == steps:
             return
         k += 2
@@ -806,16 +823,23 @@ class TestHalfLengthBridge:
         assert want <= np.logaddexp(lp, bound) + tol
 
 
+def benchmark_reference(workload: str, slot: str) -> dict:
+    """The reference outputs of one slot of a repository benchmark workload."""
+    path = ROOT / "perfbench" / "reference" / f"{workload}.json"
+    return json.loads(path.read_text(encoding="utf-8"))["slots"][slot]
+
+
+def demo_law(name: str) -> SiteDistribution:
+    return rwre.load_distribution(ROOT / "demos" / "dists" / name)
+
+
 class TestBenchmarkReference:
-    """``bridge_log_prob`` at the widths of the repository benchmark."""
+    """The package against the reference outputs of the repository benchmark."""
 
     @pytest.mark.parametrize("slot", ["0", "1"])
     def test_bridge_wide_reference(self, slot):
-        root = Path(__file__).resolve().parents[1]
-        ref = json.loads((root / "perfbench" / "reference" / "bridge_wide.json")
-                         .read_text(encoding="utf-8"))
-        rows = ref["slots"][slot]["bridge_prob.csv"]["rows"]
-        law = rwre.load_distribution(root / "demos" / "dists" / "nestling_k2.txt")
+        rows = benchmark_reference("bridge_wide", slot)["bridge_prob.csv"]["rows"]
+        law = demo_law("nestling_k2.txt")
         assert len(rows) == 3
         for row in rows:
             seed, n, want = row.split(",")
@@ -825,10 +849,8 @@ class TestBenchmarkReference:
 
     @pytest.mark.parametrize("slot", ["0", "1"])
     def test_maxdisp_probe_reference(self, slot):
-        root = Path(__file__).resolve().parents[1]
-        ref = json.loads((root / "perfbench" / "reference" / "maxdisp_probe.json")
-                         .read_text(encoding="utf-8"))["slots"][slot]
-        law = rwre.load_distribution(root / "demos" / "dists" / "nestling_k2.txt")
+        ref = benchmark_reference("maxdisp_probe", slot)
+        law = demo_law("nestling_k2.txt")
         assert ref["maxdisp_summary.csv"]["header"] == "seed,n,median,q05,q95"
         assert ref["maxdisp_cdf.csv"]["header"] == "seed,n,m,cdf"
         summary, keys, values = [], [], []
@@ -846,6 +868,44 @@ class TestBenchmarkReference:
         want = [row.rsplit(",", 1) for row in ref["maxdisp_cdf.csv"]["rows"]]
         assert keys == [key for key, _ in want]
         assert np.max(np.abs(np.array(values) - [float(v) for _, v in want])) <= 1e-12
+
+    @pytest.mark.parametrize("slot", ["0", "1"])
+    def test_corridor_long_reference(self, slot):
+        rows = benchmark_reference("corridor_long", slot)["confined.csv"]["rows"]
+        law = demo_law("marginal.txt")
+        assert len(rows) == 8
+        for row in rows:
+            seed, n, m, want = row.split(",")
+            env = sample_environment(law, int(seed), -int(m), int(m))
+            got = confined_log_prob(env, 2 * int(n), int(m), require_bridge=True)
+            assert abs(got - float(want)) <= 1e-12 * abs(float(want)), row
+
+    def test_bridge_sampling_reference(self, tmp_path, capsys):
+        # the sample-bridge run of slot 0, through the command line
+        ref = benchmark_reference("bridge_sampling", "0")
+        config = tmp_path / "sample.ini"
+        config.write_text(
+            "[sample-bridge]\n"
+            f"distribution = {ROOT / 'demos' / 'dists' / 'nestling_k2.txt'}\n"
+            "n_grid = 512, 2048\nseeds = 0\nn_samples = 2000\nexport_paths = 8\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "runs"
+        assert rwre.cli.main(["sample-bridge", "--config", str(config), "--out", str(out)]) == 0
+        capsys.readouterr()
+        (run_dir,) = out.iterdir()
+        header, *rows = (run_dir / "sampler_summary.csv").read_text(encoding="utf-8").splitlines()
+        want = ref.pop("sampler_summary.csv")
+        assert header == want["header"]
+        assert len(rows) == len(want["rows"]) == 2
+        for got_row, want_row in zip(rows, want["rows"]):
+            *got_ints, got_mean = got_row.split(",")
+            *want_ints, want_mean = want_row.split(",")
+            assert got_ints == want_ints
+            assert abs(float(got_mean) - float(want_mean)) <= 1e-12 * float(want_mean)
+        paths = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                 for p in run_dir.glob("path-*.csv")}
+        assert paths == {name: rec["sha256"] for name, rec in ref.items()}
 
 
 def occupation(env: Environment, lo: int, hi: int, start: int, steps: int) -> np.ndarray:

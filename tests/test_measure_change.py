@@ -243,7 +243,8 @@ class TestVerifyComIdentity:
         [
             (NON_NESTLING, 0, 1000, 20),
             (THREE_POINT, 0, 1000, 20),
-            # log P ~ -4800: the pass's summed log scale rounds by about 2e-11
+            # log P ~ -4800: the deepest row, where an error growing like
+            # (log P)^2 would show
             (THREE_POINT, 5, 4000, 2),
         ],
     )
@@ -263,8 +264,10 @@ class TestVerifyComIdentity:
         assert not ComReport(3, (row(2e-12),)).ok()
         assert ComReport(1000, (row(2e-12),)).ok()
         assert not ComReport(1000, (row(3e-12),)).ok()
-        assert ComReport(3, (row(1e-10, 4000.0),)).ok()
-        assert not ComReport(3, (row(2e-10, 4000.0),)).ok()
+        # 1e-12 + (6 + 4000) 2**-50 = 4.56e-12: linear in the depth
+        assert ComReport(3, (row(4.5e-12, 4000.0),)).ok()
+        assert not ComReport(3, (row(4.6e-12, 4000.0),)).ok()
+        assert not ComReport(3, (row(1e-10, 4000.0),)).ok()
         # an impossible event has no depth to round
         assert not ComReport(3, (ComRow("x", -math.inf, 0.0, 0.0, 0.0, math.inf),)).ok()
 

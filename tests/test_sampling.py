@@ -104,17 +104,13 @@ def stream_digest(*arrays) -> str:
 
 
 def folded_row(env, n, h, k):
-    """Right-step probabilities of the cone sites of step k, by the
-    per-sample expressions of the log-table sampler on a backward table."""
+    """Right-step probabilities of the cone sites of step k, folded from
+    rows k and k + 1 of a backward log table."""
     om = env.slice(-n, n)
     with np.errstate(divide="ignore", invalid="ignore"):
-        log_p, log_q = np.log(om), np.log1p(-om)
         c = min(k, 2 * n - k)
         i = np.arange(-c, c + 1, 2) + n
-        here = h[k, i + 1]
-        pr = np.exp(log_p[i] + h[k + 1, i + 2] - here)
-        pl = np.exp(log_q[i] + h[k + 1, i] - here)
-        return pr / (pr + pl)
+        return np.exp(np.log(om)[i] + h[k + 1, i + 2] - h[k, i + 1])
 
 
 class TestStepTable:
@@ -168,11 +164,14 @@ class TestStepTable:
             sample_bridge(env, 2, 0)
 
     def test_size_cap_matches_backward_table(self, monkeypatch):
-        # the cap counts the (2n + 1) x (2n + 3) cells of the full log table
+        # the cap counts the n^2 + 2n cells of the step table
+        rwre.sampling._check_table_size(6122)  # 37,492,128 cells
+        with pytest.raises(DomainError, match="materialization cap"):
+            rwre.sampling._check_table_size(6123)
         env = random_env(3, -16, 16)
-        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 17 * 19)
+        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 80)
         backward_table(env, 8)
-        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 17 * 19 - 1)
+        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 79)
         with pytest.raises(DomainError, match="2n = 16 steps .* materialization cap"):
             backward_table(env, 8)
         with pytest.raises(DomainError, match="materialization cap"):
