@@ -63,7 +63,6 @@ from .errors import (
     GapError,
     NotABridgeError,
     OrderingError,
-    OutOfWindowError,
     ParityError,
     RegimeError,
     RwreError,
@@ -149,7 +148,6 @@ __all__ = [
     # errors
     "RwreError",
     "RegimeError",
-    "OutOfWindowError",
     "WindowTooSmallError",
     "ParityError",
     "OrderingError",

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .environment import Environment
+from .environment import Environment, _check_window_size
 from .errors import DomainError
 from .kernel import _propagate, confined_log_prob
 
@@ -76,7 +76,8 @@ def srw_smalldev_constant(n_steps: int, x: int) -> tuple[float, float]:
         raise DomainError("x must be at least 1")
     if n_steps < 0:
         raise DomainError("n_steps must be nonnegative")
-    env = Environment(-(x + 1), np.full(2 * x + 3, 0.5))
+    _check_window_size(2 * x + 1)
+    env = Environment(-x, np.full(2 * x + 1, 0.5))
     logp = confined_log_prob(env, n_steps, x + 1)
     return logp, (x * x / n_steps) * logp if n_steps > 0 else 0.0
 

@@ -75,7 +75,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     try:
-        code, run_dir = run(config)
+        run_dir = run(config)
     except RwreError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
     print(run_dir)
-    return code
+    return 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -33,12 +33,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    OutOfWindowError,
-    RegimeError,
-    WindowTooSmallError,
-)
+from .errors import DomainError, RegimeError, WindowTooSmallError
 
 __all__ = [
     "SiteDistribution",
@@ -330,9 +325,10 @@ class Environment:
     """A realized window of right-step probabilities on the lattice.
 
     ``omegas[i]`` is the right-step probability at site ``offset + i``.
-    Operations never extend the window silently: single-site access outside
-    it raises :class:`OutOfWindowError`, and computations whose reach
-    exceeds it raise :class:`WindowTooSmallError`.
+    Operations never extend the window silently: every read goes through
+    :meth:`slice`, so a site outside the window, read by a single-site
+    query or by a computation, raises :class:`WindowTooSmallError`.  Each
+    computation reads, and so requires, exactly the sites it uses.
 
     ``dist`` records the law the window was sampled from, when known; it
     supplies distribution-level quantities (minimal support value, support
@@ -374,15 +370,15 @@ class Environment:
 
     def omega(self, x: int) -> float:
         """Right-step probability at site x."""
-        i = _check_site("x", x) - self.offset
-        if i < 0 or i >= self.omegas.size:
-            raise OutOfWindowError(
-                f"site {x} outside window [{self.lo}, {self.hi}]"
-            )
-        return float(self.omegas[i])
+        x = _check_site("x", x)
+        return float(self.slice(x, x)[0])
 
     def slice(self, lo: int, hi: int) -> np.ndarray:
-        """Contiguous omega values for sites ``lo..hi`` inclusive (a view)."""
+        """Contiguous omega values for sites ``lo..hi`` inclusive (a view).
+
+        The window check of every read: raises :class:`WindowTooSmallError`
+        unless the window covers ``[lo, hi]``.
+        """
         lo, hi = _check_site("lo", lo), _check_site("hi", hi)
         if lo > hi:
             raise DomainError(f"empty site range [{lo}, {hi}]")
@@ -393,21 +389,11 @@ class Environment:
         i = lo - self.offset
         return self.omegas[i : i + (hi - lo + 1)]
 
-    def require_window(self, lo: int, hi: int) -> None:
-        """Raise :class:`WindowTooSmallError` unless the window covers [lo, hi]."""
-        lo, hi = _check_site("lo", lo), _check_site("hi", hi)
-        if lo < self.lo or hi > self.hi:
-            raise WindowTooSmallError(
-                f"window [{self.lo}, {self.hi}] does not cover required "
-                f"[{lo}, {hi}]"
-            )
-
     def reflect_plus(self) -> "Environment":
         """Copy with a hard right reflection at the origin (``omega_0 = 1``)."""
-        self.require_window(0, 0)
-        om = self.omegas.copy()
-        om[-self.offset] = 1.0
-        return Environment(self.offset, om, self.dist)
+        env = Environment(self.offset, self.omegas.copy(), self.dist)
+        env.slice(0, 0)[0] = 1.0
+        return env
 
     def shift(self, x: int) -> "Environment":
         """Environment as seen from site x: the shifted window queries
@@ -421,6 +407,14 @@ def _check_site(name: str, x: int) -> int:
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return int(x)
     raise DomainError(f"{name} must be an integer site, got {x!r}")
+
+
+def _check_window_size(count: int) -> None:
+    """Raise :class:`MemoryError` for a float64 array of ``count`` entries
+    beyond the address space, which numpy would reject with a
+    ``ValueError`` instead."""
+    if count > np.iinfo(np.intp).max // 8:
+        raise MemoryError(f"cannot allocate {count} float64 values for a window")
 
 
 def _check_seed(seed: int) -> int:
@@ -459,9 +453,11 @@ def sample_environment(
     # Philox emits 4 draws per counter block; advance whole blocks and
     # discard the in-block remainder so position base+i maps to site lo+i.
     blocks, rem = divmod(base, 4)
+    draws = rem + (hi - lo + 1)
+    _check_window_size(draws)
     bitgen = np.random.Philox(key=seed)
     bitgen.advance(blocks)
-    uniforms = np.random.Generator(bitgen).random(rem + (hi - lo + 1))[rem:]
+    uniforms = np.random.Generator(bitgen).random(draws)[rem:]
     cumw = np.cumsum(dist.weights_array)
     cumw[-1] = 1.0  # guard against rounding in the final edge
     idx = np.searchsorted(cumw, uniforms, side="right")

@@ -2,8 +2,9 @@
 
 Every error raised by library code derives from :class:`RwreError` so callers
 can catch the whole family at once.  The subclasses mirror the distinct
-failure modes of the quenched computations: regime preconditions, window
-bookkeeping, parity of step counts, and degenerate conditioning events.
+failure modes of the quenched computations: regime preconditions, a
+window missing a site that is read, parity of step counts, and degenerate
+conditioning events.
 """
 
 
@@ -15,12 +16,9 @@ class RegimeError(RwreError):
     """An operation was applied to a distribution in the wrong regime."""
 
 
-class OutOfWindowError(RwreError):
-    """A single-site query fell outside the realized environment window."""
-
-
 class WindowTooSmallError(RwreError):
-    """The environment window does not cover the sites a computation needs."""
+    """The environment window does not cover the sites a read needs, one
+    site or a computation's range."""
 
 
 class ParityError(RwreError):

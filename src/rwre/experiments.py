@@ -456,11 +456,12 @@ def _map_seeded(
     cfg: ExperimentConfig,
     work: Callable[..., Any],
     tasks: list[tuple] | None = None,
-    window: Callable[..., tuple[int, int]] = lambda seed, n: (-2 * n, 2 * n),
+    window: Callable[..., tuple[int, int]] = lambda seed, n: (-n, n),
 ) -> list:
     """``work(env, *task)`` for every task ``(seed, ...)``, in task order.
 
-    ``env`` is the seed's environment on the sites ``window(*task)``.  The
+    ``env`` is the seed's environment on the sites ``window(*task)``, by
+    default ``[-n, n]``, the sites a ``2n``-step bridge can reach.  The
     default tasks are seeds x ``n_grid``, seed-major.  Tasks run
     serially on the calling thread.
     """
@@ -541,8 +542,8 @@ def _run_confined(cfg: ExperimentConfig, out: _Outputs) -> None:
         (s, n, m) for s in cfg.effective_seeds() for n in cfg.params["n_grid"]
         for m in m_values(n)
     ]
-    # the corridor reads [-M, M] only, and sites are keyed one by one
-    rows = _map_seeded(cfg, work, tasks, window=lambda seed, n, m: (-m, m))
+    # the corridor reads the sites inside (-M, M) only
+    rows = _map_seeded(cfg, work, tasks, window=lambda seed, n, m: (1 - m, m - 1))
     out.csv("confined.csv", "seed,n,M,log_prob", rows)
 
 
@@ -759,14 +760,18 @@ _RUNNERS: dict[str, Callable[[ExperimentConfig, _Outputs], None]] = {
 def _make_run_dir(config: ExperimentConfig, digest: str) -> Path:
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
     base = f"{config.experiment}-{stamp}-{digest[:8]}"
-    config.out_root.mkdir(parents=True, exist_ok=True)
     for k in range(1000):
         candidate = config.out_root / (base if k == 0 else f"{base}-{k}")
         try:
-            candidate.mkdir()
+            candidate.mkdir(parents=True)
             return candidate
         except FileExistsError:
             continue
+        except OSError as exc:  # out_root is a file, lies under one, or is not writable
+            raise RwreError(
+                f"cannot create a run directory under {config.out_root}: "
+                f"{exc.strerror or exc}"
+            ) from None
     raise RwreError(f"could not allocate a fresh run directory under {config.out_root}")
 
 
@@ -775,14 +780,14 @@ def _write_manifest(run_dir: Path, manifest: dict[str, Any]) -> None:
         fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
-def run(config: ExperimentConfig) -> tuple[int, Path | None]:
-    """Execute one experiment; returns ``(exit_code, run_dir)``.
+def run(config: ExperimentConfig) -> Path:
+    """Execute one experiment; returns its run directory.
 
     The run directory is created eagerly with an ``incomplete`` manifest;
     the manifest flips to ``complete`` only after every CSV has been
-    written, so interrupted runs are detectable.  Exit code 0 means
-    complete; any exception raised by the experiment is recorded in the
-    manifest's ``error`` field and re-raised.
+    written, so interrupted runs are detectable.  Any exception raised by
+    the experiment is recorded in the manifest's ``error`` field and
+    re-raised.
     """
     digest = config_hash(config)
     run_dir = _make_run_dir(config, digest)
@@ -813,4 +818,4 @@ def run(config: ExperimentConfig) -> tuple[int, Path | None]:
     manifest["wall_time_s"] = time.perf_counter() - start
     manifest["finished_utc"] = datetime.now(timezone.utc).isoformat()
     _write_manifest(run_dir, manifest)
-    return 0, run_dir
+    return run_dir

@@ -17,14 +17,12 @@ from .errors import DomainError
 __all__ = ["load_distribution"]
 
 
-def _data_lines(path: str | os.PathLike) -> list[tuple[int, str]]:
-    out = []
+def load_distribution(path: str | os.PathLike) -> SiteDistribution:
+    """Parse a distribution file of ``omega weight`` lines."""
+    support, weights = [], []
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if line:
-                    out.append((lineno, line))
+            lines = list(enumerate(fh, start=1))
     except FileNotFoundError as exc:
         raise DomainError(f"{path}: file not found") from exc
     except UnicodeDecodeError as exc:
@@ -32,13 +30,10 @@ def _data_lines(path: str | os.PathLike) -> list[tuple[int, str]]:
     except (OSError, ValueError) as exc:  # ValueError: a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
         raise DomainError(f"{path}: cannot read: {reason}") from exc
-    return out
-
-
-def load_distribution(path: str | os.PathLike) -> SiteDistribution:
-    """Parse a distribution file of ``omega weight`` lines."""
-    support, weights = [], []
-    for lineno, line in _data_lines(path):
+    for lineno, raw in lines:
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
         parts = line.split()
         if len(parts) != 2:
             raise DomainError(

@@ -289,12 +289,6 @@ def _leap_band(stay, from_left, from_right, i: int, j: int, m: int) -> np.ndarra
     return band.T
 
 
-def _logsumexp(values: np.ndarray) -> float:
-    if values.size == 0:
-        return -np.inf
-    return float(np.logaddexp.reduce(values))
-
-
 def _final_log(mass: np.ndarray, scale: float, index: int | None) -> float:
     if index is None:
         total = float(mass.sum())
@@ -356,7 +350,8 @@ def bridge_log_prob(
     Parameters
     ----------
     env : Environment
-        Window must cover ``[-2n, 2n]``.
+        Window must cover ``[-n, n]``, the sites a bridge can reach (the
+        origin when ``n = 0``).
     n : int
         Half length of the bridge; the event is ``X_{2n} = 0``.
     truncation : float, optional
@@ -388,20 +383,18 @@ def bridge_log_prob(
     the bound above, which shrinks with ``P`` as well as with ``d``.
     An edge that the walk crosses one way only (``omega`` 0 or 1 at one
     of its ends) gets weight 0, so the identity holds in every
-    environment.  The documented window requirement stays the
-    conservative ``[-2n, 2n]``.
+    environment.
     """
     n = _check_site("n", n)
     if n < 0:
         raise DomainError("n must be nonnegative")
     if truncation is not None and not 0.0 <= truncation < 1.0:
         raise DomainError("truncation must lie in [0, 1)")
-    env.require_window(-2 * n, 2 * n)
+    om = env.slice(-n, n)
     if n == 0:
         return (0.0, -np.inf) if with_error_bound else 0.0
     if truncation is None:
         truncation = _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
-    om = env.slice(-n, n)
     logp, disc_log = _bridge_log(om, 1.0 - om, n, truncation)
     return (logp, disc_log) if with_error_bound else logp
 
@@ -414,7 +407,7 @@ def confined_log_prob(
     Parameters
     ----------
     env : Environment
-        Window must cover ``[-M, M]``.
+        Window must cover ``[-(M - 1), M - 1]``, the sites inside the strip.
     steps : int
         Total number of steps (pass an even count ``2n`` when combining
         with the return event).
@@ -452,7 +445,6 @@ def confined_log_prob(
         raise DomainError("M must be at least 1")
     if require_bridge and steps % 2 != 0:
         raise ParityError(f"bridge event needs an even step count, got {steps}")
-    env.require_window(-M, M)
     return _confined_log(env.slice(-(M - 1), M - 1), steps, require_bridge)
 
 
@@ -599,7 +591,6 @@ def _max_disp_cdf(env: Environment, n: int):
     n = _check_site("n", n)
     if n < 1:
         raise DomainError("n must be at least 1")
-    env.require_window(-2 * n, 2 * n)
     bridge_lp, disc_log = bridge_log_prob(env, n, with_error_bound=True)
     if bridge_lp == -np.inf:
         raise DegenerateBridgeError(
@@ -710,8 +701,9 @@ def hitting_cdf(env: Environment, target: int, horizon: int) -> np.ndarray:
     Parameters
     ----------
     env : Environment
-        Window must cover ``[-horizon, target]`` for a positive target or
-        ``[target, horizon]`` for a negative one (the reachable set).
+        Window must cover ``[-horizon, target - 1]`` for a positive target
+        or ``[target + 1, horizon]`` for a negative one: the sites the walk
+        can step from before it first hits the target.
     target : int
     horizon : int
         Largest step count in the returned array (length ``horizon + 1``).
@@ -726,11 +718,9 @@ def hitting_cdf(env: Environment, target: int, horizon: int) -> np.ndarray:
     if horizon == 0:
         return cdf
     if target > 0:
-        env.require_window(-horizon, target)
         om = env.slice(-horizon, target - 1)
         start, end, out = horizon, om.size - 1, om[-1]
     else:
-        env.require_window(target, horizon)
         om = env.slice(target + 1, horizon)
         start, end, out = -target - 1, 0, 1.0 - om[0]
     # mass of state k stepping onto the target on step k + 1; only the
@@ -760,7 +750,7 @@ def exit_prob_closed_form(
     Parameters
     ----------
     env : Environment
-        Window must cover ``[a, b]``.
+        Window must cover ``[a + 1, b - 1]``, the interior sites.
     a, x, b : int
         Strictly ordered ``a < x < b``.
     first : {"a", "b"}
@@ -770,16 +760,12 @@ def exit_prob_closed_form(
         raise OrderingError(f"need a < x < b, got a={a}, x={x}, b={b}")
     if first not in ("a", "b"):
         raise DomainError(f"first must be 'a' or 'b', got {first!r}")
-    env.require_window(a, b)
     interior = env.slice(a + 1, b - 1)
     if np.any(interior <= 0.0) or np.any(interior >= 1.0):
         raise DomainError("interior sites must have omega strictly in (0, 1)")
     log_rho = np.log1p(-interior) - np.log(interior)
     # S[j - a] = sum of log rho over sites a+1 .. j, with S[0] = 0
     s = np.concatenate(([0.0], np.cumsum(log_rho)))
-    den = _logsumexp(s)
-    if first == "a":
-        num = _logsumexp(s[x - a :])
-    else:
-        num = _logsumexp(s[: x - a])
+    den = np.logaddexp.reduce(s)
+    num = np.logaddexp.reduce(s[x - a :] if first == "a" else s[: x - a])
     return float(np.exp(num - den))

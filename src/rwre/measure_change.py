@@ -71,9 +71,8 @@ def b_count(env: Environment, path) -> int:
     array :func:`~rwre.sampling.sample_bridge` returns.
     """
     sites = _bridge_sites(path)
-    lo, hi = int(sites.min()), int(sites.max())
-    env.require_window(lo, hi)
-    om = env.omegas[sites[:-1] - env.offset]
+    lo = int(sites.min())
+    om = env.slice(lo, int(sites.max()))[sites[:-1] - lo]
     return int(np.count_nonzero(om > env.omega_min))
 
 
@@ -154,10 +153,9 @@ def rn_log_derivative(
         )
     sites = _bridge_sites(path)
     n = (sites.size - 1) // 2
-    lo, hi = int(sites.min()), int(sites.max())
-    env.require_window(lo, hi)
+    lo = int(sites.min())
+    om = env.slice(lo, int(sites.max()))[sites[:-1] - lo]
     rho_max = law.rho_max
-    om = env.omegas[sites[:-1] - env.offset]
     rho = (1.0 - om) / om
     return float(np.log(om * (rho + rho_max)).sum() - n * np.log(rho_max))
 
@@ -238,9 +236,8 @@ def verify_com_identity(
     law = dist if dist is not None else env.dist
     if law is None:
         raise RegimeError("verify_com_identity needs the source distribution")
-    env.require_window(-n, n)
-    consts = com_constants(law)
     om = env.slice(-n, n)
+    consts = com_constants(law)
     tilt = mn_transform(env, law).slice(-n, n)
     off_min = om > env.omega_min
     # (right, left, log factor) of lhs, rhs, lower and upper

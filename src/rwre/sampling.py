@@ -85,14 +85,14 @@ def backward_table(env: Environment, n: int) -> _StepTable:
     double cone; row k of the table folds log rows k and k + 1.  Bridge
     lengths are capped at ``n^2 + 2n <= 37,500,000`` cells (n <= 6122).
 
-    The environment window must cover ``[-2n, 2n]``.
+    The environment window must cover ``[-n, n]``, the sites a bridge can
+    reach.
     """
     n = _check_site("n", n)
     if n < 1:
         raise DomainError("n must be at least 1")
-    env.require_window(-2 * n, 2 * n)
-    _check_table_size(n)
     om = env.slice(-n, n)
+    _check_table_size(n)
     base, size = [], 0
     for k in range(2 * n):
         lo, hi = max(0, k - n), min(k, n)
@@ -197,7 +197,7 @@ def sample_bridge(
     Parameters
     ----------
     env : Environment
-        Window must cover ``[-2n, 2n]``.
+        Window must cover ``[-n, n]``.
     n : int
         Half length of the bridge.
     seed : int

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -21,12 +22,12 @@ from conftest import (
 from rwre import (
     DomainError,
     Environment,
-    OutOfWindowError,
     Regime,
     RegimeError,
     SiteDistribution,
     WindowTooSmallError,
     annealed_backtrack_bound,
+    b_count,
     backward_table,
     bridge_log_prob,
     bridge_max_quantile,
@@ -39,10 +40,13 @@ from rwre import (
     mn_transform,
     mn_transform_law,
     rate_I0,
+    rn_log_derivative,
     sample_bridge,
+    sample_bridge_paths,
     sample_environment,
     solve_kappa,
     speed,
+    verify_com_identity,
 )
 
 # Reference values frozen from 50-digit evaluations of the defining
@@ -365,12 +369,12 @@ class TestEnvironmentAccess:
         env = homogeneous_env(0.5, -3, 3)
         assert (env.lo, env.hi) == (-3, 3)
         assert env.omega(2) == 0.5
-        with pytest.raises(OutOfWindowError):
+        with pytest.raises(WindowTooSmallError):
             env.omega(4)
-        with pytest.raises(OutOfWindowError):
+        with pytest.raises(WindowTooSmallError):
             env.omega(-4)
         with pytest.raises(WindowTooSmallError):
-            env.require_window(-3, 4)
+            env.slice(-3, 4)
 
     def test_explicit_validation(self):
         with pytest.raises(DomainError):
@@ -389,6 +393,8 @@ class TestEnvironmentAccess:
         for x in (-3, -1, 1, 3):
             assert plus.omega(x) == env.omega(x)
         assert env.omega(0) < 1.0  # a copy: the original is unchanged
+        with pytest.raises(WindowTooSmallError):
+            homogeneous_env(0.5, 1, 5).reflect_plus()
 
     def test_reflect_plus_forces_first_step_right(self):
         env = homogeneous_env(0.5, -5, 5).reflect_plus()
@@ -407,7 +413,7 @@ class TestEnvironmentAccess:
 INTEGER_ARGUMENTS = {
     "omega": lambda env, v: env.omega(v),
     "slice": lambda env, v: env.slice(v, 2),
-    "require_window": lambda env, v: env.require_window(-2, v),
+    "slice_hi": lambda env, v: env.slice(-2, v),
     "shift": lambda env, v: env.shift(v),
     "bridge_log_prob": lambda env, v: bridge_log_prob(env, v),
     "confined_steps": lambda env, v: confined_log_prob(env, v, 2),
@@ -421,6 +427,42 @@ INTEGER_ARGUMENTS = {
     "sample_bridge": lambda env, v: sample_bridge(env, v, 0),
     "n_samples": lambda env, v: max_disp_samples(env, 2, v, 0),
 }
+
+
+# every computation on a window, by the sites it reads
+BRIDGE_PATH = [0, 1, 2, 1, 0, -1, 0]
+READ_SITES = {
+    "bridge_log_prob": (lambda env: bridge_log_prob(env, 3), (-3, 3)),
+    "bridge_log_prob_n0": (lambda env: bridge_log_prob(env, 0), (0, 0)),
+    "max_disp_bridge_cdf": (lambda env: max_disp_bridge_cdf(env, 3), (-3, 3)),
+    "bridge_max_quantile": (lambda env: bridge_max_quantile(env, 3, 0.5), (-3, 3)),
+    "backward_table": (lambda env: backward_table(env, 3).p_right, (-3, 3)),
+    "sample_bridge": (lambda env: sample_bridge(env, 3, 0), (-3, 3)),
+    "sample_bridge_paths": (lambda env: sample_bridge_paths(env, 3, 4, 0), (-3, 3)),
+    "max_disp_samples": (lambda env: max_disp_samples(env, 3, 4, 0), (-3, 3)),
+    "confined": (lambda env: confined_log_prob(env, 6, 3), (-2, 2)),
+    "confined_bridge": (lambda env: confined_log_prob(env, 6, 3, True), (-2, 2)),
+    "hitting_right": (lambda env: hitting_cdf(env, 2, 5), (-5, 1)),
+    "hitting_left": (lambda env: hitting_cdf(env, -2, 5), (-1, 5)),
+    "exit_prob": (lambda env: exit_prob_closed_form(env, -2, 0, 3), (-1, 2)),
+    "verify_com_identity": (
+        lambda env: [astuple(r)[1:] for r in verify_com_identity(env, 3, 2).rows], (-3, 3)
+    ),
+    "b_count": (lambda env: b_count(env, BRIDGE_PATH), (-1, 2)),
+    "rn_log_derivative": (lambda env: rn_log_derivative(env, BRIDGE_PATH), (-1, 2)),
+}
+
+
+class TestReadSites:
+    @pytest.mark.parametrize("call", sorted(READ_SITES))
+    def test_window_of_the_read_sites_is_enough_and_needed(self, call):
+        compute, (lo, hi) = READ_SITES[call]
+        exact = compute(sample_environment(NON_NESTLING, 7, lo, hi))
+        wide = compute(sample_environment(NON_NESTLING, 7, lo - 4, hi + 4))
+        assert np.asarray(exact).tobytes() == np.asarray(wide).tobytes()
+        for short in ((lo + 1, hi + 4), (lo - 4, hi - 1)):
+            with pytest.raises(WindowTooSmallError):
+                compute(sample_environment(NON_NESTLING, 7, *short))
 
 
 class TestIntegerArguments:

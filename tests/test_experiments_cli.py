@@ -375,10 +375,14 @@ class TestRuntimeErrors:
         [
             ("longest-run", {"seeds": "0", "r": "1000000000000000"}),  # 7.11 PiB
             ("srw-smalldev", {"n_grid": "1000", "x": "1000000000000000"}),  # 14.2 PiB
+            # beyond the address space, where numpy raises ValueError
+            ("longest-run", {"seeds": "0", "r": "9223372036854775807"}),
+            ("srw-smalldev", {"n_grid": "1000", "x": "4611686018427387904"}),
+            ("confined", {"n_grid": "4", "seeds": "0", "m_grid": "4611686018427387000"}),
         ],
     )
     def test_allocation_that_cannot_fit_exits_one(self, workdir, capsys, experiment, body):
-        if experiment == "longest-run":
+        if "seeds" in body:
             body = {"distribution": write_dist(workdir, MARGINAL).name, **body}
         cfg = write_config(workdir, experiment, body)
         out_root = workdir / "runs"
@@ -393,6 +397,19 @@ class TestRuntimeErrors:
         manifest = json.loads((run_dir / "manifest.json").read_text())
         assert manifest["status"] == "incomplete"
         assert manifest["error"].startswith("MemoryError: ")
+
+    @pytest.mark.parametrize("below", [(), ("sub",)])
+    def test_unusable_out_exits_one(self, workdir, capsys, below):
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(workdir, "kappa", {"distribution": dist.name})
+        blocker = workdir / "blocker"
+        blocker.write_text("")
+        out_root = blocker.joinpath(*below)  # the file itself, or a path under it
+        code, out, err = run_cli(capsys, "kappa", cfg, out_root)
+        assert code == 1
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error: ")
+        assert str(out_root) in err
 
 
 class TestManifest:
@@ -590,8 +607,8 @@ class TestRunDirectories:
         config = ExperimentConfig(
             experiment="kappa", params=params, out_root=workdir / "runs"
         )
-        _, first = run(config)
-        _, second = run(config)
+        first = run(config)
+        second = run(config)
         assert first != second
         assert first.is_dir() and second.is_dir()
         for d in (first, second):

@@ -137,9 +137,11 @@ class TestBridgeLogProb:
         )
 
     def test_window_requirement(self):
-        env = homogeneous_env(0.5, -3, 3)
+        # a 2n-step bridge reads exactly the sites [-n, n]
         with pytest.raises(WindowTooSmallError):
-            bridge_log_prob(env, 2)
+            bridge_log_prob(homogeneous_env(0.5, -1, 1), 2)
+        lp = bridge_log_prob(homogeneous_env(0.5, -2, 2), 2)
+        assert math.exp(lp) == pytest.approx(math.comb(4, 2) / 16, rel=1e-14)
 
     def test_negative_n(self):
         with pytest.raises(DomainError):
