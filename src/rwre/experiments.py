@@ -66,8 +66,7 @@ from .io import load_distribution
 # bridge_max_quantile and max_disp_bridge_cdf are no longer called here,
 # but perfbench's tracer patches the layers under these names
 from .kernel import (
-    _max_disp_cdf,
-    _quantile,
+    _BridgeLaw,
     bridge_log_prob,
     bridge_max_quantile,
     confined_log_prob,
@@ -551,15 +550,16 @@ def _run_max_disp_exact(cfg: ExperimentConfig, out: _Outputs) -> None:
     cdf_points = cfg.params.get("cdf_points", 33)
 
     def work(env, seed: int, n: int):
-        cdf, bridge = _max_disp_cdf(env, n)
+        law = _BridgeLaw(env, n)
         grid = []
         if cdf_points > 0:
             grid = np.unique(
                 np.round(np.geomspace(1, max(n, 1), cdf_points)).astype(np.int64)
             ).tolist()
-        cdf_rows = [(seed, n, m, cdf(m)) for m in grid]
-        q05, med, q95 = [_quantile(cdf, n, q, grid) for q in (0.05, 0.5, 0.95)]
-        return (seed, n, med, q05, q95), cdf_rows, bridge
+        # the grid's probes bracket each quantile's search
+        cdf_rows = [(seed, n, m, law.cdf(m)) for m in grid]
+        q05, med, q95 = [law.quantile(q) for q in (0.05, 0.5, 0.95)]
+        return (seed, n, med, q05, q95), cdf_rows, law.bridge
 
     results = _map_seeded(cfg, work)
     out.csv("maxdisp_summary.csv", "seed,n,median,q05,q95", [r[0] for r in results])
@@ -731,10 +731,20 @@ def _run_longest_run(cfg: ExperimentConfig, out: _Outputs) -> None:
 def _run_conjecture(cfg: ExperimentConfig, out: _Outputs) -> None:
     betas = cfg.params["beta_grid"]
 
-    def work(env, seed: int, n: int) -> tuple[list[tuple], float]:
-        cdf, bridge = _max_disp_cdf(env, n)
-        ms = [max(1, round(n / math.log(n) ** beta)) for beta in betas]
-        return [(seed, n, b, m, 1.0 - cdf(m)) for b, m in zip(betas, ms)], bridge
+    def corridor(n: int, beta: float) -> int:
+        """``round(n / ln(n)**beta)``, at least 1, or ``n + 1`` where it is infinite."""
+        try:
+            width = n / math.log(n) ** beta
+        except OverflowError:  # the power is past the largest double
+            return 1
+        except ZeroDivisionError:  # ln 2 < 1, and its power underflowed to 0
+            return n + 1
+        return n + 1 if width == math.inf else max(1, round(width))
+
+    def work(env, seed: int, n: int) -> tuple[list[tuple], tuple[float, float]]:
+        law = _BridgeLaw(env, n)
+        ms = [corridor(n, beta) for beta in betas]
+        return [(seed, n, b, m, 1.0 - law.cdf(m)) for b, m in zip(betas, ms)], law.bridge
 
     results = _map_seeded(cfg, work)
     rows = [row for chunk, _ in results for row in chunk]

@@ -28,7 +28,6 @@ step count.
 
 from __future__ import annotations
 
-import functools
 import math
 
 import numpy as np
@@ -569,72 +568,63 @@ def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
     return _final_log(v, scale * _LN2, lo if bridge else None)
 
 
-def _max_disp_cdf(env: Environment, n: int):
-    """``(cdf, (log P, log_discarded_bound))`` for the maximal displacement
-    of a 2n-step bridge and its probability ``P``.
+class _BridgeLaw:
+    """The law of ``max_k |X_k|`` for a 2n-step bridge, ``X_{2n} = 0``.
 
-    ``cdf(M) = P(max_k |X_k| < M | X_{2n} = 0)`` is memoized: one bridge
-    probability, then one confined propagation per distinct ``M <= n``
-    (``M > n`` gives 1).
-
-    The CDF is non-decreasing in ``M``, so once a probe reads exactly
-    1.0 every larger ``M`` is at least as close to 1, and ``cdf`` returns
-    1.0 there with no propagation.  A skipped value's error is at most
-    that of the probe that read 1.0; which probes run, and so the last
-    bits below 1.0, may depend on the order of the queries, within that
-    error.
-
-    The returned pair is ``bridge_log_prob(env, n,
-    with_error_bound=True)``: the bound is ``-inf`` when truncation
-    dropped nothing.
+    ``bridge`` is ``bridge_log_prob(env, n, with_error_bound=True)``, the
+    pair ``(log P, log_discarded_bound)``; the bound is ``-inf`` when
+    truncation dropped nothing.  ``cdf(M) = P(max_k |X_k| < M | X_{2n} =
+    0)`` runs one confined propagation per distinct ``M``, kept in
+    ``probes``.  The CDF is non-decreasing in ``M``, so once a probe reads
+    exactly 1.0, every ``M`` at or above it, ``strip`` (at first ``n + 1``:
+    no bridge strays past ``n``), reads 1.0 with no propagation.  A
+    skipped value errs by at most as much as that probe; which probes run,
+    and so the last bits below 1.0, may depend on the order of the
+    queries, within that error.
     """
-    n = _check_site("n", n)
-    if n < 1:
-        raise DomainError("n must be at least 1")
-    bridge_lp, disc_log = bridge_log_prob(env, n, with_error_bound=True)
-    if bridge_lp == -np.inf:
-        raise DegenerateBridgeError(
-            "conditioning event X_{2n} = 0 has zero probability"
-        )
-    strip = n + 1  # every M >= strip reads exactly 1.0
 
-    @functools.cache
-    def cdf(m: int) -> float:
-        nonlocal strip
-        if m >= strip:
-            return 1.0
-        joint = confined_log_prob(env, 2 * n, m, require_bridge=True)
-        value = min(1.0, float(np.exp(joint - bridge_lp)))
-        if value == 1.0:
-            strip = m
-        return value
+    def __init__(self, env: Environment, n: int) -> None:
+        n = _check_site("n", n)
+        if n < 1:
+            raise DomainError("n must be at least 1")
+        self.bridge = bridge_log_prob(env, n, with_error_bound=True)
+        if self.bridge[0] == -np.inf:
+            raise DegenerateBridgeError("conditioning event X_{2n} = 0 has zero probability")
+        self.env, self.n = env, n
+        self.probes: dict[int, float] = {}
+        self.strip = n + 1
 
-    return cdf, (bridge_lp, disc_log)
+    def cdf(self, m: int) -> float:
+        if m not in self.probes:
+            if m >= self.strip:
+                return 1.0
+            joint = confined_log_prob(self.env, 2 * self.n, m, require_bridge=True)
+            self.probes[m] = min(1.0, float(np.exp(joint - self.bridge[0])))
+            if self.probes[m] == 1.0:
+                self.strip = m
+        return self.probes[m]
 
+    def quantile(self, q: float) -> int:
+        """Smallest ``m >= 1`` with ``cdf(m + 1) >= q``, for ``0 < q < 1``.
 
-def _quantile(cdf, n: int, q: float, known=()) -> int:
-    """Smallest ``m`` in ``[1, n]`` with ``cdf(m + 1) >= q``, by bisection.
-
-    The bisection starts inside the bracket that the points ``known``
-    give (``cdf`` is memoized, so they cost nothing once computed):
-    ``cdf(g) < q`` puts the answer at or above ``g``, ``cdf(g) >= q``
-    below ``g``.
-    """
-    lo, hi = 1, n
-    for g in known:
-        if cdf(g) < q:
-            lo = max(lo, g)
-        else:
-            hi = min(hi, g - 1)
-    if lo > hi:  # the points disagree by rounding: search everything
-        lo, hi = 1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if cdf(mid + 1) >= q:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+        The search keeps ``cdf(lo) < q <= cdf(hi)``, starting from the
+        tightest pair the probes so far give (else ``cdf(1) = 0`` and
+        ``cdf(strip) = 1``), or from ``(1, n + 1)`` where they disagree by
+        rounding.  It gallops, probing ``2 lo`` while that lies below
+        ``hi``, then bisects inside the last doubling, so a fresh law
+        probes nothing past twice the answer.
+        """
+        lo = max([1] + [m for m, v in self.probes.items() if v < q])
+        hi = min([self.strip] + [m for m, v in self.probes.items() if v >= q])
+        if lo >= hi:
+            lo, hi = 1, self.n + 1
+        while hi - lo > 1:
+            mid = 2 * lo if 2 * lo < hi else (lo + hi + 1) // 2
+            if self.cdf(mid) >= q:
+                hi = mid
+            else:
+                lo = mid
+        return hi - 1
 
 
 def max_disp_bridge_cdf(
@@ -650,7 +640,7 @@ def max_disp_bridge_cdf(
     already read exactly 1.0: the CDF is non-decreasing, so such an entry
     errs by at most as much as that probe.  Entries are computed in the
     order given, which can decide which ones skip; see
-    ``kernel._max_disp_cdf``.
+    ``kernel._BridgeLaw``.
 
     Raises
     ------
@@ -673,21 +663,21 @@ def max_disp_bridge_cdf(
             or not np.all(np.isfinite(ms) & (ms == np.floor(ms)) & (ms >= 1))
         ):
             raise DomainError("m_values must be a 1-D sequence of positive integers")
-    cdf, _ = _max_disp_cdf(env, n)
-    return np.array([cdf(int(m)) for m in ms])
+    law = _BridgeLaw(env, n)
+    return np.array([law.cdf(int(m)) for m in ms])
 
 
 def bridge_max_quantile(env: Environment, n: int, q: float) -> int:
     """Smallest m with ``P(max |X_k| <= m | X_{2n} = 0) >= q``.
 
     Exact integer quantile of the conditional maximal displacement,
-    located by bisection over confinement propagations (each probe is one
-    exact computation, so the result carries no sampling error).
+    located by galloping search over confinement propagations, none wider
+    than about twice the answer (each probe is one exact computation, so
+    the result carries no sampling error).
     """
     if not (0.0 < q < 1.0):
         raise DomainError("q must lie strictly between 0 and 1")
-    cdf, _ = _max_disp_cdf(env, n)
-    return _quantile(cdf, n, q)
+    return _BridgeLaw(env, n).quantile(q)
 
 
 def hitting_cdf(env: Environment, target: int, horizon: int) -> np.ndarray:

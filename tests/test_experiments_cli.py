@@ -817,17 +817,18 @@ class TestMaxDispExperiment:
                            cdf_points="17")
         csv, _ = run_once(capsys, workdir, "max-disp-exact", cfg, "runs")
         bracketed = list(probes)
-        # the same task with each bisection over all of [1, n], then the grid
+        # the same task on a fresh law: the quantiles search all of [1, n],
+        # then the grid
         want_rows, want_cdf = [], []
         probes.clear()
         for n in ns:
             env = rwre.sample_environment(rwre.load_distribution(workdir / "dist.txt"),
                                           0, -2 * n, 2 * n)
-            cdf, _ = rwre.kernel._max_disp_cdf(env, n)
-            q05, med, q95 = [rwre.kernel._quantile(cdf, n, q) for q in (0.05, 0.5, 0.95)]
+            law = rwre.kernel._BridgeLaw(env, n)
+            q05, med, q95 = [law.quantile(q) for q in (0.05, 0.5, 0.95)]
             want_rows.append(f"0,{n},{med},{q05},{q95}")
             grid = np.unique(np.round(np.geomspace(1, n, 17)).astype(np.int64))
-            want_cdf += ["0,%d,%d,%.17g" % (n, m, cdf(int(m))) for m in grid]
+            want_cdf += ["0,%d,%d,%.17g" % (n, m, law.cdf(int(m))) for m in grid]
         assert csv["maxdisp_summary.csv"].decode().splitlines()[1:] == want_rows
         assert csv["maxdisp_cdf.csv"].decode().splitlines()[1:] == want_cdf
         for n in ns:
@@ -1151,6 +1152,25 @@ class TestConjectureExperiment:
         beyond = [r for r in rows if int(r[3]) > int(r[1])]
         assert [r[:4] for r in beyond] == [["0", "2", "3", "6"]]
         assert beyond[0][4] == "0"
+
+    # ln(2)**3000 underflows to 0, ln(2)**1990 is subnormal so the quotient
+    # overflows, and ln(3)**1e308 overflows
+    @pytest.mark.parametrize(
+        "n,beta,row",
+        [("2", "3000", ["3", "0"]), ("2", "1990", ["3", "0"]), ("3", "1e308", ["1", "1"])],
+    )
+    def test_beta_past_the_doubles_clamps_the_corridor(self, workdir, capsys, n, beta, row):
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(
+            workdir,
+            "conjecture-explore",
+            {"distribution": dist.name, "n_grid": n, "seeds": "0", "beta_grid": beta},
+        )
+        out_root = workdir / "runs"
+        assert run_cli(capsys, "conjecture-explore", cfg, out_root)[0] == 0
+        (run_dir,) = out_root.iterdir()
+        _, rows = read_rows(run_dir / "conjecture.csv")
+        assert [r[3:] for r in rows] == [row]
 
     def test_p_exceed_is_one_minus_the_exact_cdf(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)

@@ -849,7 +849,7 @@ class TestBenchmarkReference:
             assert abs(bridge_log_prob(env, int(n)) - float(want)) <= 1e-12 * abs(float(want))
 
 
-    @pytest.mark.parametrize("slot", ["0", "1"])
+    @pytest.mark.parametrize("slot", [str(k) for k in range(16)])
     def test_maxdisp_probe_reference(self, slot):
         ref = benchmark_reference("maxdisp_probe", slot)
         law = demo_law("nestling_k2.txt")
@@ -859,12 +859,13 @@ class TestBenchmarkReference:
         for row in ref["maxdisp_summary.csv"]["rows"]:
             seed, n = (int(v) for v in row.split(",")[:2])
             env = sample_environment(law, seed, -2 * n, 2 * n)
-            cdf, _ = kernel._max_disp_cdf(env, n)
-            # the max-disp-exact runner's default grid of 33 points
+            bridge = kernel._BridgeLaw(env, n)
+            # the max-disp-exact runner's default grid of 33 points, then
+            # the quantiles, as the runner asks them
             grid = np.unique(np.round(np.geomspace(1, n, 33)).astype(np.int64)).tolist()
             keys += [f"{seed},{n},{m}" for m in grid]
-            values += [cdf(m) for m in grid]
-            q05, med, q95 = [kernel._quantile(cdf, n, q, grid) for q in (0.05, 0.5, 0.95)]
+            values += [bridge.cdf(m) for m in grid]
+            q05, med, q95 = [bridge.quantile(q) for q in (0.05, 0.5, 0.95)]
             summary.append(f"{seed},{n},{med},{q05},{q95}")
         assert summary == ref["maxdisp_summary.csv"]["rows"]
         want = [row.rsplit(",", 1) for row in ref["maxdisp_cdf.csv"]["rows"]]
@@ -1091,8 +1092,8 @@ def underflowed_cone_cells(env: Environment, n: int) -> int:
 
 def query_in_order(env: Environment, n: int, ms) -> list[tuple[int, float, bool]]:
     """``(M, cdf(M), probed)`` for each ``M`` of ``ms`` in order, from one
-    ``_max_disp_cdf`` closure; ``probed`` tells whether the query ran a
-    corridor probe."""
+    ``_BridgeLaw``; ``probed`` tells whether the query ran a corridor
+    probe."""
     calls = []
     real = kernel.confined_log_prob
 
@@ -1102,11 +1103,11 @@ def query_in_order(env: Environment, n: int, ms) -> list[tuple[int, float, bool]
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(kernel, "confined_log_prob", counted)
-        cdf, _ = kernel._max_disp_cdf(env, n)
+        law = kernel._BridgeLaw(env, n)
         out = []
         for m in ms:
             before = len(calls)
-            value = cdf(m)
+            value = law.cdf(m)
             out.append((m, value, len(calls) > before))
     return out
 
@@ -1126,7 +1127,7 @@ def assert_monotone_skip(rows: list[tuple[int, float, bool]]) -> list[int]:
 
 class TestTailCertificate:
     """The monotone skip: the CDF is non-decreasing in ``M``, so a probe
-    that reads 1.0 settles every larger ``M`` of its closure."""
+    that reads 1.0 settles every larger ``M`` of its law."""
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(1, 8), data=st.data())
@@ -1134,7 +1135,7 @@ class TestTailCertificate:
         # near-one-way sites make probes below n + 1 read 1.0
         omega = st.one_of(st.floats(0.01, 0.99), st.sampled_from([1e-9, 1.0 - 1e-9]))
         om = data.draw(st.lists(omega, min_size=2 * n + 1, max_size=2 * n + 1))
-        # the window _max_disp_cdf requires; no bridge reaches the padding
+        # the window _BridgeLaw requires; no bridge reaches the padding
         env = Environment(-2 * n, np.pad(np.array(om), n, constant_values=0.5))
         order = data.draw(st.permutations(range(1, n + 2)))
         rows = query_in_order(env, n, order)
@@ -1222,6 +1223,42 @@ class TestBridgeMaxQuantile:
         cdf_at = max_disp_bridge_cdf(env, n, m_values=np.arange(2, n + 2))
         expected = 1 + int(np.argmax(cdf_at >= q))
         assert got == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        q=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        seed=st.integers(0, 2**16),
+    )
+    def test_galloping_agrees_with_cdf_scan_and_enumeration(self, n, q, seed):
+        env = random_env(seed, -2 * n, 2 * n)
+        got = bridge_max_quantile(env, n, q)
+        ms = np.arange(2, n + 2)
+        cdf_at = max_disp_bridge_cdf(env, n, m_values=ms)
+        assert got == 1 + int(np.argmax(cdf_at >= q))
+        # enumeration agrees wherever q is not within rounding of a CDF value
+        exact = oracles.max_disp_cdf(env, n, ms)
+        assert np.max(np.abs(cdf_at - exact)) <= 1e-12
+        if np.min(np.abs(exact - q)) > 1e-12:
+            assert got == 1 + int(np.argmax(exact >= q))
+
+    @pytest.mark.parametrize("q", [0.05, 0.5, 0.95])
+    @pytest.mark.parametrize("seed", [0, 3, 7])
+    @pytest.mark.parametrize("n", [64, 512])
+    def test_probes_stay_within_twice_the_answer(self, q, seed, n):
+        probes = []
+        real = kernel.confined_log_prob
+
+        def counted(env, steps, m, **kwargs):
+            probes.append(m)
+            return real(env, steps, m, **kwargs)
+
+        env = sample_environment(NESTLING_K2, seed, -2 * n, 2 * n)
+        with mock.patch.object(kernel, "confined_log_prob", counted):
+            got = kernel._BridgeLaw(env, n).quantile(q)
+        assert got == bridge_max_quantile(env, n, q)
+        assert probes and max(probes) <= 2 * (got + 1)
+        assert len(probes) <= 2 * (got + 1).bit_length()
 
     def test_validation(self):
         env = random_env(4, -8, 8)
