@@ -10,17 +10,27 @@ uniform draw and one comparison per step.  Both passes are exact, so the
 sampled paths follow the quenched conditional law with no approximation
 beyond floating point.
 
-:func:`backward_table` builds that step table in O(n^2) time and memory
-once per (environment, n): the recursion keeps two rolling log rows and
-visits only the cells of the bridge's double cone, and the table stores
-exactly those ``n^2 + 2n`` cells, row after row in one flat array.  Every
-sampler takes it as ``table=``, so each further path costs O(n), with
+:func:`backward_table` runs the recursion once per (environment, n), in
+O(n^2) time over the cells of the bridge's double cone, and keeps only
+the log row of every B-th step, B = round(sqrt(2n)): about sqrt(2n) rows
+of n + 2 cells (1 MB at n = 2048) instead of the n^2 + 2n step
+probabilities.  When a sampler enters a block of B steps, it refills the
+block's step probabilities from the checkpoint that ends the block, with
+the same operations cell by cell, but only over the cells that its draws
+can reach from where they stand; the table keeps each fill for later
+draws and widens it when one starts outside it (checkpointing in the
+sense of Griewank, "Achieving logarithmic growth of temporal and spatial
+complexity in reverse automatic differentiation", Optim. Methods Softw. 1,
+1992).  Every sampler takes the table as ``table=``, so each further path
+costs O(n) steps plus the fills of cells no earlier draw reached, with
 batches vectorized across samples.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import threading
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -35,12 +45,21 @@ __all__ = [
 ]
 
 
-# Most cells of a step table, n^2 + 2n of them: n <= 6122 (300 MB).
+# Most cells a step table keeps, its checkpoints and kept fills together.
+# The checkpoints alone, ceil(2n / B) rows of n + 2 cells, fit for
+# n <= 88860 (300 MB).
 _MAX_TABLE_ENTRIES = 37_500_000
 
 
+def _block_length(n: int) -> int:
+    """Steps per block of a 2n-step table, round(sqrt(2n)): the checkpoints
+    and one block's fill then both take about sqrt(2n) * n cells."""
+    return max(1, round(math.sqrt(2 * n)))
+
+
 def _check_table_size(n: int) -> None:
-    if n * n + 2 * n > _MAX_TABLE_ENTRIES:
+    rows = -(-2 * n // _block_length(n))
+    if rows * (n + 2) > _MAX_TABLE_ENTRIES:
         raise DomainError(
             f"a bridge of 2n = {2 * n} steps exceeds the sampler's "
             f"materialization cap of {_MAX_TABLE_ENTRIES} table cells"
@@ -54,36 +73,123 @@ _DRAW_BLOCK = 8
 
 
 @dataclass(frozen=True, eq=False)
-class _StepTable:
-    """Conditioned right-step probabilities of a 2n-step bridge.
+class _Fill:
+    """Right-step probabilities of one block of steps, over the cells that
+    walks with ``a`` to ``b`` right steps at the block's first step reach.
 
-    ``p_right[base[k] + j]`` is the probability that the bridge steps
-    right at step ``k`` after ``j`` right steps, i.e. from site ``2j - k``.
-    Only the cells of the double cone ``max(0, k - n) <= j <= min(k, n)``
-    (sites ``|x| <= min(k, 2n - k)``) are stored, since no bridge reads
-    the others: row ``k`` is contiguous, rows follow in step order, and
-    ``p_right`` holds ``n^2 + 2n`` float64 cells.  ``base[k]`` is row k's
-    offset minus its first ``j``.  ``omega`` is the environment's slice
-    over ``[-n, n]`` that the table was built from; the samplers accept
-    the table only for that slice.
+    ``p[base[i] + j]`` is the probability of stepping right at the block's
+    i-th step after ``a + j`` right steps, for ``0 <= j <= b - a + i``:
+    row i holds ``b - a + 1 + i`` cells, and ``base[-1]`` is ``p.size``.
+    Cells off the bridge's double cone are never computed and never read.
+    """
+
+    a: int
+    b: int
+    p: np.ndarray
+    base: list[int]
+
+
+@dataclass(eq=False)
+class _StepTable:
+    """Checkpointed backward log table of a 2n-step bridge.
+
+    Cells are indexed by right-step counts: after ``j`` right steps, step
+    ``k`` starts at site ``2j - k``, and the double cone of the bridge is
+    ``max(0, k - n) <= j <= min(k, n)``.  Steps fall into blocks of
+    ``block`` steps.  ``checkpoints[c, j]`` is ``log P(X_{2n} = 0 | X_k =
+    2j - k)`` at the step ``k = min((c + 1) * block, 2n)`` that ends block
+    c, and ``-inf`` off the cone and in the guard column ``j = n + 1``.
+    ``log_p`` and ``log_q`` are the logs of ``omega`` and ``1 - omega``,
+    where ``omega`` is the environment's slice over ``[-n, n]`` that the
+    table was built from; the samplers accept the table only for that
+    slice.  ``fills[c]`` is block c's kept :class:`_Fill`, or None, and
+    ``kept`` counts the cells of the checkpoints and the kept fills; a
+    lock guards both, so threads may share a table.
     """
 
     n: int
-    p_right: np.ndarray
-    base: list[int]
+    block: int
+    checkpoints: np.ndarray
+    log_p: np.ndarray
+    log_q: np.ndarray
     omega: np.ndarray
+    fills: list[_Fill | None] = field(init=False)
+    kept: int = field(init=False)
+    lock: threading.Lock = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.fills = [None] * len(self.checkpoints)
+        self.kept = self.checkpoints.size
+        self.lock = threading.Lock()
+
+    def cover(self, c: int, a: int, b: int) -> _Fill:
+        """Block c's step probabilities over the cells that walks with
+        ``a`` to ``b`` right steps at the block's first step can reach.
+
+        A kept fill that covers ``[a, b]`` is returned as it is.  Otherwise
+        the block is refilled over ``[a, b]`` joined with the kept range,
+        and kept in place of the old fill unless that would take the kept
+        cells past ``_MAX_TABLE_ENTRIES``.
+        """
+        with self.lock:
+            kept = self.fills[c]
+            if kept is not None:
+                if kept.a <= a and b <= kept.b:
+                    return kept
+                a, b = min(a, kept.a), max(b, kept.b)
+            fill = self._fill(c, a, b)
+            grown = fill.p.size - (0 if kept is None else kept.p.size)
+            if self.kept + grown <= _MAX_TABLE_ENTRIES:
+                self.fills[c] = fill
+                self.kept += grown
+            return fill
+
+    def _fill(self, c: int, a: int, b: int) -> _Fill:
+        # the recursion of backward_table, run down from the checkpoint that
+        # ends the block, over right-step counts [a, b + i] at its i-th step
+        n, start = self.n, c * self.block
+        steps = min(self.block, 2 * n - start)
+        width = b - a + 1
+        base = [i * width + i * (i - 1) // 2 for i in range(steps + 2)]
+        # h[base[i] + j - a] holds log P(X_{2n} = 0 | X_k = 2j - k) at step
+        # k = start + i, laid out as p, plus the checkpoint as row `steps`;
+        # cells outside the cone stay -inf
+        h = np.full(base[-1], -np.inf)
+        last = self.checkpoints[c, a : b + steps + 1]
+        h[base[steps] : base[steps] + last.size] = last
+        p, down = np.zeros(base[steps]), np.empty(min(b + steps, n + 1) - a)
+        log_p, log_q = self.log_p, self.log_q
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for i in range(steps - 1, -1, -1):
+                k = start + i
+                lo, hi = max(a, k - n), min(b + i, n)
+                # indices x + n of the sites x = 2j - k
+                s = slice(2 * lo - k + n, 2 * hi - k + n + 1, 2)
+                o, up = base[i] - a, base[i + 1] - a
+                u = p[o + lo : o + hi + 1]
+                nxt = h[up + lo : up + hi + 2]
+                np.add(log_p[s], nxt[1:], u)
+                d = np.add(log_q[s], nxt[:-1], down[: hi - lo + 1])
+                np.logaddexp(u, d, h[o + lo : o + hi + 1])
+            # h >= the log of the right-step term, so p is at most 1 on the cone
+            np.subtract(p, h[: p.size], out=p)
+            np.exp(p, out=p)
+        return _Fill(a, b, p, base[:-1])
 
 
 def backward_table(env: Environment, n: int) -> _StepTable:
     """Step table of the 2n-step bridge: build it once, sample it often.
 
-    Returns the conditioned right-step probabilities ``p_right``, packed
-    to the ``n^2 + 2n`` cells of the double cone (see :class:`_StepTable`),
-    which the samplers accept as ``table=``.  They come from the backward
-    log probabilities ``log P(X_{2n} = 0 | X_k = x)`` of one recursion
-    that keeps two rolling log rows and computes only the cells of the
-    double cone; row k of the table folds log rows k and k + 1.  Bridge
-    lengths are capped at ``n^2 + 2n <= 37,500,000`` cells (n <= 6122).
+    Runs the backward recursion for ``log P(X_{2n} = 0 | X_k = x)``, with
+    two rolling log rows over the cells of the bridge's double cone, in
+    O(n^2) time, and keeps the row of every B-th step, B = round(sqrt(2n))
+    (see :class:`_StepTable`): ``ceil(2n / B) * (n + 2)`` cells, 1 MB at
+    n = 2048.  The samplers accept it as ``table=`` and fill the step
+    probabilities of each block of B steps from its checkpoint as their
+    draws reach it, at most about ``(b - a + B) * B`` cells per block for
+    draws spread over ``b - a`` right-step counts; the table keeps those
+    fills while checkpoints and fills stay within 37,500,000 cells.  The
+    checkpoints alone cap bridge lengths at n <= 88860.
 
     The environment window must cover ``[-n, n]``, the sites a bridge can
     reach.
@@ -93,12 +199,9 @@ def backward_table(env: Environment, n: int) -> _StepTable:
         raise DomainError("n must be at least 1")
     om = env.slice(-n, n)
     _check_table_size(n)
-    base, size = [], 0
-    for k in range(2 * n):
-        lo, hi = max(0, k - n), min(k, n)
-        base.append(size - lo)
-        size += hi - lo + 1
-    p_right = np.empty(size)
+    block = _block_length(n)
+    checkpoints = np.full((-(-2 * n // block), n + 2), -np.inf)
+    checkpoints[-1, n] = 0.0
     # h[k % 2, j] holds log P(X_{2n} = 0 | X_k = 2j - k); column n + 1 and
     # every cell outside the cone stay -inf
     h = np.full((2, n + 2), -np.inf)
@@ -112,19 +215,17 @@ def backward_table(env: Environment, n: int) -> _StepTable:
             # indices x + n of the row's sites x = 2j - k
             i = slice(2 * lo - k + n, 2 * hi - k + n + 1, 2)
             nxt, here = h[(k + 1) % 2, lo : hi + 2], h[k % 2, lo : hi + 1]
-            # the row's cells: m of them, from p_right[s] on
-            m, s = hi - lo + 1, base[k] + lo
-            u, d = up[:m], down[:m]
+            u, d = up[: hi - lo + 1], down[: hi - lo + 1]
             np.add(log_p[i], nxt[1:], out=u)
             np.add(log_q[i], nxt[:-1], out=d)
             np.logaddexp(u, d, out=here)
-            # here >= u, so the right-step probability is at most 1
-            np.exp(np.subtract(u, here, out=u), out=p_right[s : s + m])
+            if k % block == 0 and k > 0:
+                checkpoints[k // block - 1, lo : hi + 1] = here
     if here[0] == -np.inf:
         raise DegenerateBridgeError(
             "conditioning event X_{2n} = 0 has zero probability"
         )
-    return _StepTable(n, p_right, base, om.copy())
+    return _StepTable(n, block, checkpoints, log_p, log_q, om.copy())
 
 
 def _sampler_inputs(
@@ -166,8 +267,9 @@ def _sample_batch(
     reproducible and independent of batching by the caller.
     """
     rng, table, trap = _sampler_inputs(env, n, seed, table)
-    p_right, base = table.p_right, table.base
-    right = np.zeros(n_samples, dtype=np.int64)
+    block = table.block
+    # right-step counts, as offsets from the current block's fill.a
+    right, a = np.zeros(n_samples, dtype=np.int64), 0
     site = np.zeros(n_samples, dtype=np.int64)
     max_abs = np.zeros(n_samples, dtype=np.int64)
     b_counts = np.zeros(n_samples, dtype=np.int64)
@@ -175,11 +277,16 @@ def _sample_batch(
     if keep_paths:
         paths = np.zeros((n_samples, 2 * n + 1), dtype=np.int32)
     for k in range(2 * n):
+        i = k % block
+        if i == 0:
+            fill = table.cover(k // block, a + int(right.min()), a + int(right.max()))
+            right += a - fill.a
+            a, p_right, base = fill.a, fill.p, fill.base
         if k % _DRAW_BLOCK == 0:
             u = rng.random((min(_DRAW_BLOCK, 2 * n - k), n_samples))
         b_counts += trap[site + n]
-        right += u[k % _DRAW_BLOCK] < p_right[base[k] :].take(right)
-        site = 2 * right - (k + 1)
+        right += u[k % _DRAW_BLOCK] < p_right[base[i] :].take(right)
+        site = 2 * right + (2 * a - k - 1)
         np.maximum(max_abs, np.abs(site), out=max_abs)
         if keep_paths:
             paths[:, k + 1] = site
@@ -205,16 +312,22 @@ def sample_bridge(
         separate streams, so reusing an environment seed here is harmless.
     table : optional
         The step table ``backward_table(env, n)``.  Built once, it makes
-        each further draw cost O(n); without it every call builds one in
-        O(n^2).  A table built for another ``n``, or for an environment
-        with other omegas on ``[-n, n]``, raises :class:`DomainError`.
+        each further draw cost O(n), plus a refill of each block of about
+        sqrt(2n) steps that it enters outside the walks of the table's
+        earlier draws; without it every call builds one in O(n^2).  A
+        table built for another ``n``, or for an environment with other
+        omegas on ``[-n, n]``, raises :class:`DomainError`.
     """
     rng, table, _ = _sampler_inputs(env, n, seed, table)
-    p_right, base = table.p_right, table.base
+    block = table.block
     right = 0
     sites = [0]
     for k, u in enumerate(rng.random(2 * n).tolist()):
-        if u < p_right[base[k] + right]:
+        i = k % block
+        if i == 0:
+            fill = table.cover(k // block, right, right)
+            p_right, base, a = fill.p, fill.base, fill.a
+        if u < p_right[base[i] + right - a]:
             right += 1
         sites.append(2 * right - (k + 1))
     return np.array(sites, dtype=np.int64)

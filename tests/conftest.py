@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from rwre import SiteDistribution, sample_environment
@@ -25,6 +26,16 @@ FAIR = SiteDistribution(support=(0.5,), weights=(1.0,))
 def homogeneous_env(p: float, lo: int, hi: int):
     dist = SiteDistribution(support=(p,), weights=(1.0,))
     return sample_environment(dist, 0, lo, hi)
+
+
+def step_table_cells(table) -> np.ndarray:
+    """Every cell a step table gives: its checkpoints, then each block's
+    right-step probabilities filled over the whole double cone."""
+    n, cells = table.n, [table.checkpoints.ravel()]
+    for c in range(len(table.checkpoints)):
+        start = c * table.block
+        cells.append(table.cover(c, max(0, start - n), min(start, n)).p)
+    return np.concatenate(cells)
 
 
 @pytest.fixture(scope="session")

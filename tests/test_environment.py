@@ -18,6 +18,7 @@ from conftest import (
     NESTLING_K2,
     NON_NESTLING,
     homogeneous_env,
+    step_table_cells,
 )
 from rwre import (
     DomainError,
@@ -436,7 +437,7 @@ READ_SITES = {
     "bridge_log_prob_n0": (lambda env: bridge_log_prob(env, 0), (0, 0)),
     "max_disp_bridge_cdf": (lambda env: max_disp_bridge_cdf(env, 3), (-3, 3)),
     "bridge_max_quantile": (lambda env: bridge_max_quantile(env, 3, 0.5), (-3, 3)),
-    "backward_table": (lambda env: backward_table(env, 3).p_right, (-3, 3)),
+    "backward_table": (lambda env: step_table_cells(backward_table(env, 3)), (-3, 3)),
     "sample_bridge": (lambda env: sample_bridge(env, 3, 0), (-3, 3)),
     "sample_bridge_paths": (lambda env: sample_bridge_paths(env, 3, 4, 0), (-3, 3)),
     "max_disp_samples": (lambda env: max_disp_samples(env, 3, 4, 0), (-3, 3)),
@@ -481,7 +482,9 @@ class TestIntegerArguments:
             assert (got.lo, got.hi) == (want.lo, want.hi)
         elif call == "backward_table":
             assert type(got.n) is int and got.n == want.n
-            assert np.array_equal(got.p_right, want.p_right, equal_nan=True)
+            assert np.array_equal(
+                step_table_cells(got), step_table_cells(want), equal_nan=True
+            )
         else:
             assert np.array_equal(got, want)
 

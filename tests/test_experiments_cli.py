@@ -355,7 +355,8 @@ class TestRuntimeErrors:
             "sample-bridge",
             {
                 "distribution": dist.name,
-                "n_grid": "7000",
+                # the first n past the checkpoints' cap
+                "n_grid": "88861",
                 "seeds": "0",
             },
         )
@@ -870,14 +871,14 @@ class TestSampleBridgeExperiment:
             assert all(abs(a - b) == 1 for a, b in zip(sites, sites[1:]))
 
     def test_builds_no_backward_log_table(self, workdir, capsys, monkeypatch):
-        # one step table per task, packed to its n^2 + 2n cone cells: no log
-        # table is built
+        # one step table per task, keeping a log row every round(sqrt(2n))
+        # steps: no whole log table is built
         built = []
         build = rwre.sampling.backward_table
 
         def spy(env, n):
             table = build(env, n)
-            built.append((n, table.p_right.shape))
+            built.append((n, table.checkpoints.shape))
             return table
 
         monkeypatch.setattr(rwre.sampling, "backward_table", spy)
@@ -896,7 +897,35 @@ class TestSampleBridgeExperiment:
         )
         out_root = workdir / "runs"
         assert run_cli(capsys, "sample-bridge", cfg, out_root)[0] == 0
-        assert sorted(built) == [(3, (15,))] * 2 + [(5, (35,))] * 2
+        # n = 3: blocks of 2 steps; n = 5: blocks of 3 steps, the last of 1
+        assert sorted(built) == [(3, (3, 5))] * 2 + [(5, (4, 7))] * 2
+
+    def test_runs_past_the_whole_cone_tables_cap(self, workdir, capsys):
+        # n^2 + 2n step probabilities would not fit in 37,500,000 cells
+        # above n = 6122
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(
+            workdir,
+            "sample-bridge",
+            {
+                "distribution": dist.name,
+                "n_grid": "6200",
+                "seeds": "0",
+                "n_samples": "20",
+                "export_paths": "1",
+            },
+        )
+        out_root = workdir / "runs"
+        assert run_cli(capsys, "sample-bridge", cfg, out_root)[0] == 0
+        (run_dir,) = out_root.iterdir()
+        manifest = json.loads((run_dir / "manifest.json").read_text())
+        assert manifest["status"] == "complete"
+        header, rows = read_rows(run_dir / "sampler_summary.csv")
+        assert len(rows) == 1 and rows[0][:2] == ["6200", "1"]
+        header, rows = read_rows(run_dir / "path-s0-n6200-0.csv")
+        sites = [int(r[1]) for r in rows]
+        assert len(sites) == 12401 and sites[0] == sites[-1] == 0
+        assert all(abs(a - b) == 1 for a, b in zip(sites, sites[1:]))
 
     def test_thread_invariance_of_sampled_output(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)

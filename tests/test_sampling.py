@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 import oracles
 from conftest import NESTLING_K2, NON_NESTLING, homogeneous_env
 import rwre.sampling
+from rwre import kernel
 from rwre import (
     DegenerateBridgeError,
     DomainError,
@@ -80,14 +83,27 @@ class TestBackwardTable:
 
     def test_returns_the_step_table(self):
         env = random_env(2, -6, 6)
-        table = backward_table(env, 3)
-        assert table.n == 3
-        # the cone's rows hold 1, 2, 3, 4, 3, 2 cells, packed in step order
-        assert table.p_right.shape == (15,)
-        assert table.base == [0, 1, 3, 6, 9, 11]
+        n = 3
+        table = backward_table(env, n)
+        assert table.n == n
+        # blocks of round(sqrt(6)) = 2 steps end at steps 2, 4 and 6, and
+        # each keeps that step's log row over n + 2 cells
+        assert table.block == 2
+        assert table.checkpoints.shape == (3, n + 2)
+        h = oracles.backward_log_table(env, n)
+        for c, k in enumerate((2, 4, 6)):
+            j = np.arange(n + 2)
+            cone = (j >= max(0, k - n)) & (j <= min(k, n))
+            want = np.where(cone, h[k, np.clip(2 * j - k + n + 1, 0, 2 * n + 2)], -np.inf)
+            assert np.array_equal(table.checkpoints[c], want)
+        # no step probability is kept before a sampler asks for it
+        assert table.fills == [None] * 3
+        assert table.kept == table.checkpoints.size
         # the last step must go back to the origin: left from 1, right from -1
-        assert table.p_right[table.base[5] + 3] == 0.0
-        assert table.p_right[table.base[5] + 2] == 1.0
+        fill = table.cover(2, 1, 3)
+        assert step_prob(fill, 1, 3) == 0.0
+        assert step_prob(fill, 1, 2) == 1.0
+        assert table.fills[2] is fill
 
     def test_validation(self):
         env = random_env(2, -6, 6)
@@ -113,38 +129,116 @@ def folded_row(env, n, h, k):
         return np.exp(np.log(om)[i] + h[k + 1, i + 2] - h[k, i + 1])
 
 
+def step_prob(fill, i, j):
+    """The probability of stepping right at a fill's i-th step after j
+    right steps."""
+    return fill.p[fill.base[i] + j - fill.a]
+
+
+def filled_rows(table, c, fill):
+    """``(k, lo, hi, cells)`` for each step k of block c: the cone cells
+    ``lo <= j <= hi`` that the fill computed."""
+    n, start = table.n, c * table.block
+    for i, row in enumerate(fill.base[:-1]):
+        k = start + i
+        lo, hi = max(fill.a, k - n), min(fill.b + i, k, n)
+        yield k, lo, hi, fill.p[row + lo - fill.a : row + hi - fill.a + 1]
+
+
+def assert_fills_match_the_backward_table(env, table):
+    """Every cell the table's fills hold equals the fold of the reference
+    log table, bit for bit (NaN where a one-way site makes 0/0)."""
+    n = table.n
+    h = oracles.backward_log_table(env, n)
+    for c, fill in enumerate(table.fills):
+        if fill is None:
+            continue
+        for k, lo, hi, cells in filled_rows(table, c, fill):
+            first = max(0, k - n)
+            expected = folded_row(env, n, h, k)[lo - first : hi - first + 1]
+            assert np.array_equal(cells, expected, equal_nan=True), (c, k)
+
+
+@pytest.fixture
+def block_length(monkeypatch):
+    """Force the step table's block length for the rest of a test."""
+
+    def force(length):
+        monkeypatch.setattr(rwre.sampling, "_block_length", lambda n: length)
+
+    return force
+
+
+def one_way_envs(n):
+    """A random, a nestling and a fair window over [-2n, 2n]."""
+    rng = np.random.default_rng(n)
+    omegas = rng.uniform(0.05, 0.95, 4 * n + 1)
+    # one-way sites put NaN cells (never visited) inside the cone
+    omegas[rng.integers(0, 4 * n + 1, 2)] = 1.0
+    omegas[2 * n] = 0.5
+    return [
+        Environment(-2 * n, omegas),
+        sample_environment(NESTLING_K2, n, -2 * n, 2 * n),
+        homogeneous_env(0.5, -2 * n, 2 * n),
+    ]
+
+
 class TestStepTable:
     @pytest.mark.parametrize("n", [1, 2, 5, 40])
-    def test_cone_cells_match_the_backward_table_bit_for_bit(self, n):
-        rng = np.random.default_rng(n)
-        omegas = rng.uniform(0.05, 0.95, 4 * n + 1)
-        # one-way sites put NaN cells (never visited) inside the cone
-        omegas[rng.integers(0, 4 * n + 1, 2)] = 1.0
-        omegas[2 * n] = 0.5
-        envs = [
-            Environment(-2 * n, omegas),
-            sample_environment(NESTLING_K2, n, -2 * n, 2 * n),
-            homogeneous_env(0.5, -2 * n, 2 * n),
-        ]
-        for env in envs:
-            h = oracles.backward_log_table(env, n)
+    def test_cone_cells_match_the_backward_table_bit_for_bit(self, n, block_length):
+        for length in sorted({1, 3, round(math.sqrt(2 * n)), 2 * n}):
+            block_length(length)
+            for env in one_way_envs(n):
+                table = backward_table(env, n)
+                # fill every block over the whole cone
+                for c in range(len(table.checkpoints)):
+                    start = c * length
+                    table.cover(c, max(0, start - n), min(start, n))
+                cells = sum(hi - lo + 1 for c, f in enumerate(table.fills)
+                            for _, lo, hi, _ in filled_rows(table, c, f))
+                assert cells == n * n + 2 * n
+                assert_fills_match_the_backward_table(env, table)
+
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_sampler_fills_match_the_backward_table_bit_for_bit(self, n):
+        for env in one_way_envs(n):
             table = backward_table(env, n)
-            p_right, base = table.p_right, table.base
-            for k in range(2 * n):
-                lo, hi = max(0, k - n), min(k, n)
-                expected = folded_row(env, n, h, k)
-                assert np.array_equal(
-                    p_right[base[k] + lo : base[k] + hi + 1], expected, equal_nan=True
-                )
+            sample_bridge(env, n, 3, table=table)
+            assert_fills_match_the_backward_table(env, table)
+            max_disp_samples(env, n, 50, 4, table=table)
+            assert_fills_match_the_backward_table(env, table)
 
     @pytest.mark.parametrize("n", [1, 2, 7, 256])
-    def test_stores_only_the_cone(self, n):
+    def test_keeps_a_log_row_every_block(self, n):
         env = random_env(n, -2 * n, 2 * n)
-        assert backward_table(env, n).p_right.size == n * n + 2 * n
+        table = backward_table(env, n)
+        length = round(math.sqrt(2 * n))
+        assert table.block == length
+        assert table.checkpoints.shape == (-(-2 * n // length), n + 2)
+        max_disp_samples(env, n, 20, 0, table=table)
+        fills = [f for f in table.fills if f is not None]
+        assert len(fills) == len(table.checkpoints)
+        assert table.kept == table.checkpoints.size + sum(f.p.size for f in fills)
 
-    def test_build_peaks_at_the_table_plus_working_rows(self):
-        # a (2n, n + 1) rectangle would take about n^2 more cells, four
-        # times the margin of 64 rows of n + 1 cells allowed here
+    def test_sampling_peaks_far_below_the_packed_table(self):
+        # the whole-cone table of the earlier sampler held n^2 + 2n float64
+        # cells: 33.6 MB here
+        n = 2048
+        env = sample_environment(NESTLING_K2, 0, -n, n)
+        tracemalloc.start()
+        try:
+            table = backward_table(env, n)
+            max_disp_samples(env, n, 1000, 0, table=table)
+            for seed in range(8):
+                sample_bridge(env, n, seed, table=table)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (n * n + 2 * n) * 8 / 4
+
+    def test_build_peaks_at_the_checkpoints_plus_working_rows(self):
+        # the whole-cone table, n^2 + 2n cells, would take eight times the
+        # margin of 16 rows of 2n + 1 cells allowed here
         n = 256
         env = random_env(0, -2 * n, 2 * n)
         backward_table(env, n)
@@ -154,7 +248,7 @@ class TestStepTable:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= table.p_right.nbytes + 64 * 8 * (n + 1)
+        assert peak <= table.checkpoints.nbytes + 16 * 8 * (2 * n + 1)
 
     def test_degenerate_bridge_detected(self):
         env = Environment(-4, np.ones(9))  # every step forced right
@@ -164,18 +258,104 @@ class TestStepTable:
             sample_bridge(env, 2, 0)
 
     def test_size_cap_matches_backward_table(self, monkeypatch):
-        # the cap counts the n^2 + 2n cells of the step table
-        rwre.sampling._check_table_size(6122)  # 37,492,128 cells
+        # the cap counts checkpoint cells, ceil(2n / B) rows of n + 2
+        rwre.sampling._check_table_size(88860)  # 212 rows: 37,499,764 cells
         with pytest.raises(DomainError, match="materialization cap"):
-            rwre.sampling._check_table_size(6123)
+            rwre.sampling._check_table_size(88861)
         env = random_env(3, -16, 16)
-        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 80)
+        # n = 8: four blocks of 4 steps, four rows of 10 cells
+        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 40)
         backward_table(env, 8)
-        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 79)
+        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 39)
         with pytest.raises(DomainError, match="2n = 16 steps .* materialization cap"):
             backward_table(env, 8)
         with pytest.raises(DomainError, match="materialization cap"):
             sample_bridge(env, 8, 0)
+
+    def test_fills_past_the_cap_are_used_and_not_kept(self, monkeypatch):
+        env = sample_environment(NESTLING_K2, 5, -40, 40)
+        n = 40
+        want = max_disp_samples(env, n, 100, 1), sample_bridge(env, n, 2)
+        full = backward_table(env, n)
+        max_disp_samples(env, n, 100, 1, table=full)
+        sizes = [f.p.size for f in full.fills]
+        # room for the checkpoints and the first two blocks' fills only
+        room = full.checkpoints.size + sizes[0] + sizes[1]
+        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", room)
+        table = backward_table(env, n)
+        got = max_disp_samples(env, n, 100, 1, table=table)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want[0]))
+        assert [f is not None for f in table.fills[:3]] == [True, True, False]
+        assert table.kept == room
+        assert np.array_equal(sample_bridge(env, n, 2, table=table), want[1])
+        assert table.kept == room
+
+    def test_fills_widen_to_later_draws(self):
+        env = sample_environment(NESTLING_K2, 7, -40, 40)
+        n = 40
+        table = backward_table(env, n)
+        # one path keeps narrow fills; a batch then starts outside them
+        single = sample_bridge(env, n, 0, table=table)
+        narrow = [(f.a, f.b) for f in table.fills]
+        assert all(a == b for a, b in narrow)
+        batch = max_disp_samples(env, n, 200, 1, table=table)
+        wide = [(f.a, f.b) for f in table.fills]
+        assert all(a <= x <= y <= b for (x, y), (a, b) in zip(narrow, wide))
+        assert any(b - a > 0 for a, b in wide)
+        assert_fills_match_the_backward_table(env, table)
+        assert np.array_equal(single, sample_bridge(env, n, 0))
+        fresh = max_disp_samples(env, n, 200, 1)
+        assert np.array_equal(batch[0], fresh[0])
+        assert np.array_equal(batch[1], fresh[1])
+        # draws inside the kept fills change nothing
+        kept = list(table.fills)
+        max_disp_samples(env, n, 200, 1, table=table)
+        assert all(f is g for f, g in zip(table.fills, kept))
+
+    def test_threads_may_share_a_table(self):
+        env = sample_environment(NESTLING_K2, 3, -40, 40)
+        n = 40
+        want = [max_disp_samples(env, n, 50, seed) for seed in range(8)]
+        table = backward_table(env, n)
+        got = [None] * 8
+
+        def draw(seed):
+            got[seed] = max_disp_samples(env, n, 50, seed, table=table)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=draw, args=(s,)) for s in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for g, w in zip(got, want):
+            assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
+        # a lost update would leave the count off the kept fills
+        assert table.kept == table.checkpoints.size + sum(f.p.size for f in table.fills)
+        assert_fills_match_the_backward_table(env, table)
+
+    @pytest.mark.parametrize("n", [1, 6, 50])
+    def test_block_length_does_not_change_a_draw(self, n, block_length):
+        env = sample_environment(NESTLING_K2, 2, -n, n)
+
+        def draws(table=None):
+            return [
+                *(sample_bridge(env, n, seed, table=table) for seed in range(3)),
+                sample_bridge_paths(env, n, 30, 4, table=table),
+                *max_disp_samples(env, n, 300, 5, table=table),
+            ]
+
+        want = draws()
+        for length in (1, 2, 3, round(math.sqrt(2 * n)), 2 * n):
+            block_length(length)
+            assert backward_table(env, n).block == length
+            for got in (draws(), draws(backward_table(env, n))):
+                assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestGoldenStream:
@@ -334,7 +514,7 @@ class TestSampleBridge:
         with pytest.raises(DomainError, match="step table"):
             sample_bridge(env, n, 0, table=log_table)
         with pytest.raises(DomainError, match="step table"):
-            sample_bridge_paths(env, n, 2, 0, table=table.p_right)
+            sample_bridge_paths(env, n, 2, 0, table=table.checkpoints)
         with pytest.raises(DomainError, match="step table"):
             max_disp_samples(env, n, 2, 0, table=log_table)
 
@@ -486,6 +666,75 @@ class TestScaleDiagnostics:
             per_env_medians.append(np.quantile(max_abs, 0.5, method="inverted_cdf"))
         pooled = float(np.median(per_env_medians))
         assert n**0.5 <= pooled <= n**0.8
+
+
+def forward_log_probs(env, steps):
+    """``log P_0(X_steps = x)`` at index ``x + steps``, by the plain
+    forward recursion over the whole window ``[-steps, steps]``."""
+    om = env.slice(-steps, steps)
+    with np.errstate(divide="ignore"):
+        log_p, log_q = np.log(om), np.log1p(-om)
+    f = np.full(2 * steps + 1, -np.inf)
+    f[steps] = 0.0
+    for _ in range(steps):
+        g = np.full_like(f, -np.inf)
+        g[1:] = log_p[:-1] + f[:-1]
+        g[:-1] = np.logaddexp(g[:-1], log_q[1:] + f[1:])
+        f = g
+    return f
+
+
+class TestSamplerAudit:
+    """The sampler against the exact law of a long bridge: the maximal
+    displacement by Kolmogorov distance, the midpoint by chi-square, both
+    at level 1e-3."""
+
+    N = 256
+
+    @pytest.fixture(scope="class")
+    def env(self):
+        return sample_environment(NESTLING_K2, 0, -self.N, self.N)
+
+    def test_max_displacement_within_the_dkw_band(self, env):
+        n, draws = self.N, 20_000
+        max_abs, _ = max_disp_samples(env, n, draws, seed=1)
+        law = kernel._BridgeLaw(env, n)
+        # both CDFs are flat between integers, and outside the sampled range
+        # their distance only shrinks, so these m give the exact sup
+        ms = np.arange(max_abs.min() - 1, max_abs.max() + 1)
+        ecdf = np.searchsorted(np.sort(max_abs), ms, side="right") / draws
+        exact = np.array([law.cdf(m + 1) for m in ms])
+        band = math.sqrt(math.log(2.0 / 1e-3) / (2.0 * draws))
+        assert np.max(np.abs(ecdf - exact)) <= band
+
+    def test_midpoint_follows_its_exact_law(self, env):
+        n, draws = self.N, 5000
+        mid = sample_bridge_paths(env, n, draws, seed=2)[:, n]
+        # P(X_n = x | X_2n = 0) = P_0(X_n = x) P_x(X_n = 0) / P
+        x = np.arange(-n, n + 1)
+        log_w = forward_log_probs(env, n) + oracles.backward_log_table(env, n)[n, x + n + 1]
+        log_total = np.logaddexp.reduce(log_w)
+        assert log_total == pytest.approx(bridge_log_prob(env, n), abs=1e-10)
+        expected_counts = draws * np.exp(log_w - log_total)
+        counts = np.bincount(mid + n, minlength=2 * n + 1)
+        # pool neighbouring sites until each cell expects at least 5 draws
+        observed, expected, o, e = [], [], 0, 0.0
+        for c, w in zip(counts.tolist(), expected_counts.tolist()):
+            o, e = o + c, e + w
+            if e >= 5.0:
+                observed.append(o)
+                expected.append(e)
+                o, e = 0, 0.0
+        observed[-1] += o
+        expected[-1] += e
+        observed, expected = np.array(observed), np.array(expected)
+        chi2 = float(np.sum((observed - expected) ** 2 / expected))
+        # the upper 1e-3 quantile of chi-square, by Wilson and Hilferty
+        dof = len(expected) - 1
+        z = 3.090232306167813
+        bound = dof * (1 - 2 / (9 * dof) + z * math.sqrt(2 / (9 * dof))) ** 3
+        assert dof >= 5
+        assert chi2 <= bound
 
 
 def test_sampler_agrees_with_exact_two_point_distribution():
