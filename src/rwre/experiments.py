@@ -19,9 +19,11 @@ exception is the ``kappa`` row of the ``kappa`` experiment, which uses
 
 Every seeded experiment runs its ``(seed, ...)`` tasks through one loop,
 :func:`_map_seeded`, which samples each task's environment and runs the
-tasks serially, in task order.  Environments use counter-based
-per-site keying, so a seed's realization is the same whatever window
-a task requests.
+tasks serially, in task order.  ``bridge-prob`` and the bridge
+``scaling`` run one task per seed, over ``[-max n, max n]``, so that
+the ``n`` of its grid can share bridge passes.  Environments use
+counter-based per-site keying, so a seed's realization is the same
+whatever window a task requests.
 """
 
 from __future__ import annotations
@@ -63,10 +65,12 @@ from .environment import (
 )
 from .errors import ConfigError, DomainError, RegimeError, RwreError
 from .io import load_distribution
-# bridge_max_quantile and max_disp_bridge_cdf are no longer called here,
-# but perfbench's tracer patches the layers under these names
+# bridge_log_prob, bridge_max_quantile and max_disp_bridge_cdf are no
+# longer called here, but perfbench's tracer patches the layers under
+# these names
 from .kernel import (
     _BridgeLaw,
+    _bridge_rows,
     bridge_log_prob,
     bridge_max_quantile,
     confined_log_prob,
@@ -461,8 +465,9 @@ def _map_seeded(
 
     ``env`` is the seed's environment on the sites ``window(*task)``, by
     default ``[-n, n]``, the sites a ``2n``-step bridge can reach.  The
-    default tasks are seeds x ``n_grid``, seed-major.  Tasks run
-    serially on the calling thread.
+    default tasks are seeds x ``n_grid``, seed-major; the bridge sweeps
+    (:func:`_bridge_sweep`) pass one task ``(seed,)`` per seed instead.
+    Tasks run serially on the calling thread.
     """
     dist = cfg.params[_DIST]
     if tasks is None:
@@ -513,13 +518,23 @@ def _run_kappa(cfg: ExperimentConfig, out: _Outputs) -> None:
     out.csv("kappa.csv", "quantity,value", rows)
 
 
+def _bridge_sweep(cfg: ExperimentConfig) -> list[tuple]:
+    """``(seed, n, log P, log bound)`` of ``bridge_log_prob`` with the
+    config's truncation for every seed and ``n`` of the grid, seed-major:
+    one task per seed over ``[-max n, max n]``, whose grid shares passes
+    (``kernel._bridge_rows``)."""
+    ns, trunc = cfg.params["n_grid"], cfg.params.get("truncation")
+
+    def work(env, seed: int) -> list[tuple]:
+        return [(seed, n, *row) for n, row in zip(ns, _bridge_rows(env, ns, trunc))]
+
+    tasks = [(s,) for s in cfg.effective_seeds()]
+    chunks = _map_seeded(cfg, work, tasks, window=lambda seed: (-ns[-1], ns[-1]))
+    return [row for chunk in chunks for row in chunk]
+
+
 def _run_bridge_prob(cfg: ExperimentConfig, out: _Outputs) -> None:
-    trunc = cfg.params.get("truncation")
-
-    def work(env, seed: int, n: int) -> tuple:
-        return seed, n, *bridge_log_prob(env, n, truncation=trunc, with_error_bound=True)
-
-    rows = _map_seeded(cfg, work)
+    rows = _bridge_sweep(cfg)
     out.csv("bridge_prob.csv", "seed,n,log_prob", [row[:3] for row in rows])
     out.truncation_bound(row[2:] for row in rows)
 
@@ -609,7 +624,6 @@ def _run_scaling(cfg: ExperimentConfig, out: _Outputs) -> None:
     dist = cfg.params[_DIST]
     mode = cfg.params["mode"]
     gamma = cfg.params.get("gamma")
-    trunc = cfg.params.get("truncation")
     n_grid = cfg.params["n_grid"]
     regime = classify(dist)
 
@@ -618,13 +632,11 @@ def _run_scaling(cfg: ExperimentConfig, out: _Outputs) -> None:
         if regime.tag is Regime.NON_NESTLING:
             rate0 = rate_I0(dist)
 
-    def work(env, seed: int, n: int) -> tuple:
-        if gamma is None:
-            return seed, n, *bridge_log_prob(env, n, truncation=trunc, with_error_bound=True)
+    def corridor(env, seed: int, n: int) -> tuple:
         m = max(2, round(n**gamma))
         return seed, n, confined_log_prob(env, 2 * n, m, require_bridge=True), -math.inf
 
-    rows = _map_seeded(cfg, work)
+    rows = _bridge_sweep(cfg) if gamma is None else _map_seeded(cfg, corridor)
     out.csv("data.csv", "seed,n,log_prob", [row[:3] for row in rows])
     out.truncation_bound(row[2:] for row in rows)
 

@@ -16,7 +16,8 @@ computes at ``n = 2048`` on a nestling law, holding at most about
 ``e**-675`` of the probability.
 A ``2n``-step bridge propagates only ``n`` steps of a symmetric walk
 with the same bridge paths, and sums the squares of its masses
-(:func:`_bridge_log`).  Confined corridors that run many more steps
+(:func:`_bridge_log`); one such pass serves every ``n`` of a grid that
+lies on its leap grid (:func:`_bridge_rows`).  Confined corridors that run many more steps
 than they have sites may instead take guarded binary powers of a
 transfer matrix (see :func:`confined_log_prob`).
 
@@ -153,12 +154,7 @@ def _propagate(
     par = (start + steps) % 2
     stay, from_left, from_right = _two_step(right, left, par)
     h = stay.size
-    if steps // 2 >= leap > 1:
-        least = min(x.min(where=x > 0.0, initial=np.inf) for x in (stay, from_left, from_right))
-        while leap > 1 and least**leap < _LEAP_FLOOR:
-            leap -= 1
-    else:
-        leap = 1
+    leap = _leap_length((stay, from_left, from_right), steps, leap)
     # Buffers carry ``leap`` zero guard cells per side: entry j is buffer
     # cell j + leap, and the guards' zero mass keeps the edges exact.
     g = leap
@@ -224,6 +220,20 @@ def _propagate(
             live += part
         mass, new = new, mass
         old_lo, old_hi, lo, hi = lo, hi, a, b
+
+
+def _leap_length(weights, steps: int, leap: int) -> int:
+    """The leap a :func:`_propagate` of ``steps`` steps by the two-step
+    ``weights`` takes when asked for ``leap``: 1 unless ``steps`` holds a
+    whole leap, else the longest up to ``leap`` whose band entries all
+    stay normal doubles (``b**leap >= _LEAP_FLOOR`` for ``b`` the
+    smallest positive weight)."""
+    if not steps // 2 >= leap > 1:
+        return 1
+    least = min(x.min(where=x > 0.0, initial=np.inf) for x in weights)
+    while leap > 1 and least**leap < _LEAP_FLOOR:
+        leap -= 1
+    return leap
 
 
 class _Leap:
@@ -296,23 +306,33 @@ def _final_log(mass: np.ndarray, scale: float, index: int | None) -> float:
     return -np.inf if v == 0.0 else float(np.log(v)) + scale
 
 
-def _bridge_log(right: np.ndarray, left: np.ndarray, n: int, trunc: float) -> tuple[float, float]:
-    """``(log P, disc_log)`` for ``P`` the total weight of the ``2n``-step
-    paths from the centre of the step weights ``right`` and ``left``
-    (:func:`_two_step`) back to it, killed on leaving them, and
-    ``disc_log`` a log upper bound on the part of ``P`` lost to the
-    truncation floor ``trunc`` (``-inf`` when nothing was dropped).  For
-    the walk itself, ``(om, 1 - om)``, ``P`` is the probability of that
-    return.
+def _symmetric(right: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The step weights ``(up, down)`` of the symmetric walk that crosses
+    each edge ``(x, x + 1)`` of ``right`` and ``left`` either way with
+    weight ``sqrt(right[x] left[x + 1])``, killed on leaving them."""
+    s = np.sqrt(right[:-1] * left[1:])
+    return np.append(s, 0.0), np.insert(s, 0, 0.0)
+
+
+def _bridge_log(
+    right: np.ndarray, left: np.ndarray, ns: list[int], trunc: float
+) -> list[tuple[float, float]]:
+    """``(log P, disc_log)`` for each half length ``n`` of the ascending
+    ``ns``, for ``P`` the total weight of the ``2n``-step paths from the
+    centre of the step weights ``right`` and ``left`` (:func:`_two_step`)
+    back to it, killed on leaving them, and ``disc_log`` a log upper bound
+    on the part of ``P`` lost to the truncation floor ``trunc`` (``-inf``
+    when nothing was dropped).  For the walk itself, ``(om, 1 - om)``,
+    ``P`` is the probability of that return.
 
     A path back to the centre crosses each edge ``(x, x + 1)`` as often
     rightwards as leftwards, so it has the same weight under the
     symmetric walk ``K~`` that steps across that edge either way with
-    weight ``s[x] = sqrt(right[x] left[x + 1])``.  Hence ``P = K~^2n(0,
-    0) = sum_x K~^n(0, x)**2``, the squared masses of one ``n``-step
-    :func:`_propagate` of ``K~``.  An edge with weight 0 one way gets
-    ``s = 0`` both ways, so no weight is needed anywhere and every
-    environment is covered.
+    weight ``s[x] = sqrt(right[x] left[x + 1])`` (:func:`_symmetric`).
+    Hence ``P = K~^2n(0, 0) = sum_x K~^n(0, x)**2``, the squared masses
+    after ``n`` steps of one :func:`_propagate` of ``K~``.  An edge with
+    weight 0 one way gets ``s = 0`` both ways, so no weight is needed
+    anywhere and every environment is covered.
 
     The bound holds for the walk's own weights only.  Their ``K~`` is
     symmetric, and between two such edges it is ``D^1/2 K D^-1/2`` for
@@ -325,17 +345,71 @@ def _bridge_log(right: np.ndarray, left: np.ndarray, n: int, trunc: float) -> tu
     bound is ``2 d (d + sqrt(d^2 + P~))``, taken in the log domain, or
     ``2 d`` (``sqrt(P) <= 1``) where that is smaller.
 
-    The pass leaps ``_LEAP`` two-steps per iteration, so it truncates
-    only every ``2 * _LEAP`` steps; the bound holds wherever mass is
-    dropped.  Its result agrees with the two-step recursion to rounding.
+    One pass to the largest ``n`` serves every ``n``, since the state
+    after ``k`` steps does not depend on how many steps follow.  The pass
+    leaps ``_LEAP`` two-steps per iteration, so it yields, truncates and
+    rescales only on its leap grid, and each ``n`` must lie on that grid
+    (else ``ValueError``).  A ``k``-step pass runs through the same
+    states, bit for bit, when ``k`` has the largest ``n``'s residue mod
+    ``2 _LEAP`` and both take the same leap, or when ``k < 2 _LEAP`` and
+    the plain two-steps before the first leap reach ``k``.  At each ``k``
+    below the largest, the squares of the cone entries ``|x| <= k`` are
+    summed, the entries and the order of a ``k``-step pass over those
+    sites; at the largest, the whole state.  Where the mass runs out
+    before some ``n``, that ``n`` reads ``-inf``, as its own pass would.
+    Results agree with the two-step recursion to rounding.
     """
-    s = np.sqrt(right[:-1] * left[1:])
-    up, down = np.append(s, 0.0), np.insert(s, 0, 0.0)
-    for _, mass, scale, disc_log in _propagate(up, down, right.size // 2, n, trunc, leap=_LEAP):
-        pass
-    log_p = _final_log(np.square(mass), 2.0 * scale, None)
-    log_root = np.logaddexp(disc_log, 0.5 * np.logaddexp(2.0 * disc_log, log_p))
-    return log_p, float(math.log(2.0) + disc_log + min(log_root, 0.0))
+    up, down = _symmetric(right, left)
+    start, top = right.size // 2, ns[-1]
+
+    def row(k, mass, scale, disc_log):
+        cone = slice(max(start - k, 0) // 2, (start + k) // 2 + 1) if k < top else slice(None)
+        log_p = _final_log(np.square(mass[cone]), 2.0 * scale, None)
+        log_root = np.logaddexp(disc_log, 0.5 * np.logaddexp(2.0 * disc_log, log_p))
+        return log_p, float(_LN2 + disc_log + min(log_root, 0.0))
+
+    rows, stops = [], iter(ns)
+    want = next(stops)
+    for k, mass, scale, disc_log in _propagate(up, down, start, top, trunc, leap=_LEAP):
+        if k >= want:
+            if k > want:
+                raise ValueError(f"half length {want} is off the pass's leap grid")
+            rows.append(row(k, mass, scale, disc_log))
+            want = next(stops, math.inf)
+    if len(rows) < len(ns):  # the mass ran out, as in each later stop's own pass
+        rows += [row(k, mass, scale, disc_log)] * (len(ns) - len(rows))
+    return rows
+
+
+def _bridge_rows(
+    env: Environment, ns: list[int], truncation: float | None
+) -> list[tuple[float, float]]:
+    """``bridge_log_prob(env, n, truncation, with_error_bound=True)`` for
+    each ``n`` of the ascending ``ns``, each bit for bit.
+
+    The ``n`` that share a truncation floor, a leap length and a residue
+    mod ``2 _LEAP`` lie on one leap grid, so one :func:`_bridge_log` pass
+    over ``[-n, n]`` for the largest of them serves them all.  A leap that
+    the guard shortened (:func:`_leap_length`, for weights near 0) puts
+    its ``n`` in a pass of its own.  A single ``n`` shares nothing, so its
+    leap is left to its pass.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for n in ns:
+        trunc = truncation
+        if trunc is None:
+            trunc = _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
+        key = (trunc, n % (2 * _LEAP))
+        if len(ns) > 1:
+            om = env.slice(-n, n)
+            leap = _leap_length(_two_step(*_symmetric(om, 1.0 - om), 0), n, _LEAP)
+            key += (leap, n if 1 < leap < _LEAP else 0)
+        groups.setdefault(key, []).append(n)
+    rows = {}
+    for (trunc, *_), group in groups.items():
+        om = env.slice(-group[-1], group[-1])
+        rows.update(zip(group, _bridge_log(om, 1.0 - om, group, trunc)))
+    return [rows[n] for n in ns]
 
 
 def bridge_log_prob(
@@ -383,19 +457,19 @@ def bridge_log_prob(
     An edge that the walk crosses one way only (``omega`` 0 or 1 at one
     of its ends) gets weight 0, so the identity holds in every
     environment.
+
+    This is the one-``n`` call of the pass that ``bridge-prob`` and
+    ``scaling`` run once per seed for a whole grid of ``n``
+    (``kernel._bridge_rows``); each grid row equals this call's result
+    bit for bit.
     """
     n = _check_site("n", n)
     if n < 0:
         raise DomainError("n must be nonnegative")
     if truncation is not None and not 0.0 <= truncation < 1.0:
         raise DomainError("truncation must lie in [0, 1)")
-    om = env.slice(-n, n)
-    if n == 0:
-        return (0.0, -np.inf) if with_error_bound else 0.0
-    if truncation is None:
-        truncation = _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
-    logp, disc_log = _bridge_log(om, 1.0 - om, n, truncation)
-    return (logp, disc_log) if with_error_bound else logp
+    row = _bridge_rows(env, [n], truncation)[0]
+    return row if with_error_bound else row[0]
 
 
 def confined_log_prob(
@@ -456,7 +530,7 @@ def _confined_log(om: np.ndarray, steps: int, bridge: bool) -> float:
         if logp is not None:
             return logp
     if bridge:
-        return _bridge_log(om, 1.0 - om, steps // 2, 0.0)[0]
+        return _bridge_log(om, 1.0 - om, [steps // 2], 0.0)[0][0]
     for _, mass, scale, _ in _propagate(om, 1.0 - om, om.size // 2, steps, leap=_LEAP):
         pass
     return _final_log(mass, scale, None)

@@ -255,7 +255,7 @@ def verify_com_identity(
     rows = []
     for label, half in events:
         cut = slice(n - half, n + half + 1)
-        logs = [_bridge_log(r[cut], l[cut], n, 0.0)[0] + shift for r, l, shift in sums]
+        logs = [_bridge_log(r[cut], l[cut], [n], 0.0)[0][0] + shift for r, l, shift in sums]
         lhs, rhs, lower, upper = logs
         violation = max(abs(_gap(rhs, lhs)), _gap(lower, lhs), _gap(lhs, upper), 0.0)
         rows.append(ComRow(label, *logs, violation))

@@ -1007,6 +1007,40 @@ class TestScalingExperiment:
         assert float(rows[0][4]) == pytest.approx(-1.1854702951709319, abs=1e-12)
 
 
+class TestBridgeGridPasses:
+    """``bridge-prob`` and the bridge ``scaling`` run one bridge pass per
+    seed for each leap grid of ``n_grid``."""
+
+    def passes(self, monkeypatch, capsys, experiment, cfg, out):
+        steps = []
+        real = rwre.kernel._propagate
+
+        def counted(*args, **kwargs):
+            steps.append(args[3])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(rwre.kernel, "_propagate", counted)
+        code, _, err = run_cli(capsys, experiment, cfg, out)
+        assert code == 0, err
+        return steps
+
+    def test_bridge_wide_grid_runs_two_passes_per_seed(self, workdir, capsys, monkeypatch):
+        # 2048 runs untruncated; 4096 and 6144 share the truncated pass
+        cfg = small_config(workdir, "bridge-prob", n_grid="2048, 4096, 6144", seeds="0,1")
+        steps = self.passes(monkeypatch, capsys, "bridge-prob", cfg, workdir / "runs")
+        assert steps == [2048, 6144] * 2
+
+    def test_shipped_scaling_grid_runs_one_pass_per_seed(self, workdir, capsys, monkeypatch):
+        cfg = Path(__file__).resolve().parents[1] / "demos" / "configs" / "scaling_nestling.ini"
+        steps = self.passes(monkeypatch, capsys, "scaling", cfg, workdir / "runs")
+        assert steps == [2048] * 3
+
+    def test_small_n_of_distinct_residues_run_one_pass_each(self, workdir, capsys, monkeypatch):
+        cfg = small_config(workdir, "bridge-prob", n_grid="1..4", seeds="0,1")
+        steps = self.passes(monkeypatch, capsys, "bridge-prob", cfg, workdir / "runs")
+        assert steps == [1, 2, 3, 4] * 2
+
+
 class TestSrwSmallDevExperiment:
     def test_unit_corridor_rows(self, workdir, capsys):
         cfg = write_config(workdir, "srw-smalldev", {"n_grid": "4,16", "x": "1"})
@@ -1291,13 +1325,14 @@ def test_every_experiment_is_thread_invariant(workdir, capsys, experiment):
 
 def test_tasks_run_on_the_calling_thread(workdir, capsys, monkeypatch):
     idents = []
-    real = experiments.bridge_log_prob
+    real = rwre.kernel._bridge_log
 
     def spy(*args, **kwargs):
         idents.append(threading.get_ident())
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(experiments, "bridge_log_prob", spy)
+    # one bridge pass per n: the residues of 1..4 mod 16 differ
+    monkeypatch.setattr(rwre.kernel, "_bridge_log", spy)
     dist = write_dist(workdir, FIG1)
     cfg = write_config(
         workdir, "bridge-prob", {"distribution": dist.name, "n_grid": "1..4", "seeds": "0,1"}

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -281,7 +282,7 @@ class TestSquaringPath:
         assert _prefers_squaring(om.size, 20000, True)
         assert _squared_log(om, 20000, True) is None
         got = confined_log_prob(env, 20000, 64, require_bridge=True)
-        assert got == kernel._bridge_log(om, 1.0 - om, 10000, 0.0)[0]
+        assert got == kernel._bridge_log(om, 1.0 - om, [10000], 0.0)[0][0]
         assert_close_log(got, dp_log(om, 20000, True))
 
     def test_dispatch_points(self):
@@ -725,7 +726,7 @@ class TestHalfLengthBridge:
         om = env.slice(-(m - 1), m - 1)
         want = dp_log(om, 2 * n, True)
         assert_close_log(confined_log_prob(env, 2 * n, m, require_bridge=True), want)
-        assert_close_log(kernel._bridge_log(om, 1.0 - om, n, 0.0)[0], want)
+        assert_close_log(kernel._bridge_log(om, 1.0 - om, [n], 0.0)[0][0], want)
 
     @settings(max_examples=40, deadline=None)
     @given(one_way_windows())
@@ -748,7 +749,7 @@ class TestHalfLengthBridge:
         cut = env.slice(-(m - 1), m - 1)
         cases = [
             (bridge_log_prob(env, n), oracles.bridge_probability(env, n)),
-            (kernel._bridge_log(cut, 1.0 - cut, n, 0.0)[0],
+            (kernel._bridge_log(cut, 1.0 - cut, [n], 0.0)[0][0],
              oracles.confined_probability(env, 2 * n, m, require_bridge=True)),
         ]
         for got, exact in cases:
@@ -831,23 +832,117 @@ def benchmark_reference(workload: str, slot: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))["slots"][slot]
 
 
+def perfbench_workload(name: str):
+    """A workload of the repository benchmark, read from its definition."""
+    path = ROOT / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # its dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module.WORKLOADS[name]
+
+
 def demo_law(name: str) -> SiteDistribution:
     return rwre.load_distribution(ROOT / "demos" / "dists" / name)
+
+
+DEMO_LAWS = sorted(p.name for p in (ROOT / "demos" / "dists").glob("*.txt"))
+
+
+class TestBridgeGrid:
+    """One pass to the largest ``n`` of a leap grid serves every ``n`` of
+    it, each row bit for bit the row of its own ``bridge_log_prob``."""
+
+    GRIDS = [
+        [0, 16, 48, 160],  # residue 0, from the pass's first state
+        [3, 19, 67, 131],  # 3 lies in the plain two-steps before the first leap
+        [13, 45, 205],
+        [15, 31, 95],
+        [1, 3, 5, 7, 9, 11, 13, 15],  # passes of plain two-steps only
+        [0, 2, 4, 6, 8, 10, 12, 14],
+    ]
+
+    @staticmethod
+    def own_rows(env, grid, truncation):
+        return [bridge_log_prob(env, n, truncation=truncation, with_error_bound=True)
+                for n in grid]
+
+    @pytest.mark.parametrize("law", DEMO_LAWS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("truncation", [0.0, 1e-30])
+    def test_each_stop_is_its_own_pass(self, law, seed, truncation):
+        env = sample_environment(demo_law(law), seed, -205, 205)
+        for grid in self.GRIDS:
+            om = env.slice(-grid[-1], grid[-1])
+            got = kernel._bridge_log(om, 1.0 - om, grid, truncation)
+            assert got == self.own_rows(env, grid, truncation), grid
+
+    @pytest.mark.parametrize("law", DEMO_LAWS)
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_auto_truncation_on_both_sides_of_its_threshold(self, law, seed):
+        # 4080 runs untruncated, 4096 and 4112 share one truncated pass
+        grid = [4080, 4096, 4112]
+        env = sample_environment(demo_law(law), seed, -grid[-1], grid[-1])
+        with mock.patch.object(kernel, "_bridge_log", wraps=kernel._bridge_log) as passes:
+            got = kernel._bridge_rows(env, grid, None)
+        assert [c.args[2] for c in passes.call_args_list] == [[4080], [4096, 4112]]
+        assert got == self.own_rows(env, grid, None)
+
+    def test_truncation_drops_mass_on_these_grids(self):
+        env = sample_environment(NESTLING_K2, 0, -205, 205)
+        bounds = [b for grid in self.GRIDS for _, b in self.own_rows(env, grid, 1e-30)]
+        assert any(b > -np.inf for b in bounds)
+
+    def test_rows_after_the_mass_runs_out_read_minus_inf(self):
+        # omega_-1 = omega_0 = 0: the walk leaves the origin leftwards for
+        # good, so the symmetric walk's mass dies on its first step out
+        # (in the first leap of the pass to 64)
+        env = sample_environment(NESTLING_K2, 0, -64, 64)
+        env = with_omega(with_omega(env, -1, 0.0), 0, 0.0)
+        for grid in ([0, 16, 32, 64], [1, 17, 33], [2, 4, 6]):
+            om = env.slice(-grid[-1], grid[-1])
+            got = kernel._bridge_log(om, 1.0 - om, grid, 0.0)
+            assert got == self.own_rows(env, grid, 0.0)
+            assert got[-1] == (-np.inf, -np.inf)
+
+    def test_a_shortened_leap_runs_its_own_pass(self):
+        # omega = 1e-40 at 40 <= x <= 45 puts two-step weights near 1e-40
+        # there: the pass over [-64, 64] leaps 7 two-steps, so 32 is off
+        # its grid, while the pass over [-32, 32] leaps 8
+        om = sample_environment(NESTLING_K2, 0, -64, 64).omegas.copy()
+        om[64 + 40 : 64 + 46] = 1e-40
+        env = Environment(-64, om)
+        with pytest.raises(ValueError, match="leap grid"):
+            kernel._bridge_log(om, 1.0 - om, [32, 64], 0.0)
+        with mock.patch.object(kernel, "_bridge_log", wraps=kernel._bridge_log) as passes:
+            got = kernel._bridge_rows(env, [32, 64], 0.0)
+        assert passes.call_count == 2
+        assert got == self.own_rows(env, [32, 64], 0.0)
 
 
 class TestBenchmarkReference:
     """The package against the reference outputs of the repository benchmark."""
 
-    @pytest.mark.parametrize("slot", ["0", "1"])
-    def test_bridge_wide_reference(self, slot):
-        rows = benchmark_reference("bridge_wide", slot)["bridge_prob.csv"]["rows"]
-        law = demo_law("nestling_k2.txt")
-        assert len(rows) == 3
-        for row in rows:
-            seed, n, want = row.split(",")
-            env = sample_environment(law, int(seed), -2 * int(n), 2 * int(n))
-            assert abs(bridge_log_prob(env, int(n)) - float(want)) <= 1e-12 * abs(float(want))
-
+    @pytest.mark.parametrize("slot", [str(k) for k in range(16)])
+    def test_bridge_wide_reference(self, slot, tmp_path, capsys):
+        # the workload's own bridge-prob run of this slot, through the command line
+        want = benchmark_reference("bridge_wide", slot)["bridge_prob.csv"]
+        config = tmp_path / "bridge_wide.ini"
+        config.write_text(perfbench_workload("bridge_wide").config_text(ROOT / "demos" / "dists"),
+                          encoding="utf-8")
+        out = tmp_path / "runs"
+        argv = ["bridge-prob", "--config", str(config), "--out", str(out), "--seed-offset", slot]
+        assert rwre.cli.main(argv) == 0
+        capsys.readouterr()
+        (run_dir,) = out.iterdir()
+        header, *rows = (run_dir / "bridge_prob.csv").read_text(encoding="utf-8").splitlines()
+        assert header == want["header"]
+        assert len(rows) == len(want["rows"]) == 3
+        for got_row, want_row in zip(rows, want["rows"]):
+            *got_key, got = got_row.split(",")
+            *want_key, value = want_row.split(",")
+            assert got_key == want_key
+            assert abs(float(got) - float(value)) <= 1e-12 * abs(float(value))
 
     @pytest.mark.parametrize("slot", [str(k) for k in range(16)])
     def test_maxdisp_probe_reference(self, slot):
