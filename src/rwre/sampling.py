@@ -10,20 +10,21 @@ uniform draw and one comparison per step.  Both passes are exact, so the
 sampled paths follow the quenched conditional law with no approximation
 beyond floating point.
 
-:func:`backward_table` runs the recursion once per (environment, n), in
-O(n^2) time over the cells of the bridge's double cone, and keeps only
-the log row of every B-th step, B = round(sqrt(2n)): about sqrt(2n) rows
-of n + 2 cells (1 MB at n = 2048) instead of the n^2 + 2n step
-probabilities.  When a sampler enters a block of B steps, it refills the
-block's step probabilities from the checkpoint that ends the block, with
-the same operations cell by cell, but only over the cells that its draws
-can reach from where they stand; the table keeps each fill for later
-draws and widens it when one starts outside it (checkpointing in the
-sense of Griewank, "Achieving logarithmic growth of temporal and spatial
-complexity in reverse automatic differentiation", Optim. Methods Softw. 1,
-1992).  Every sampler takes the table as ``table=``, so each further path
-costs O(n) steps plus the fills of cells no earlier draw reached, with
-batches vectorized across samples.
+One loop runs the recursion, over one block of B = round(sqrt(2n)) steps
+down from the log row that ends it.  :func:`backward_table` runs it over
+the bridge's double cone, in O(n^2) time once per (environment, n), and
+keeps the log row of every B-th step: about sqrt(2n) rows of n + 2 cells
+(1 MB at n = 2048) instead of the n^2 + 2n step probabilities.  When a
+sampler enters a block, the same loop refills the block's step
+probabilities from its checkpoint, cell by cell as the build computed
+them, but only over the cells that its draws can reach from where they
+stand; the table keeps each fill for later draws and widens it when one
+starts outside it (checkpointing in the sense of Griewank, "Achieving
+logarithmic growth of temporal and spatial complexity in reverse
+automatic differentiation", Optim. Methods Softw. 1, 1992).  Every
+sampler takes the table as ``table=``, so each further path costs O(n)
+steps plus the fills of cells no earlier draw reached, with batches
+vectorized across samples.
 """
 
 from __future__ import annotations
@@ -102,9 +103,11 @@ class _StepTable:
     ``log_p`` and ``log_q`` are the logs of ``omega`` and ``1 - omega``,
     where ``omega`` is the environment's slice over ``[-n, n]`` that the
     table was built from; the samplers accept the table only for that
-    slice.  ``fills[c]`` is block c's kept :class:`_Fill`, or None, and
-    ``kept`` counts the cells of the checkpoints and the kept fills; a
-    lock guards both, so threads may share a table.
+    slice.  :meth:`_rows` runs the recursion over one block, both for the
+    build of the checkpoints and for the fills.  ``fills[c]`` is block c's
+    kept :class:`_Fill`, or None, and ``kept`` counts the cells of the
+    checkpoints and the kept fills; a lock guards both, so threads may
+    share a table.
     """
 
     n: int
@@ -144,52 +147,61 @@ class _StepTable:
                 self.kept += grown
             return fill
 
-    def _fill(self, c: int, a: int, b: int) -> _Fill:
-        # the recursion of backward_table, run down from the checkpoint that
-        # ends the block, over right-step counts [a, b + i] at its i-th step
-        n, start = self.n, c * self.block
+    def _rows(self, c: int, a: int, b: int):
+        """The recursion down block c from the checkpoint that ends it.
+
+        At step ``k = c * block + i`` it yields ``(i, lo, right, here)``
+        over right-step counts ``lo = max(a, k - n) <= j <= min(b + i, n)``:
+        ``here`` is ``log P(X_{2n} = 0 | X_k = 2j - k)`` and ``right`` the
+        log of its right-step term, views of rows that later steps
+        overwrite.  Cells that cannot reach the origin stay -inf.
+        """
+        n, start, log_p, log_q = self.n, c * self.block, self.log_p, self.log_q
         steps = min(self.block, 2 * n - start)
+        # rows[i % 2][j - a] holds the log row of step i; cells off the
+        # cone, and column n + 1, stay -inf
+        width = min(b + self.block, n) - a + 2
+        rows, up = tuple(np.full((2, width), -np.inf)), np.empty(width)
+        rows[steps % 2][:] = self.checkpoints[c, a : a + width]
+        for i in range(steps - 1, -1, -1):
+            k = start + i
+            lo, hi = max(a, k - n), min(b + i, n)
+            o, m = lo - a, hi - lo + 1
+            # indices x + n of the sites x = 2j - k
+            s = slice(2 * lo - k + n, 2 * hi - k + n + 1, 2)
+            nxt, here = rows[(i + 1) % 2], rows[i % 2][o : o + m]
+            right = np.add(log_p[s], nxt[o + 1 : o + m + 1], up[:m])
+            np.add(log_q[s], nxt[o : o + m], here)
+            np.logaddexp(right, here, here)
+            yield i, lo, right, here
+
+    def _fill(self, c: int, a: int, b: int) -> _Fill:
+        steps = min(self.block, 2 * self.n - c * self.block)
         width = b - a + 1
-        base = [i * width + i * (i - 1) // 2 for i in range(steps + 2)]
-        # h[base[i] + j - a] holds log P(X_{2n} = 0 | X_k = 2j - k) at step
-        # k = start + i, laid out as p, plus the checkpoint as row `steps`;
-        # cells outside the cone stay -inf
-        h = np.full(base[-1], -np.inf)
-        last = self.checkpoints[c, a : b + steps + 1]
-        h[base[steps] : base[steps] + last.size] = last
-        p, down = np.zeros(base[steps]), np.empty(min(b + steps, n + 1) - a)
-        log_p, log_q = self.log_p, self.log_q
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for i in range(steps - 1, -1, -1):
-                k = start + i
-                lo, hi = max(a, k - n), min(b + i, n)
-                # indices x + n of the sites x = 2j - k
-                s = slice(2 * lo - k + n, 2 * hi - k + n + 1, 2)
-                o, up = base[i] - a, base[i + 1] - a
-                u = p[o + lo : o + hi + 1]
-                nxt = h[up + lo : up + hi + 2]
-                np.add(log_p[s], nxt[1:], u)
-                d = np.add(log_q[s], nxt[:-1], down[: hi - lo + 1])
-                np.logaddexp(u, d, h[o + lo : o + hi + 1])
-            # h >= the log of the right-step term, so p is at most 1 on the cone
-            np.subtract(p, h[: p.size], out=p)
+        base = [i * width + i * (i - 1) // 2 for i in range(steps + 1)]
+        p = np.zeros(base[-1])
+        with np.errstate(invalid="ignore"):
+            for i, lo, right, here in self._rows(c, a, b):
+                o = base[i] + lo - a
+                np.subtract(right, here, p[o : o + right.size])
+            # here >= right, so p is at most 1 on the cone
             np.exp(p, out=p)
-        return _Fill(a, b, p, base[:-1])
+        return _Fill(a, b, p, base)
 
 
 def backward_table(env: Environment, n: int) -> _StepTable:
     """Step table of the 2n-step bridge: build it once, sample it often.
 
-    Runs the backward recursion for ``log P(X_{2n} = 0 | X_k = x)``, with
-    two rolling log rows over the cells of the bridge's double cone, in
-    O(n^2) time, and keeps the row of every B-th step, B = round(sqrt(2n))
-    (see :class:`_StepTable`): ``ceil(2n / B) * (n + 2)`` cells, 1 MB at
-    n = 2048.  The samplers accept it as ``table=`` and fill the step
-    probabilities of each block of B steps from its checkpoint as their
-    draws reach it, at most about ``(b - a + B) * B`` cells per block for
-    draws spread over ``b - a`` right-step counts; the table keeps those
-    fills while checkpoints and fills stay within 37,500,000 cells.  The
-    checkpoints alone cap bridge lengths at n <= 88860.
+    Runs the backward recursion for ``log P(X_{2n} = 0 | X_k = x)`` over
+    the bridge's double cone in O(n^2) time, one block of B =
+    round(sqrt(2n)) steps at a time from the last, and keeps the row of
+    every B-th step (see :class:`_StepTable`): ``ceil(2n / B) * (n + 2)``
+    cells, 1 MB at n = 2048.  The samplers accept it as ``table=``, and the
+    same recursion refills each block's step probabilities from its
+    checkpoint as their draws reach it: at most about ``(b - a + B) * B``
+    cells per block for draws spread over ``b - a`` right-step counts.  The
+    table keeps those fills while checkpoints and fills stay within
+    37,500,000 cells.  The checkpoints alone cap n at 88860.
 
     The environment window must cover ``[-n, n]``, the sites a bridge can
     reach.
@@ -202,40 +214,26 @@ def backward_table(env: Environment, n: int) -> _StepTable:
     block = _block_length(n)
     checkpoints = np.full((-(-2 * n // block), n + 2), -np.inf)
     checkpoints[-1, n] = 0.0
-    # h[k % 2, j] holds log P(X_{2n} = 0 | X_k = 2j - k); column n + 1 and
-    # every cell outside the cone stay -inf
-    h = np.full((2, n + 2), -np.inf)
-    h[0, n] = 0.0
-    up, down = np.empty(n + 1), np.empty(n + 1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        log_p = np.log(om)
-        log_q = np.log1p(-om)
-        for k in range(2 * n - 1, -1, -1):
-            lo, hi = max(0, k - n), min(k, n)
-            # indices x + n of the row's sites x = 2j - k
-            i = slice(2 * lo - k + n, 2 * hi - k + n + 1, 2)
-            nxt, here = h[(k + 1) % 2, lo : hi + 2], h[k % 2, lo : hi + 1]
-            u, d = up[: hi - lo + 1], down[: hi - lo + 1]
-            np.add(log_p[i], nxt[1:], out=u)
-            np.add(log_q[i], nxt[:-1], out=d)
-            np.logaddexp(u, d, out=here)
-            if k % block == 0 and k > 0:
-                checkpoints[k // block - 1, lo : hi + 1] = here
+    with np.errstate(divide="ignore"):
+        table = _StepTable(n, block, checkpoints, np.log(om), np.log1p(-om), om.copy())
+    for c in range(len(checkpoints) - 1, -1, -1):
+        # a block's last row, at its first step, ends the block before
+        start = c * block
+        for _, lo, _, here in table._rows(c, max(0, start - n), min(start, n)):
+            pass
+        if c > 0:
+            checkpoints[c - 1, lo : lo + here.size] = here
     if here[0] == -np.inf:
         raise DegenerateBridgeError(
             "conditioning event X_{2n} = 0 has zero probability"
         )
-    return _StepTable(n, block, checkpoints, log_p, log_q, om.copy())
+    return table
 
 
 def _sampler_inputs(
     env: Environment, n: int, seed: int, table: _StepTable | None
-) -> tuple[np.random.Generator, _StepTable, np.ndarray]:
-    """Validated ``(rng, table, trap)`` for sampling 2n-step bridges.
-
-    ``trap[x + n]`` flags the sites ``|x| <= n`` whose transition
-    probability exceeds the law's minimal support value.
-    """
+) -> tuple[np.random.Generator, _StepTable]:
+    """Validated ``(rng, table)`` for sampling 2n-step bridges."""
     seed, n = _check_seed(seed), _check_site("n", n)
     if table is None:
         table = backward_table(env, n)
@@ -243,13 +241,12 @@ def _sampler_inputs(
         raise DomainError(
             f"table is not a step table for n={n}; build one with backward_table"
         )
-    om = env.slice(-n, n)
-    if not np.array_equal(table.omega, om):
+    if not np.array_equal(table.omega, env.slice(-n, n)):
         raise DomainError(
             "table was built for another environment; build one with backward_table"
         )
     rng = np.random.Generator(np.random.Philox(key=seed))
-    return rng, table, om > env.omega_min
+    return rng, table
 
 
 def _sample_batch(
@@ -266,8 +263,11 @@ def _sample_batch(
     seed's stream, so results for a given (env, n, n_samples, seed) are
     reproducible and independent of batching by the caller.
     """
-    rng, table, trap = _sampler_inputs(env, n, seed, table)
+    rng, table = _sampler_inputs(env, n, seed, table)
     block = table.block
+    # trap[x + n] flags the sites whose transition probability exceeds the
+    # law's minimal support value
+    trap = table.omega > env.omega_min
     # right-step counts, as offsets from the current block's fill.a
     right, a = np.zeros(n_samples, dtype=np.int64), 0
     site = np.zeros(n_samples, dtype=np.int64)
@@ -318,7 +318,7 @@ def sample_bridge(
         table built for another ``n``, or for an environment with other
         omegas on ``[-n, n]``, raises :class:`DomainError`.
     """
-    rng, table, _ = _sampler_inputs(env, n, seed, table)
+    rng, table = _sampler_inputs(env, n, seed, table)
     block = table.block
     right = 0
     sites = [0]

@@ -90,12 +90,7 @@ class TestBackwardTable:
         # each keeps that step's log row over n + 2 cells
         assert table.block == 2
         assert table.checkpoints.shape == (3, n + 2)
-        h = oracles.backward_log_table(env, n)
-        for c, k in enumerate((2, 4, 6)):
-            j = np.arange(n + 2)
-            cone = (j >= max(0, k - n)) & (j <= min(k, n))
-            want = np.where(cone, h[k, np.clip(2 * j - k + n + 1, 0, 2 * n + 2)], -np.inf)
-            assert np.array_equal(table.checkpoints[c], want)
+        assert_checkpoints_match_the_backward_table(env, table)
         # no step probability is kept before a sampler asks for it
         assert table.fills == [None] * 3
         assert table.kept == table.checkpoints.size
@@ -145,6 +140,20 @@ def filled_rows(table, c, fill):
         yield k, lo, hi, fill.p[row + lo - fill.a : row + hi - fill.a + 1]
 
 
+def assert_checkpoints_match_the_backward_table(env, table):
+    """Every checkpoint row equals the row of the reference log table that
+    ends its block, bit for bit, and reads -inf off the cone and in the
+    guard column ``j = n + 1``."""
+    n, block = table.n, table.block
+    h = oracles.backward_log_table(env, n)
+    j = np.arange(n + 2)
+    for c, row in enumerate(table.checkpoints):
+        k = min((c + 1) * block, 2 * n)
+        cone = (j >= max(0, k - n)) & (j <= min(k, n))
+        want = np.where(cone, h[k, np.clip(2 * j - k + n + 1, 0, 2 * n + 2)], -np.inf)
+        assert np.array_equal(row, want), (block, c)
+
+
 def assert_fills_match_the_backward_table(env, table):
     """Every cell the table's fills hold equals the fold of the reference
     log table, bit for bit (NaN where a one-way site makes 0/0)."""
@@ -190,6 +199,8 @@ class TestStepTable:
             block_length(length)
             for env in one_way_envs(n):
                 table = backward_table(env, n)
+                assert table.block == length
+                assert_checkpoints_match_the_backward_table(env, table)
                 # fill every block over the whole cone
                 for c in range(len(table.checkpoints)):
                     start = c * length
@@ -250,12 +261,33 @@ class TestStepTable:
             tracemalloc.stop()
         assert peak <= table.checkpoints.nbytes + 16 * 8 * (2 * n + 1)
 
-    def test_degenerate_bridge_detected(self):
+    def test_a_fill_peaks_at_its_probabilities_plus_working_rows(self):
+        # a packed log copy of the fill, as large as p itself, would take
+        # about sixty of the rows of b - a + B + 2 cells allowed here
+        n, c, a, b = 2048, 40, 1100, 1300
+        env = sample_environment(NESTLING_K2, 0, -n, n)
+        table = backward_table(env, n)
+        block = table.block
+        tracemalloc.start()
+        try:
+            fill = table.cover(c, a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert fill.p.size == block * (b - a + 1) + block * (block - 1) // 2
+        assert peak < fill.p.nbytes + 8 * 8 * (b - a + block + 2)
+        assert_fills_match_the_backward_table(env, table)
+
+    def test_degenerate_bridge_detected(self, block_length):
         env = Environment(-4, np.ones(9))  # every step forced right
-        with pytest.raises(DegenerateBridgeError):
-            backward_table(env, 2)
-        with pytest.raises(DegenerateBridgeError):
-            sample_bridge(env, 2, 0)
+        # the default 2 steps per block, then 1 and 2n = 4
+        for length in (None, 1, 4):
+            if length is not None:
+                block_length(length)
+            with pytest.raises(DegenerateBridgeError):
+                backward_table(env, 2)
+            with pytest.raises(DegenerateBridgeError):
+                sample_bridge(env, 2, 0)
 
     def test_size_cap_matches_backward_table(self, monkeypatch):
         # the cap counts checkpoint cells, ceil(2n / B) rows of n + 2
