@@ -12,12 +12,19 @@ with a message on stderr.
 
 ``--threads`` is accepted and validated (K must be at least 1) but
 ignored: every experiment runs its tasks serially on one thread.
+
+To keep the fixed cost of a run small, only the subparser of the
+experiment named by the first argument is built; any other first
+argument gets the full tree, for top-level help and errors.  Small
+environment windows are drawn without importing ``numpy.random`` (see
+:func:`rwre.environment.sample_environment`).
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 from .errors import ConfigError, RwreError
@@ -38,14 +45,15 @@ _HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(names: Sequence[str] = EXPERIMENT_NAMES) -> argparse.ArgumentParser:
+    """The ``rwre`` parser, with one subparser per experiment in ``names``."""
     parser = argparse.ArgumentParser(
         prog="rwre",
         description="Exact quenched computations and conditioned-path "
         "sampling for 1-D random walks in random environment.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name in EXPERIMENT_NAMES:
+    for name in names:
         p = sub.add_parser(name, help=_HELP[name], description=_HELP[name])
         p.add_argument("--config", required=True, metavar="PATH",
                        help="config file with a [%s] section" % name)
@@ -60,7 +68,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    names = argv[:1] if argv[:1] and argv[0] in EXPERIMENT_NAMES else EXPERIMENT_NAMES
+    args = build_parser(names).parse_args(argv)
     try:
         if args.threads < 1:
             raise ConfigError("threads must be at least 1")

@@ -61,6 +61,20 @@ _KAPPA_TOL = 1e-12
 # nonnegative draw positions of the counter-based generator.
 _SITE_STREAM_OFFSET = 1 << 62
 
+# Windows of at most this many draws are drawn by _philox_uniforms, which
+# spares the import of numpy.random; larger ones use numpy's C generator,
+# an order of magnitude faster per draw.
+_INLINE_DRAWS_MAX = 1 << 14
+
+# Philox4x64-10 constants (Salmon et al., SC'11): round multipliers, their
+# 32-bit halves, and the Weyl key bumps.  Every operand stays np.uint64 so
+# that no integer promotion can change the bits.
+_PHILOX_M = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)
+_U32 = np.uint64(32)
+_LOW32 = np.uint64(0xFFFFFFFF)
+_PHILOX_M_LO, _PHILOX_M_HI = _PHILOX_M & _LOW32, _PHILOX_M >> _U32
+
 
 @dataclass(frozen=True)
 class SiteDistribution:
@@ -425,6 +439,38 @@ def _check_seed(seed: int) -> int:
     raise DomainError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
+def _philox_uniforms(key: int, block: int, count: int) -> np.ndarray:
+    """``Generator(bitgen).random(count)`` for ``bitgen = Philox(key=key)``
+    after ``bitgen.advance(block)``, computed with plain uint64 arithmetic.
+
+    Block ``i`` is Philox4x64-10 of the counter ``block + 1 + i`` (numpy
+    increments the counter before it generates) under the key
+    ``(key, 0)``, and yields four words; each word ``x`` becomes the double
+    ``(x >> 11) * 2**-53``, as numpy's ``next_double``.  Every counter must
+    fit the low 64-bit word: ``block + ceil(count / 4) < 2**64``.
+    """
+    blocks = -(-count // 4)
+    ctr = np.zeros((4, blocks), dtype=np.uint64)
+    ctr[0] = np.uint64(block + 1) + np.arange(blocks, dtype=np.uint64)
+    k = np.array([key, 0], dtype=np.uint64)
+    for r in range(10):
+        if r:
+            k += _PHILOX_W
+        # 64x64 -> 128-bit products of words 0 and 2 by their multipliers,
+        # from four 32-bit partial products each.
+        x = ctr[0::2]
+        x_lo, x_hi = x & _LOW32, x >> _U32
+        ll, lh = x_lo * _PHILOX_M_LO, x_lo * _PHILOX_M_HI
+        hl, hh = x_hi * _PHILOX_M_LO, x_hi * _PHILOX_M_HI
+        t = lh + (ll >> _U32)
+        u = hl + (t & _LOW32)
+        hi = hh + (t >> _U32) + (u >> _U32)
+        lo = x * _PHILOX_M
+        ctr = np.stack([hi[1] ^ ctr[1] ^ k[0], lo[1], hi[0] ^ ctr[3] ^ k[1], lo[0]])
+    words = ctr.T.reshape(-1)[:count]
+    return (words >> np.uint64(11)).astype(np.float64) * (1.0 / 9007199254740992.0)
+
+
 def sample_environment(
     dist: SiteDistribution, seed: int, lo: int, hi: int
 ) -> Environment:
@@ -433,7 +479,11 @@ def sample_environment(
     The value at site x is a pure function of ``(seed, x, dist)``: a
     counter-based generator is advanced to the draw position assigned to
     x, so overlapping or extended windows for the same seed agree site by
-    site.
+    site.  The generator is numpy's Philox4x64-10 stream keyed by
+    ``seed``.  Windows of at most 2**14 draws whose counters stay in the
+    low 64-bit word compute that stream in-package, bit for bit, which
+    spares the import of ``numpy.random`` (numpy >= 2.0 loads it lazily);
+    larger windows use ``np.random.Philox`` itself.
 
     Parameters
     ----------
@@ -455,9 +505,12 @@ def sample_environment(
     blocks, rem = divmod(base, 4)
     draws = rem + (hi - lo + 1)
     _check_window_size(draws)
-    bitgen = np.random.Philox(key=seed)
-    bitgen.advance(blocks)
-    uniforms = np.random.Generator(bitgen).random(draws)[rem:]
+    if draws <= _INLINE_DRAWS_MAX and blocks + -(-draws // 4) < 2**64:
+        uniforms = _philox_uniforms(seed, blocks, draws)[rem:]
+    else:
+        bitgen = np.random.Philox(key=seed)
+        bitgen.advance(blocks)
+        uniforms = np.random.Generator(bitgen).random(draws)[rem:]
     cumw = np.cumsum(dist.weights_array)
     cumw[-1] = 1.0  # guard against rounding in the final edge
     idx = np.searchsorted(cumw, uniforms, side="right")

@@ -20,6 +20,7 @@ from conftest import (
     homogeneous_env,
     step_table_cells,
 )
+from rwre import environment
 from rwre import (
     DomainError,
     Environment,
@@ -363,6 +364,79 @@ class TestSampleEnvironment:
         assert type(a.offset) is int and (a.lo, a.hi) == (-4, 4)
         assert np.array_equal(a.omegas, b.omegas)
         assert type(Environment(np.int64(-2), np.full(3, 0.5)).offset) is int
+
+
+# A law of 1024 equally likely values: each site shows 10 bits of its draw.
+FINE_LAW = SiteDistribution(
+    tuple((i + 0.5) / 1024 for i in range(1024)), (1 / 1024,) * 1024
+)
+PHILOX_KEYS = (0, 1, 2**32, 2**63, 2**64 - 1)
+# first sites with every residue mod 4; -2^62 is draw position 0
+FIRST_SITES = (-(2**62), -(2**62) + 3, -32767, -2, 0, 5, 123457, 2**40 + 2)
+CAP = environment._INLINE_DRAWS_MAX
+
+
+def philox_reference(seed, lo, hi):
+    """Uniforms of sites ``lo..hi`` from numpy's own Philox generator."""
+    blocks, rem = divmod(lo + 2**62, 4)
+    bitgen = np.random.Philox(key=seed)
+    bitgen.advance(blocks)
+    return np.random.Generator(bitgen).random(rem + hi - lo + 1)[rem:]
+
+
+class TestPhiloxStream:
+    """The in-package Philox4x64-10 against ``np.random.Philox``."""
+
+    @pytest.fixture
+    def reference(self, monkeypatch):
+        """``sample_environment`` forced onto the ``np.random.Philox`` path."""
+
+        def draw(seed, lo, hi):
+            with monkeypatch.context() as m:
+                m.setattr(environment, "_INLINE_DRAWS_MAX", 0)
+                return sample_environment(FINE_LAW, seed, lo, hi).omegas
+
+        return draw
+
+    @pytest.mark.parametrize("seed", PHILOX_KEYS)
+    def test_matches_numpys_philox(self, seed, reference):
+        for lo in FIRST_SITES:
+            rem = (lo + 2**62) % 4
+            for length in (1, 2, 3, 4, 5, CAP - rem - 1, CAP - rem, CAP - rem + 1):
+                hi = lo + length - 1
+                ours = environment._philox_uniforms(seed, (lo + 2**62) // 4, rem + length)
+                assert np.array_equal(ours[rem:], philox_reference(seed, lo, hi)), (lo, length)
+                env = sample_environment(FINE_LAW, seed, lo, hi)
+                assert np.array_equal(env.omegas, reference(seed, lo, hi)), (lo, length)
+
+    def test_cap_routes_by_draw_count(self, monkeypatch):
+        calls = []
+        inline = environment._philox_uniforms
+
+        def spy(key, block, count):
+            calls.append(count)
+            return inline(key, block, count)
+
+        monkeypatch.setattr(environment, "_philox_uniforms", spy)
+        sample_environment(FINE_LAW, 3, 1, CAP - 1)  # draw positions 2^62 + 1..
+        sample_environment(FINE_LAW, 3, 1, CAP)
+        assert calls == [CAP]
+
+    def test_window_straddling_the_low_counter_word(self, monkeypatch):
+        # blocks 2^64 - 1 and 2^64 carry into the counter's second word
+        lo = 2**66 - 2**62 - 8
+        monkeypatch.setattr(environment, "_philox_uniforms", None)
+        for seed in PHILOX_KEYS:
+            env = sample_environment(FINE_LAW, seed, lo, lo + 15)
+            ref = philox_reference(seed, lo, lo + 15)
+            expected = FINE_LAW.support_array[(ref * 1024).astype(int)]
+            assert np.array_equal(env.omegas, expected)
+
+    def test_overlapping_windows_across_the_cap_agree(self):
+        for seed in PHILOX_KEYS:
+            small = sample_environment(FINE_LAW, seed, 0, CAP - 1)
+            large = sample_environment(FINE_LAW, seed, -7, CAP + 7)
+            assert np.array_equal(small.omegas, large.omegas[7 : 7 + CAP])
 
 
 class TestEnvironmentAccess:

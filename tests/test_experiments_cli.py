@@ -19,10 +19,16 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import rwre
-from rwre import experiments
+from rwre import cli, experiments
 from rwre.cli import main as cli_main
 from rwre.errors import ConfigError
-from rwre.experiments import ExperimentConfig, config_hash, load_config, run
+from rwre.experiments import (
+    EXPERIMENT_NAMES,
+    ExperimentConfig,
+    config_hash,
+    load_config,
+    run,
+)
 
 FIG1 = "0.25 0.1\n0.75 0.9\n"
 NON_NESTLING = "0.6 0.5\n0.8 0.5\n"
@@ -1617,6 +1623,90 @@ def test_installed_console_script(tmp_path):
     proc = run_kappa(tmp_path, [shutil.which("rwre")])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_runs_on_small_windows_leave_numpy_random_unimported(tmp_path):
+    # numpy >= 2.0 imports numpy.random on first use; the environment draw
+    # must not be that use, while sample-bridge still draws its own streams
+    dist = write_dist(tmp_path, FIG1)
+    bodies = {
+        "bridge-prob": {"n_grid": "8, 16", "seeds": "0, 1"},
+        "confined": {"n_grid": "8", "m_grid": "2, 3", "seeds": "0"},
+        "max-disp-exact": {"n_grid": "8", "seeds": "0"},
+        "sample-bridge": {"n_grid": "4", "seeds": "0", "n_samples": "10"},
+    }
+    argvs = []
+    for experiment, body in bodies.items():
+        cfg = write_config(tmp_path, experiment, {"distribution": dist, **body},
+                           name=f"{experiment}.ini")
+        argvs.append([experiment, "--config", str(cfg), "--out", str(tmp_path / "runs")])
+    script = (
+        "import json, sys\n"
+        "import rwre.cli\n"
+        "codes, loaded = [], []\n"
+        f"for argv in {argvs!r}:\n"
+        "    codes.append(rwre.cli.main(argv))\n"
+        "    loaded.append('numpy.random' in sys.modules)\n"
+        "print(json.dumps([codes, loaded]))\n"
+    )
+    src = str(Path(rwre.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    codes, loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert codes == [0, 0, 0, 0]
+    assert loaded == [False, False, False, True]
+
+
+class TestOneSubparser:
+    """``main`` builds only the named experiment's subparser; every usage
+    message, error and exit code must equal the full tree's."""
+
+    @staticmethod
+    def outcome(capsys, argv):
+        try:
+            code = cli_main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        captured = capsys.readouterr()
+        return code, captured.out, captured.err
+
+    def test_same_output_as_the_full_tree(self, workdir, capsys, monkeypatch):
+        dist = write_dist(workdir, FIG1)
+        cfg = str(write_config(workdir, "bridge-prob",
+                               {"distribution": dist.name, "n_grid": "4", "seeds": "0"}))
+        argvs = [
+            [],
+            ["--help"],
+            ["bridge-prob", "--help"],
+            ["sample-bridge", "-h"],
+            ["frobnicate", "--config", cfg],
+            ["bridge-prob"],
+            ["bridge-prob", "--config", cfg, "--bogus"],
+            ["bridge-prob", "--config", cfg, "kappa"],
+            ["bridge-prob", "--config", cfg, "--threads", "0"],
+            ["bridge-prob", "--config", cfg, "--seed-offset", "1.5"],
+            ["kappa", "--config", cfg],
+        ]
+        build_parser = cli.build_parser
+        built = []
+
+        def spy(names=EXPERIMENT_NAMES):
+            built.append(tuple(names))
+            return build_parser(names)
+
+        monkeypatch.setattr(cli, "build_parser", spy)
+        for argv in argvs:
+            built.clear()
+            one = self.outcome(capsys, argv)
+            named = bool(argv) and argv[0] in EXPERIMENT_NAMES
+            assert built == [(argv[0],) if named else EXPERIMENT_NAMES]
+            with monkeypatch.context() as m:
+                m.setattr(cli, "build_parser", lambda names: build_parser())
+                full = self.outcome(capsys, argv)
+            assert one == full, argv
 
 
 def test_benchmark_tracer_patch_sites_exist():
