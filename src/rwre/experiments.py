@@ -18,12 +18,14 @@ exception is the ``kappa`` row of the ``kappa`` experiment, which uses
 12 fixed decimals.
 
 Every seeded experiment runs its ``(seed, ...)`` tasks through one loop,
-:func:`_map_seeded`, which samples each task's environment and runs the
-tasks serially, in task order.  ``bridge-prob`` and the bridge
+:func:`_map_seeded`, which samples each seed's environment once, over
+the hull of its tasks' windows, and runs the tasks serially, in task
+order, each on a view of its own window.  ``bridge-prob`` and the bridge
 ``scaling`` run one task per seed, over ``[-max n, max n]``, so that
-the ``n`` of its grid can share bridge passes.  Environments use
-counter-based per-site keying, so a seed's realization is the same
-whatever window a task requests.
+the ``n`` of its grid can share bridge passes; ``confined`` runs one
+task per seed and ``M``, so that the ``n`` probing one corridor share
+its squaring chain.  Environments use counter-based per-site keying, so
+a seed's realization is the same whatever window a task requests.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import time
 from dataclasses import astuple, dataclass
 from datetime import datetime, timezone
 from functools import partial
+from itertools import groupby
 from pathlib import Path
 from typing import Any, Callable, Iterable
 
@@ -53,6 +56,7 @@ from .asymptotics import (
     srw_smalldev_constant,
 )
 from .environment import (
+    Environment,
     Regime,
     SiteDistribution,
     classify,
@@ -71,6 +75,7 @@ from .io import load_distribution
 from .kernel import (
     _BridgeLaw,
     _bridge_rows,
+    _confined_rows,
     bridge_log_prob,
     bridge_max_quantile,
     confined_log_prob,
@@ -467,12 +472,23 @@ def _map_seeded(
     default ``[-n, n]``, the sites a ``2n``-step bridge can reach.  The
     default tasks are seeds x ``n_grid``, seed-major; the bridge sweeps
     (:func:`_bridge_sweep`) pass one task ``(seed,)`` per seed instead.
+    Each seed's environment is drawn once for each run of consecutive
+    tasks of that seed (once per seed, since every runner's tasks are
+    seed-major), over the hull of their windows; each task gets a view of
+    its own window.  A site's value depends only on the seed and the site,
+    so every task sees the values a draw of its own window would give.
     Tasks run serially on the calling thread.
     """
     dist = cfg.params[_DIST]
     if tasks is None:
         tasks = [(s, n) for s in cfg.effective_seeds() for n in cfg.params["n_grid"]]
-    return [work(sample_environment(dist, t[0], *window(*t)), *t) for t in tasks]
+    results = []
+    for seed, batch in groupby(tasks, key=lambda t: t[0]):
+        batch = [(t, window(*t)) for t in batch]
+        lo, hi = min(w[0] for _, w in batch), max(w[1] for _, w in batch)
+        env = sample_environment(dist, seed, lo, hi)
+        results += [work(Environment(a, env.slice(a, b), dist), *t) for t, (a, b) in batch]
+    return results
 
 
 def _derived_seed(*parts: int) -> int:
@@ -542,22 +558,29 @@ def _run_bridge_prob(cfg: ExperimentConfig, out: _Outputs) -> None:
 def _run_confined(cfg: ExperimentConfig, out: _Outputs) -> None:
     bridge = cfg.params.get("bridge", False)
     gamma = cfg.params.get("gamma")
+    n_grid = cfg.params["n_grid"]
 
     def m_values(n: int) -> list[int]:
         if gamma is not None:
             return [max(2, round(n**gamma))]
         return cfg.params["m_grid"]
 
-    def work(env, seed: int, n: int, m: int) -> tuple:
-        steps = 2 * n if bridge else n
-        return seed, n, m, confined_log_prob(env, steps, m, require_bridge=bridge)
+    # one task per (seed, M): its corridor serves every n that probes
+    # that M, from one squaring chain
+    ns_of: dict[int, list[int]] = {}
+    for n in n_grid:
+        for m in m_values(n):
+            ns_of.setdefault(m, []).append(n)
 
-    tasks = [
-        (s, n, m) for s in cfg.effective_seeds() for n in cfg.params["n_grid"]
-        for m in m_values(n)
-    ]
+    def work(env, seed: int, m: int) -> dict[int, float]:
+        steps = [2 * n if bridge else n for n in ns_of[m]]
+        return dict(zip(ns_of[m], _confined_rows(env.slice(1 - m, m - 1), steps, bridge)))
+
+    seeds = cfg.effective_seeds()
+    tasks = [(s, m) for s in seeds for m in ns_of]
     # the corridor reads the sites inside (-M, M) only
-    rows = _map_seeded(cfg, work, tasks, window=lambda seed, n, m: (1 - m, m - 1))
+    logs = dict(zip(tasks, _map_seeded(cfg, work, tasks, window=lambda seed, m: (1 - m, m - 1))))
+    rows = [(s, n, m, logs[s, m][n]) for s in seeds for n in n_grid for m in m_values(n)]
     out.csv("confined.csv", "seed,n,M,log_prob", rows)
 
 
@@ -615,9 +638,14 @@ def _run_sample_bridge(cfg: ExperimentConfig, out: _Outputs) -> None:
     out.csv("sampler_summary.csv", "n,seed_count,median,q05,q95,mean_b_count", summary)
     for seed, n, _, paths in results:
         for i, path in enumerate(paths):
-            # the integer rows _fmt would write, formatted in one pass
-            text = "".join(f"{k},{x}\n" for k, x in enumerate(path.tolist()))
-            out.write(f"path-s{seed}-n{n}-{i}.csv", "k,x\n" + text)
+            out.write(f"path-s{seed}-n{n}-{i}.csv", "k,x\n" + _path_text(path))
+
+
+def _path_text(path: np.ndarray) -> str:
+    """The rows ``k,x`` of a sampled path, the integer rows :func:`_fmt`
+    would write, formatted in one pass."""
+    steps = np.arange(path.size, dtype=np.int64)
+    return ("%d,%d\n" * path.size) % tuple(np.column_stack((steps, path)).ravel().tolist())
 
 
 def _run_scaling(cfg: ExperimentConfig, out: _Outputs) -> None:

@@ -13,13 +13,19 @@ below the state's largest underflows to exactly 0, and
 below ``n = 4096`` by default) wide bridges do lose such cells: 19,990
 forward-cone cells of the 129 states that the leaping ``n``-step pass
 computes at ``n = 2048`` on a nestling law, holding at most about
-``e**-675`` of the probability.
+``e**-675`` of the probability there.  At ``n >= 2**18`` whole far traps
+are flushed, although their mass would later dominate, and neither
+``log_discarded_bound`` nor ``certified`` counts them: on the nestling
+law, seed 0, ``n = 2**20``, the bridge corridor ``M = 3259`` gives
+-4830.39 where a log-domain recursion gives -4034.15.
 A ``2n``-step bridge propagates only ``n`` steps of a symmetric walk
 with the same bridge paths, and sums the squares of its masses
 (:func:`_bridge_log`); one such pass serves every ``n`` of a grid that
-lies on its leap grid (:func:`_bridge_rows`).  Confined corridors that run many more steps
-than they have sites may instead take guarded binary powers of a
-transfer matrix (see :func:`confined_log_prob`).
+lies on its leap grid (:func:`_bridge_rows`).  Confined corridors that
+run many more steps than they have sites may instead take guarded
+binary powers of a transfer matrix (see :func:`confined_log_prob`); one
+chain of squarings serves every step count of a corridor
+(:func:`_confined_rows`).
 
 Step-count conventions: :func:`bridge_log_prob` and
 :func:`max_disp_bridge_cdf` take the half length ``n`` of a ``2n``-step
@@ -518,22 +524,33 @@ def confined_log_prob(
         raise DomainError("M must be at least 1")
     if require_bridge and steps % 2 != 0:
         raise ParityError(f"bridge event needs an even step count, got {steps}")
-    return _confined_log(env.slice(-(M - 1), M - 1), steps, require_bridge)
+    return _confined_rows(env.slice(-(M - 1), M - 1), [steps], require_bridge)[0]
 
 
-def _confined_log(om: np.ndarray, steps: int, bridge: bool) -> float:
-    """Log mass that survives ``steps`` killing steps from the centre of
-    ``om`` (only the mass back at the centre when ``bridge``): by squaring
-    where the cost model prefers it and its guard holds, else by the DP."""
-    if _prefers_squaring(om.size, steps, bridge):
-        logp = _squared_log(om, steps, bridge)
-        if logp is not None:
-            return logp
-    if bridge:
-        return _bridge_log(om, 1.0 - om, [steps // 2], 0.0)[0][0]
-    for _, mass, scale, _ in _propagate(om, 1.0 - om, om.size // 2, steps, leap=_LEAP):
-        pass
-    return _final_log(mass, scale, None)
+def _confined_rows(om: np.ndarray, steps: list[int], bridge: bool) -> list[float]:
+    """Log mass that survives ``s`` killing steps from the centre of
+    ``om`` (only the mass back at the centre when ``bridge``), for each
+    count ``s`` of ``steps``: by squaring where the cost model prefers it
+    and its guard holds, else by the DP.
+
+    Each entry has the same bits whatever other counts share the call.
+    The counts that the cost model sends to squaring share one chain of
+    matrix squarings per parity class (:func:`_squared_log`); the rest, and
+    every count whose guard trips, run the DP one count at a time.
+    """
+    counts = sorted(set(steps))
+    chosen = [s for s in counts if _prefers_squaring(om.size, s, bridge)]
+    rows = dict(zip(chosen, _squared_log(om, chosen, bridge)))
+    for s in counts:
+        if rows.get(s) is not None:
+            continue
+        if bridge:
+            rows[s] = _bridge_log(om, 1.0 - om, [s // 2], 0.0)[0][0]
+            continue
+        for _, mass, scale, _ in _propagate(om, 1.0 - om, om.size // 2, s, leap=_LEAP):
+            pass
+        rows[s] = _final_log(mass, scale, None)
+    return [rows[s] for s in steps]
 
 
 def _prefers_squaring(w: int, steps: int, bridge: bool) -> bool:
@@ -584,14 +601,14 @@ def _band_size(h: int, reach: int) -> int:
     return h + r * (2 * h - r - 1)
 
 
-def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
-    """:func:`_confined_log` by binary powering of a transfer matrix, or
-    ``None`` when the guard trips.
+def _squared_log(om: np.ndarray, steps: list[int], bridge: bool) -> list[float | None]:
+    """:func:`_confined_rows` by binary powering of a transfer matrix,
+    with ``None`` for each count whose guard trips.
 
     After each even number of steps the walk sits on the sites of one
-    parity, so ``e_start P^steps`` (``P`` the killing transfer matrix over
-    the ``w >= 3`` sites of ``om``) is one plain step when ``steps`` is
-    odd, then ``steps // 2`` products with the tridiagonal two-step matrix
+    parity, so ``e_start P^s`` (``P`` the killing transfer matrix over
+    the ``w >= 3`` sites of ``om``) is one plain step when ``s`` is
+    odd, then ``s // 2`` products with the tridiagonal two-step matrix
     ``B`` on the ``h`` sites of the final parity, the operator that
     :func:`_propagate` applies (:func:`_two_step`).  ``B^r`` can be positive
     only on ``|i - l| <= r``, and the vector after ``k`` two-steps only on
@@ -604,42 +621,70 @@ def _squared_log(om: np.ndarray, steps: int, bridge: bool) -> float | None:
     guard counts them against the pattern's size.  Products go through
     ``np.einsum`` without ``optimize``, never BLAS, so the bits do not
     depend on the BLAS build or its thread count.
+
+    The counts of one parity share ``B`` and the start vector, so one
+    chain ``B, B^2, B^4, ...`` serves them all, squared only as far as the
+    longest ``s // 2`` needs.  Each count multiplies its own vector by the
+    powers of its set bits in increasing order, the products and rescales
+    that a one-count call makes, so each entry equals that call's bit for
+    bit.  ``None`` means: for every count of the parity, a trip on the
+    first ``B`` or start vector; for the counts with more than ``j`` bits
+    in ``s // 2``, a trip on ``B^(2^j)``; for one count alone, a trip on
+    its own vector.
     """
+    rows: dict[int, float | None] = {}
     start = om.size // 2
-    parity = (start + steps) % 2
-    stay, from_left, from_right = _two_step(om, 1.0 - om, parity)
-    h = stay.size
-    a = np.diag(stay) + np.diag(from_left[1:], 1) + np.diag(from_right[:-1], -1)
-    v = np.zeros(h)
-    if steps % 2:  # one plain step first, onto start - 1 and start + 1
-        lo = (start - 1 - parity) // 2
-        hi = lo + 1
-        v[lo], v[hi] = 1.0 - om[start], om[start]
-    else:
-        lo = hi = (start - parity) // 2
-        v[lo] = 1.0
-    scale = _rescaled(v, hi - lo + 1)
-    a_log = _rescaled(a, _band_size(h, 1))
-    if scale is None or a_log is None:
-        return None
-    reach, k, m = 1, 0, steps // 2  # a = B^reach / 2**a_log; v holds k two-steps
-    while m:
-        if m & 1:
-            v = np.einsum("j,jk->k", v, a)
-            k += reach
-            v_log = _rescaled(v, min(hi + k, h - 1) - max(lo - k, 0) + 1)
-            if v_log is None:
-                return None
-            scale += a_log + v_log
-        m >>= 1
-        if m:
+    for odd in (0, 1):
+        todo = [s for s in steps if s % 2 == odd]
+        if not todo:
+            continue
+        parity = (start + odd) % 2
+        stay, from_left, from_right = _two_step(om, 1.0 - om, parity)
+        h = stay.size
+        a = np.diag(stay) + np.diag(from_left[1:], 1) + np.diag(from_right[:-1], -1)
+        v = np.zeros(h)
+        if odd:  # one plain step first, onto start - 1 and start + 1
+            lo = (start - 1 - parity) // 2
+            hi = lo + 1
+            v[lo], v[hi] = 1.0 - om[start], om[start]
+        else:
+            lo = hi = (start - parity) // 2
+            v[lo] = 1.0
+        scale = _rescaled(v, hi - lo + 1)
+        a_log = _rescaled(a, _band_size(h, 1))
+        if scale is None or a_log is None:
+            rows.update(dict.fromkeys(todo))
+            continue
+        # a = B^reach / 2**a_log, reach a power of two; each count's vector
+        # holds k two-steps and is scaled by 2**-scale
+        live = [(s, s // 2, v, scale, 0) for s in todo]
+        reach = 1
+        while True:
+            going = []
+            for s, m, u, e, k in live:
+                if m & reach:
+                    u = np.einsum("j,jk->k", u, a)
+                    k += reach
+                    u_log = _rescaled(u, min(hi + k, h - 1) - max(lo - k, 0) + 1)
+                    if u_log is None:
+                        rows[s] = None
+                        continue
+                    e += a_log + u_log
+                if m < 2 * reach:
+                    rows[s] = _final_log(u, e * _LN2, lo if bridge else None)
+                else:
+                    going.append((s, m, u, e, k))
+            live = going
+            if not live:
+                break
             a = np.einsum("ij,jk->ik", a, a)
             reach *= 2
             sq_log = _rescaled(a, _band_size(h, reach))
             if sq_log is None:
-                return None
+                rows.update(dict.fromkeys(s for s, *_ in live))
+                break
             a_log = 2 * a_log + sq_log
-    return _final_log(v, scale * _LN2, lo if bridge else None)
+    return [rows[s] for s in steps]
 
 
 class _BridgeLaw:

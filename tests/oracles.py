@@ -219,6 +219,31 @@ def srw_confined_linear(
     return float(mass[m - 1]) if require_bridge else float(mass.sum())
 
 
+def confined_log_forward(
+    env, steps: int, m: int, require_bridge: bool = False
+) -> float:
+    """log P(max |X_k| < m over k <= steps [and X_steps = 0]) by a
+    log-domain forward recursion over the sites of ``(-m, m)``.
+
+    Every cell holds its own log mass, each step is one ``logaddexp`` per
+    cell, and nothing is rescaled, so no cell is flushed however far it
+    falls below the largest.  Costs ``steps * (2m - 1)`` cells.
+    """
+    om = np.array([env.omega(x) for x in range(1 - m, m)])
+    with np.errstate(divide="ignore"):
+        log_right, log_left = np.log(om), np.log1p(-om)
+    mass = np.full(om.size, -np.inf)
+    mass[m - 1] = 0.0
+    for _ in range(steps):
+        new = np.full(om.size, -np.inf)
+        new[1:] = mass[:-1] + log_right[:-1]
+        new[:-1] = np.logaddexp(new[:-1], mass[1:] + log_left[1:])
+        mass = new
+    if require_bridge:
+        return float(mass[m - 1])
+    return float(np.logaddexp.reduce(mass))
+
+
 def exit_mgf_linear_system(ell: int, lam: float) -> float:
     """E[exp(lam * sigma)] for the fair-walk exit from [1, 2*ell-1], from 1.
 

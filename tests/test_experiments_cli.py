@@ -3,6 +3,7 @@ config parsing and exit codes, CSV schemas and 17-digit float formatting,
 manifest sidecars, deterministic reruns, and thread-count invariance."""
 
 import importlib.util
+import itertools
 import json
 import math
 import os
@@ -690,6 +691,90 @@ class TestConfinedExperiment:
         assert abs(float(rows[1][3])) < 1e-12  # 4 steps never reach +-100
 
 
+class TestOneDrawPerSeed:
+    """``_map_seeded`` draws each seed once and hands each task a view."""
+
+    LAW = rwre.SiteDistribution((0.25, 0.5, 0.75), (0.3, 0.4, 0.3))
+
+    # (tasks, window) of each runner's shape, over seeds 0 and 7 and
+    # n_grid 0, 3, 10; None keeps _map_seeded's default
+    SHAPES = {
+        "seeds x n_grid, [-n, n]": (None, None),
+        "confined (seed, M), (-M, M)": (
+            [(s, m) for s in (0, 7) for m in (1, 4, 2, 9)],
+            lambda seed, m: (1 - m, m - 1),
+        ),
+        "bridge sweep (seed,), [-max n, max n]": ([(0,), (7,)], lambda seed: (-10, 10)),
+        "longest-run (seed,), [0, r - 1]": ([(0,), (7,)], lambda seed: (0, 99)),
+        "interleaved seeds, disjoint windows": (
+            [(0, -30), (7, 5), (0, 40), (7, -5), (0, 0)],
+            lambda seed, x: (x, x + 3),
+        ),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_views_equal_per_task_draws(self, monkeypatch, shape):
+        tasks, window = self.SHAPES[shape]
+        cfg = ExperimentConfig(
+            "bridge-prob",
+            {"distribution": self.LAW, "n_grid": [0, 3, 10], "seeds": [0, 7]},
+            Path("runs"),
+        )
+        draws = []
+        real = experiments.sample_environment
+
+        def spy(dist, seed, lo, hi):
+            draws.append(seed)
+            return real(dist, seed, lo, hi)
+
+        monkeypatch.setattr(experiments, "sample_environment", spy)
+        kwargs = {} if window is None else {"window": window}
+        seen = experiments._map_seeded(
+            cfg, lambda env, *t: (t, env), tasks, **kwargs
+        )
+        want_tasks = tasks or [(s, n) for s in (0, 7) for n in (0, 3, 10)]
+        # one draw per run of consecutive tasks of a seed
+        assert draws == [seed for seed, _ in itertools.groupby(t[0] for t in want_tasks)]
+        window = window or (lambda seed, n: (-n, n))
+        assert [t for t, _ in seen] == want_tasks
+        for t, env in seen:
+            own = real(self.LAW, t[0], *window(*t))
+            assert (env.lo, env.hi) == (own.lo, own.hi)
+            assert env.omegas.tobytes() == own.omegas.tobytes()
+            assert env.dist is self.LAW
+
+    def test_confined_draws_once_per_seed_and_keeps_every_row(self, workdir, capsys, monkeypatch):
+        draws = []
+        real = experiments.sample_environment
+
+        def spy(dist, seed, lo, hi):
+            draws.append((seed, lo, hi))
+            return real(dist, seed, lo, hi)
+
+        monkeypatch.setattr(experiments, "sample_environment", spy)
+        dist = write_dist(workdir, FIG1)
+        # the M = 60 corridor runs n = 64 by the DP and n = 2000 by squaring
+        assert not rwre.kernel._prefers_squaring(119, 64, False)
+        assert rwre.kernel._prefers_squaring(119, 2000, False)
+        cfg = write_config(
+            workdir,
+            "confined",
+            {"distribution": dist.name, "n_grid": "64,2000", "seeds": "0,1", "m_grid": "9,2,60"},
+        )
+        out_root = workdir / "runs"
+        assert run_cli(capsys, "confined", cfg, out_root)[0] == 0
+        assert draws == [(0, -59, 59), (1, -59, 59)]
+        (run_dir,) = out_root.iterdir()
+        _, rows = read_rows(run_dir / "confined.csv")
+        law = rwre.load_distribution(dist)
+        want = [
+            [str(s), str(n), str(m),
+             "%.17g" % rwre.confined_log_prob(real(law, s, 1 - m, m - 1), n, m)]
+            for s in (0, 1) for n in (64, 2000) for m in (9, 2, 60)
+        ]
+        assert rows == want
+
+
 class TestMaxDispExperiment:
     def test_summary_and_cdf_files(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)
@@ -875,6 +960,14 @@ class TestSampleBridgeExperiment:
             assert len(sites) == 7
             assert sites[0] == sites[-1] == 0
             assert all(abs(a - b) == 1 for a, b in zip(sites, sites[1:]))
+
+    @pytest.mark.parametrize(
+        "path", [[0], [0, -1, -2, -3, -2, -1, 0, 1, 0], [0, 1, 2, 1, 0, -1, 0]]
+    )
+    def test_path_text_matches_the_per_row_formatter(self, path):
+        path = np.array(path, dtype=np.int64)
+        want = "".join(f"{k},{x}\n" for k, x in enumerate(path.tolist()))
+        assert experiments._path_text(path) == want
 
     def test_builds_no_backward_log_table(self, workdir, capsys, monkeypatch):
         # one step table per task, keeping a log row every round(sqrt(2n))
@@ -1360,7 +1453,7 @@ def test_confined_thread_config_reaches_the_squaring_path(workdir, capsys, monke
 
     monkeypatch.setattr(rwre.kernel, "_squared_log", spy)
     run_once(capsys, workdir, "confined", small_config(workdir, "confined"), "runs")
-    assert any(r is not None for r in results)
+    assert any(r is not None for rows in results for r in rows)
 
 
 class TestTruncationBound:

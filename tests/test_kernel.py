@@ -269,7 +269,7 @@ class TestSquaringPath:
         want = dp_log(om, steps, bridge)
         assert_close_log(confined_log_prob(env, steps, m, require_bridge=bridge), want)
         if om.size >= 3:
-            got = _squared_log(om, steps, bridge)
+            [got] = _squared_log(om, [steps], bridge)
             assert got is not None
             assert_close_log(got, want)
 
@@ -280,7 +280,7 @@ class TestSquaringPath:
         env = Environment(-64, np.full(129, omega))
         om = env.slice(-63, 63)
         assert _prefers_squaring(om.size, 20000, True)
-        assert _squared_log(om, 20000, True) is None
+        assert _squared_log(om, [20000], True) == [None]
         got = confined_log_prob(env, 20000, 64, require_bridge=True)
         assert got == kernel._bridge_log(om, 1.0 - om, [10000], 0.0)[0][0]
         assert_close_log(got, dp_log(om, 20000, True))
@@ -317,7 +317,7 @@ class TestSquaringPath:
             env = sample_environment(rwre.load_distribution(law), 0, -m, m)
             om = env.slice(-(m - 1), m - 1)
             assert _prefers_squaring(om.size, steps, True)
-            assert _squared_log(om, steps, True) is not None
+            assert _squared_log(om, [steps], True)[0] is not None
         code = (
             "import rwre\n"
             f"law = rwre.load_distribution({str(law)!r})\n"
@@ -337,6 +337,154 @@ class TestSquaringPath:
             outputs.append(done.stdout)
         assert len(outputs[0].split()) == len(calls)
         assert outputs[0] == outputs[1]
+
+
+def bits(values) -> list:
+    """Floats by their exact bits, ``None`` kept."""
+    return [None if v is None else float(v).hex() for v in values]
+
+
+def corridor_with_trap(draw, most: int = 127):
+    """A window of 3 to ``most`` sites from a shipped law or uniform draws,
+    sometimes with a short stretch of tiny weights that can trip the
+    squaring guard partway up its chain."""
+    w = draw(st.integers(3, most))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    law = draw(LAWS)
+    om = rng.uniform(0.02, 0.98, w) if law is None else rng.choice(law.support_array, w)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, w - 1))
+        om[at : at + draw(st.integers(1, 8))] = draw(st.sampled_from([1e-40, 1e-20, 1e-8]))
+    return om
+
+
+def step_counts(draw, bridge: bool, most: int) -> list[int]:
+    """Up to six counts in ``0 .. most``, spread over their bit lengths so
+    that a chain's trip can fall between them."""
+    count = st.integers(0, most.bit_length() - 1).flatmap(
+        lambda k: st.integers(2**k - 1, min(2 ** (k + 1), most))
+    )
+    counts = draw(st.lists(count, min_size=1, max_size=6))
+    return sorted({s - s % 2 if bridge else s for s in counts})
+
+
+class TestSquaringChain:
+    """One chain of squarings per parity class, against one-count calls."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), bridge=st.booleans())
+    def test_chain_equals_one_count_calls(self, data, bridge):
+        om = corridor_with_trap(data.draw)
+        steps = step_counts(data.draw, bridge, 70000)
+        want = [_squared_log(om, [s], bridge)[0] for s in steps]
+        assert bits(_squared_log(om, steps, bridge)) == bits(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bridge=st.booleans())
+    def test_rows_equal_one_count_calls(self, data, bridge):
+        om = corridor_with_trap(data.draw)
+        self.check_rows(om, step_counts(data.draw, bridge, 20000), bridge)
+
+    @pytest.mark.parametrize("bridge", [False, True])
+    def test_a_grid_that_takes_both_paths(self, bridge):
+        # 119 sites: the middle count runs the DP, the others squaring
+        om = random_env(3, -59, 59).slice(-59, 59)
+        steps = [4, 64, 8000]
+        assert [_prefers_squaring(119, s, bridge) for s in steps] == [True, False, True]
+        self.check_rows(om, steps, bridge)
+
+    @staticmethod
+    def check_rows(om, steps, bridge):
+        want = [kernel._confined_rows(om, [s], bridge)[0] for s in steps]
+        assert bits(kernel._confined_rows(om, steps, bridge)) == bits(want)
+        # grids come in any order, repeats included
+        assert bits(kernel._confined_rows(om, steps[::-1] + steps, bridge)) == bits(
+            want[::-1] + want
+        )
+
+    @pytest.mark.parametrize("bridge", [False, True])
+    def test_a_trip_partway_up_the_chain(self, bridge):
+        # B^(2^j) loses entries to the guard once its band reaches the
+        # trap: the counts that need that power read None, shorter ones not
+        om = np.full(127, 0.5)
+        om[2:5] = 1e-40
+        steps = sorted({(3 if bridge else 1) + 2**k for k in range(1, 17)} | {2**k for k in range(1, 17)})
+        steps = [s - s % 2 if bridge else s for s in steps]
+        got = _squared_log(om, steps, bridge)
+        assert bits(got) == bits([_squared_log(om, [s], bridge)[0] for s in steps])
+        for odd in (0, 1):
+            nones = [r is None for s, r in zip(steps, got) if s % 2 == odd]
+            assert nones == sorted(nones)  # once a count trips, every longer one does
+        assert None in got and any(r is not None for r in got)
+        assert _squared_log(om, steps[-1:], bridge) == [None]
+
+    def test_a_trip_on_one_vector_spares_the_other_counts(self, monkeypatch):
+        # no natural case is known, so trip the vector that holds three
+        # two-steps: it is on the way to s // 2 = 3, 7 and 11 only
+        real = kernel._rescaled
+
+        def tripping(x, positive):
+            return None if x.ndim == 1 and positive == 7 else real(x, positive)
+
+        monkeypatch.setattr(kernel, "_rescaled", tripping)
+        om = random_env(5, -31, 31).slice(-31, 31)
+        steps = [6, 8, 10, 12, 14, 22]
+        got = _squared_log(om, steps, True)
+        assert [r is None for r in got] == [True, False, False, False, True, True]
+        assert bits(got) == bits([_squared_log(om, [s], True)[0] for s in steps])
+
+    def test_a_trip_on_the_first_operands_gives_none_for_the_class(self):
+        om = np.full(31, 0.5)
+        om[20] = 1.0  # a one-way site: B has a zero inside its band
+        assert _squared_log(om, [4, 5, 1000, 1001], False) == [None] * 4
+
+
+def barrier_window(last: int) -> Environment:
+    """The 61 sites ``[-30, 30]``: omega 0.1 for ``x <= 3``, which drains
+    towards ``-M``; a barrier of 1e-40 on ``4 .. last``; 0.5 up to 29; and
+    1e-40 at 30, which reflects."""
+    x = np.arange(-30, 31)
+    om = np.where(x <= 3, 0.1, np.where(x <= last, 1e-40, 0.5))
+    om[-1] = 1e-40
+    return Environment(-30, om)
+
+
+class TestUnderflowWitness:
+    """Cells flushed below a state's largest, against a log-domain oracle
+    that keeps every cell (``oracles.confined_log_forward``)."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="known defect: the DP and squaring flush a far trap's mass "
+        "to 0 early, although that mass dominates later, and no bound "
+        "counts it",
+    )
+    @pytest.mark.parametrize(
+        "env,steps,m,bridge",
+        [
+            # a 17-site barrier: the package gives -4120.54, the oracle -1678.08
+            (barrier_window(20), 8000, 31, True),
+            # omega = 1e-40 everywhere: -2707.73 against -2698.50
+            (Environment(-60, np.full(121, 1e-40)), 120, 61, False),
+        ],
+        ids=["far-trap-bridge", "plain-corridor"],
+    )
+    def test_a_flushed_trap_is_lost(self, env, steps, m, bridge):
+        want = oracles.confined_log_forward(env, steps, m, bridge)
+        assert_close_log(confined_log_prob(env, steps, m, require_bridge=bridge), want, 1e-10)
+
+    def test_a_short_barrier_keeps_the_trap(self):
+        # a 12-site barrier lets enough mass through: both give -1163.97566
+        env = barrier_window(15)
+        want = oracles.confined_log_forward(env, 8000, 31, True)
+        assert_close_log(confined_log_prob(env, 8000, 31, require_bridge=True), want)
+
+    def test_the_oracle_agrees_with_enumeration(self):
+        env = random_env(1, -6, 6)
+        for steps, m, bridge in [(10, 4, False), (12, 5, True), (9, 6, False), (14, 3, True)]:
+            want = math.log(oracles.confined_probability(env, steps, m, bridge))
+            assert_close_log(oracles.confined_log_forward(env, steps, m, bridge), want)
 
 
 def full_rectangle(right_w, left_w, start, steps, trunc=0.0, leap=1):
@@ -597,7 +745,7 @@ class TestLeap:
         om = random_env(seed, -n, n).slice(-n, n).copy()
         om[n - 40 : n - 30] = 1e-40
         for bridge, length in [(True, kernel._LEAP - 1), (False, 3)]:
-            got, lengths = self.leap_lengths(lambda: kernel._confined_log(om, 2 * n, bridge))
+            got, lengths = self.leap_lengths(lambda: kernel._confined_rows(om, [2 * n], bridge)[0])
             assert lengths == {length}
             assert_close_log(got, dp_log(om, 2 * n, bridge), 1e-13)
 
