@@ -172,7 +172,7 @@ def exit_mgf_dp(ell: int, lam: float) -> float:
     # the walk starts on an even site and exits from the even sites 0 and
     # width - 1, so only the even-k states carry exit mass
     half = np.full(width, 0.5)
-    states = _propagate(half, half, 0, 50_000_000)
+    states = _propagate(half, half, 0, [50_000_000])
     for k, mass, scale, _ in states:
         f = math.exp(scale + k * lam)
         if k and float(mass.sum()) * f * tail_coeff < 1e-12:

@@ -213,7 +213,6 @@ _PARSERS: dict[str, Callable[..., Any]] = {
     "sampler_seed": _parse_int,
     "export_paths": _parse_int,
     "mode": lambda key, raw: raw.strip(),
-    "subtract_rate": _parse_bool,
     "x": _parse_int,
     "ell_grid": _parse_int_list,
     "lam_frac": _parse_float,
@@ -237,7 +236,7 @@ _SCHEMAS: dict[str, tuple[str, ...]] = {
     "confined": (*_LAW, *_SWEEP, "m_grid", "gamma", "bridge"),
     "max-disp-exact": (*_LAW, *_SWEEP, "cdf_points"),
     "sample-bridge": (*_LAW, *_SWEEP, "n_samples", "sampler_seed", "export_paths"),
-    "scaling": (*_LAW, *_SWEEP, "mode", "gamma", "subtract_rate", "truncation"),
+    "scaling": (*_LAW, *_SWEEP, "mode", "gamma", "truncation"),
     "srw-smalldev": ("n_grid", "x"),
     "mgf-check": ("ell_grid", "lam_frac", "eps_grid", "bound_ell_grid"),
     "com-check": (*_LAW, *_SWEEP, "m"),
@@ -655,11 +654,6 @@ def _run_scaling(cfg: ExperimentConfig, out: _Outputs) -> None:
     n_grid = cfg.params["n_grid"]
     regime = classify(dist)
 
-    rate0 = 0.0
-    if mode == "lnln" and cfg.params.get("subtract_rate", True):
-        if regime.tag is Regime.NON_NESTLING:
-            rate0 = rate_I0(dist)
-
     def corridor(env, seed: int, n: int) -> tuple:
         m = max(2, round(n**gamma))
         return seed, n, confined_log_prob(env, 2 * n, m, require_bridge=True), -math.inf
@@ -678,7 +672,7 @@ def _run_scaling(cfg: ExperimentConfig, out: _Outputs) -> None:
         if mode == "exponent":
             fit = fit_exponent(n_grid, lps, target)
         else:
-            fit = fit_constant_lnln(n_grid, lps, regime.alpha, gamma, rate0)
+            fit = fit_constant_lnln(n_grid, lps, regime.alpha, gamma, rate_I0(dist))
         tgt = math.nan if fit.target is None else fit.target
         resid = fit.residuals()
         out.csv(

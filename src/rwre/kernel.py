@@ -2,7 +2,7 @@
 
 All computations propagate occupation mass two steps at a time through
 a fixed environment window (:func:`_propagate`); those that read only
-the final state leap ``_LEAP`` two-steps per iteration.  Mass is stored
+a few of its states leap ``_LEAP`` two-steps per iteration.  Mass is stored
 linearly but rescaled by an exact power of two whenever it drifts out of
 comfortable floating-point range; the scale, an integer sum of exponents,
 is folded back into every returned value with one rounding of its log, so
@@ -21,11 +21,11 @@ law, seed 0, ``n = 2**20``, the bridge corridor ``M = 3259`` gives
 A ``2n``-step bridge propagates only ``n`` steps of a symmetric walk
 with the same bridge paths, and sums the squares of its masses
 (:func:`_bridge_log`); one such pass serves every ``n`` of a grid that
-lies on its leap grid (:func:`_bridge_rows`).  Confined corridors that
-run many more steps than they have sites may instead take guarded
-binary powers of a transfer matrix (see :func:`confined_log_prob`); one
-chain of squarings serves every step count of a corridor
-(:func:`_confined_rows`).
+shares its parity and truncation floor (:func:`_bridge_rows`).
+Confined corridors that run many more steps than they have sites may
+instead take guarded binary powers of a transfer matrix (see
+:func:`confined_log_prob`); one chain of squarings serves every step
+count of a corridor (:func:`_confined_rows`).
 
 Step-count conventions: :func:`bridge_log_prob` and
 :func:`max_disp_bridge_cdf` take the half length ``n`` of a ``2n``-step
@@ -106,26 +106,27 @@ def _propagate(
     right: np.ndarray,
     left: np.ndarray,
     start: int,
-    steps: int,
+    stops: list[int],
     trunc: float = 0.0,
     leap: int = 1,
 ):
     """Propagate unit mass from index ``start`` by the step weights
     ``right`` and ``left`` (:func:`_two_step`; ``(om, 1 - om)`` for the
     walk itself), killing any mass that steps outside their index range,
-    two steps at a time.
+    two steps at a time, to the last of the step counts ``stops`` that
+    the caller reads.
 
     After ``k`` steps the mass sits on the indices of the parity of
-    ``start + k``, so only the states with ``k`` of the parity of
-    ``steps`` exist here: an odd ``steps`` first takes one plain step,
-    then each iteration applies the two-step operator (:func:`_two_step`)
-    to the indices ``par, par + 2, ...``, ``par = (start + steps) % 2``:
-    three contiguous multiplies and two adds over at most half the sites.
-    Yields ``(k, mass, log_scale, disc_log)`` for ``k = steps % 2,
-    steps % 2 + 2, ..., steps``: the scaled linear mass, whose entry ``j``
-    is index ``par + 2j`` (index ``i`` is entry ``i // 2``), the log
-    factor ``e log 2`` to add back (``e`` an integer, the sum of the
-    exponents of the powers of two the mass was rescaled by), and a
+    ``start + k``, so the stops must ascend by even counts (else
+    ``ValueError``).  For ``steps`` the last stop, an odd ``steps`` first
+    takes one plain step, then each iteration applies the two-step
+    operator to the indices ``par, par + 2, ...``, ``par = (start +
+    steps) % 2``: three contiguous multiplies and two adds over at most
+    half the sites.  Yields ``(k, mass, log_scale, disc_log)`` for ``k =
+    steps % 2, steps % 2 + 2, ..., steps``: the scaled linear mass, whose
+    entry ``j`` is index ``par + 2j`` (index ``i`` is entry ``i // 2``),
+    the log factor ``e log 2`` to add back (``e`` an integer, the sum of
+    the exponents of the powers of two the mass was rescaled by), and a
     log-domain upper bound on all mass dropped by the relative floor
     ``trunc`` (``-inf`` when nothing was dropped).  The mass of state
     ``k`` leaving the range on step ``k + 1`` is ``left[0] * mass[0]`` on
@@ -134,33 +135,46 @@ def _propagate(
     Stops early after yielding an all-zero state.  The yielded vector is
     overwritten later, so callers read it before advancing.
 
-    Each iteration computes only a live window of entries and leaves
-    exact zeros outside it.  The window grows by at most one entry per
-    side (the forward cone), so without ``trunc`` every state is bit for
-    bit the full-width two-step recursion's.  With ``trunc > 0``, the
-    entries below ``trunc`` times the window's maximum are dropped from
-    both ends of the window, each end up to its first entry at or above
-    that floor, and their mass is added to the bound; entries inside are
-    never dropped.
+    Each iteration computes only a live window of entries and clears the
+    window of the state it leaves behind, so every other entry is an
+    exact zero.  The window grows by at most one entry per side (the
+    forward cone), so without ``trunc`` every state is bit for bit the
+    full-width two-step recursion's.  With ``trunc > 0``, the entries
+    below ``trunc`` times the window's maximum are dropped from both ends
+    of the window, each end up to its first entry at or above that floor,
+    and their mass is added to the bound; entries inside are never
+    dropped.
 
-    A ``leap`` above 1 is for callers that read only the final state.
-    After ``(steps // 2) % leap`` plain two-steps, each iteration advances
-    ``leap`` two-steps at once, one sum of products per entry over its
-    band row of the two-step operator's ``leap``-th power (:class:`_Leap`,
-    by ``np.einsum``, never BLAS), and the window grows by up to ``leap``
-    entries per side.  Only every ``leap``-th state is then yielded,
-    truncated and rescaled, and an all-zero state comes after the leap in
-    which the mass ran out.  The leap is shortened, down to the plain
-    two-step core, to the longest whose band entries all stay normal
-    doubles: for ``b`` the smallest positive two-step weight, ``b**leap``
-    must stay at or above ``_LEAP_FLOOR``.  A leap rounds differently from
-    the two-steps it replaces, so its states agree with theirs to
-    rounding, not bit for bit; at ``leap = 1`` every state is as above.
+    A ``leap`` above 1 is for callers that read only the stops.  Before
+    each stop the pass takes the plain two-steps that leave a whole
+    number of leaps to it, then leaps: ``leap`` two-steps per iteration,
+    one sum of products per entry over its band row of the two-step
+    operator's ``leap``-th power (:class:`_Leap`, by ``np.einsum``, never
+    BLAS), the window growing by up to ``leap`` entries per side.  Only
+    the states on this schedule are yielded, truncated and rescaled, and
+    an all-zero state comes after the leap in which the mass ran out.  A
+    leap rounds differently from the two-steps it replaces, so its states
+    agree with theirs to rounding.  A stop's state is bit for bit that of
+    its own one-stop pass when it lies below ``2 leap`` (plain two-steps
+    in both), or when both take the same leap and every stop up to it
+    shares its residue mod ``2 leap``.  A pass too short for a whole leap
+    takes none; else the leap is shortened, down to the plain two-step
+    core, to the longest whose band entries all stay normal doubles: for
+    ``b`` the smallest positive two-step weight, ``b**leap`` must stay at
+    or above ``_LEAP_FLOOR``.
     """
+    if any(b <= a or (b - a) % 2 for a, b in zip(stops, stops[1:])):
+        raise ValueError(f"stops {stops} do not ascend by even counts")
+    steps = stops[-1]
     par = (start + steps) % 2
     stay, from_left, from_right = _two_step(right, left, par)
     h = stay.size
-    leap = _leap_length((stay, from_left, from_right), steps, leap)
+    if steps // 2 < leap:
+        leap = 1
+    elif leap > 1:
+        least = min(x.min(where=x > 0.0, initial=np.inf) for x in (stay, from_left, from_right))
+        while leap > 1 and least**leap < _LEAP_FLOOR:
+            leap -= 1
     # Buffers carry ``leap`` zero guard cells per side: entry j is buffer
     # cell j + leap, and the guards' zero mass keeps the edges exact.
     g = leap
@@ -174,9 +188,10 @@ def _propagate(
     for j, v in cells:
         mass[j + g] = v
     lo, hi = (cells[0][0], cells[-1][0]) if cells else (0, -1)
-    old_lo, old_hi = lo, lo - 1  # window new held two states back
     a, live = lo, mass[lo + g : hi + g + 1]
     scale, disc_log = 0, -np.inf  # mass is scaled by 2**-scale
+    targets = iter(stops)
+    stop = next(targets)
     while True:
         m = live.max(initial=0.0)
         if m == 0.0:
@@ -204,16 +219,14 @@ def _propagate(
             np.ldexp(live, -e, out=live)
             scale += e
         yield k, mass[g:-g], scale * _LN2, disc_log
-        if k == steps:
-            return
-        # a full leap once the plain two-steps have taken the remainder
-        span = leap if (steps - k) // 2 % leap == 0 else 1
+        if k == stop:
+            stop = next(targets, None)
+            if stop is None:
+                return
+        # a full leap once the plain two-steps leave whole leaps to the stop
+        span = leap if (stop - k) // 2 % leap == 0 else 1
         k += 2 * span
         a, b = max(lo - span, 0), min(hi + span, h - 1)
-        if old_lo < a:
-            new[old_lo + g : a + g] = 0.0
-        if old_hi > b:
-            new[b + g + 1 : old_hi + g + 1] = 0.0
         live = new[a + g : b + g + 1]
         if span > 1:
             jump(mass, a, b, live)
@@ -224,22 +237,9 @@ def _propagate(
             live += part
             np.multiply(mass[a + g + 1 : b + g + 2], from_right[a : b + 1], out=part)
             live += part
+        mass[lo + g : hi + g + 1] = 0.0  # the state left behind; new is all 0
         mass, new = new, mass
-        old_lo, old_hi, lo, hi = lo, hi, a, b
-
-
-def _leap_length(weights, steps: int, leap: int) -> int:
-    """The leap a :func:`_propagate` of ``steps`` steps by the two-step
-    ``weights`` takes when asked for ``leap``: 1 unless ``steps`` holds a
-    whole leap, else the longest up to ``leap`` whose band entries all
-    stay normal doubles (``b**leap >= _LEAP_FLOOR`` for ``b`` the
-    smallest positive weight)."""
-    if not steps // 2 >= leap > 1:
-        return 1
-    least = min(x.min(where=x > 0.0, initial=np.inf) for x in weights)
-    while leap > 1 and least**leap < _LEAP_FLOOR:
-        leap -= 1
-    return leap
+        lo, hi = a, b
 
 
 class _Leap:
@@ -351,19 +351,17 @@ def _bridge_log(
     bound is ``2 d (d + sqrt(d^2 + P~))``, taken in the log domain, or
     ``2 d`` (``sqrt(P) <= 1``) where that is smaller.
 
-    One pass to the largest ``n`` serves every ``n``, since the state
-    after ``k`` steps does not depend on how many steps follow.  The pass
-    leaps ``_LEAP`` two-steps per iteration, so it yields, truncates and
-    rescales only on its leap grid, and each ``n`` must lie on that grid
-    (else ``ValueError``).  A ``k``-step pass runs through the same
-    states, bit for bit, when ``k`` has the largest ``n``'s residue mod
-    ``2 _LEAP`` and both take the same leap, or when ``k < 2 _LEAP`` and
-    the plain two-steps before the first leap reach ``k``.  At each ``k``
-    below the largest, the squares of the cone entries ``|x| <= k`` are
-    summed, the entries and the order of a ``k``-step pass over those
-    sites; at the largest, the whole state.  Where the mass runs out
-    before some ``n``, that ``n`` reads ``-inf``, as its own pass would.
-    Results agree with the two-step recursion to rounding.
+    One :func:`_propagate` pass to the largest ``n``, every ``n`` a stop,
+    serves all ``n`` of one parity, since the state after ``k`` steps does
+    not depend on how many steps follow.  At each ``k`` below the largest,
+    the squares of the cone entries ``|x| <= k`` are summed, the entries
+    and the order of a ``k``-step pass over those sites; at the largest,
+    the whole state.  So a row is bit for bit a one-``n`` call's where
+    the pass reaches its stop as that call does (the ``n`` share ``n``
+    mod ``2 _LEAP`` and the leap, or ``n < 2 _LEAP``), else equal to it
+    to rounding.  Where the mass runs out before some ``n``, that ``n``
+    reads ``-inf``, as its own pass would.  Results agree with the
+    two-step recursion to rounding.
     """
     up, down = _symmetric(right, left)
     start, top = right.size // 2, ns[-1]
@@ -374,16 +372,12 @@ def _bridge_log(
         log_root = np.logaddexp(disc_log, 0.5 * np.logaddexp(2.0 * disc_log, log_p))
         return log_p, float(_LN2 + disc_log + min(log_root, 0.0))
 
-    rows, stops = [], iter(ns)
-    want = next(stops)
-    for k, mass, scale, disc_log in _propagate(up, down, start, top, trunc, leap=_LEAP):
-        if k >= want:
-            if k > want:
-                raise ValueError(f"half length {want} is off the pass's leap grid")
-            rows.append(row(k, mass, scale, disc_log))
-            want = next(stops, math.inf)
+    rows = []
+    for state in _propagate(up, down, start, ns, trunc, leap=_LEAP):
+        if state[0] in ns:
+            rows.append(row(*state))
     if len(rows) < len(ns):  # the mass ran out, as in each later stop's own pass
-        rows += [row(k, mass, scale, disc_log)] * (len(ns) - len(rows))
+        rows += [row(*state)] * (len(ns) - len(rows))
     return rows
 
 
@@ -391,28 +385,18 @@ def _bridge_rows(
     env: Environment, ns: list[int], truncation: float | None
 ) -> list[tuple[float, float]]:
     """``bridge_log_prob(env, n, truncation, with_error_bound=True)`` for
-    each ``n`` of the ascending ``ns``, each bit for bit.
-
-    The ``n`` that share a truncation floor, a leap length and a residue
-    mod ``2 _LEAP`` lie on one leap grid, so one :func:`_bridge_log` pass
-    over ``[-n, n]`` for the largest of them serves them all.  A leap that
-    the guard shortened (:func:`_leap_length`, for weights near 0) puts
-    its ``n`` in a pass of its own.  A single ``n`` shares nothing, so its
-    leap is left to its pass.
-    """
+    each ``n`` of the ascending ``ns``, from one :func:`_bridge_log` pass
+    over ``[-n, n]`` for the largest ``n`` of each truncation floor and
+    parity: bit for bit where that group's ``n`` share ``n`` mod 16 and
+    one leap length (:func:`_propagate`), else to rounding."""
     groups: dict[tuple, list[int]] = {}
     for n in ns:
         trunc = truncation
         if trunc is None:
             trunc = _AUTO_TRUNCATION_THRESHOLD if n >= _AUTO_TRUNCATION_N else 0.0
-        key = (trunc, n % (2 * _LEAP))
-        if len(ns) > 1:
-            om = env.slice(-n, n)
-            leap = _leap_length(_two_step(*_symmetric(om, 1.0 - om), 0), n, _LEAP)
-            key += (leap, n if 1 < leap < _LEAP else 0)
-        groups.setdefault(key, []).append(n)
+        groups.setdefault((trunc, n % 2), []).append(n)
     rows = {}
-    for (trunc, *_), group in groups.items():
+    for (trunc, _), group in groups.items():
         om = env.slice(-group[-1], group[-1])
         rows.update(zip(group, _bridge_log(om, 1.0 - om, group, trunc)))
     return [rows[n] for n in ns]
@@ -464,10 +448,11 @@ def bridge_log_prob(
     of its ends) gets weight 0, so the identity holds in every
     environment.
 
-    This is the one-``n`` call of the pass that ``bridge-prob`` and
-    ``scaling`` run once per seed for a whole grid of ``n``
-    (``kernel._bridge_rows``); each grid row equals this call's result
-    bit for bit.
+    This is the one-``n`` call of the passes that ``bridge-prob`` and
+    ``scaling`` run per seed for a whole grid of ``n``, one per
+    truncation floor and parity (``kernel._bridge_rows``); a grid row
+    equals this call's result bit for bit where the grid's ``n`` share
+    ``n`` mod 16, and to rounding otherwise.
     """
     n = _check_site("n", n)
     if n < 0:
@@ -547,7 +532,7 @@ def _confined_rows(om: np.ndarray, steps: list[int], bridge: bool) -> list[float
         if bridge:
             rows[s] = _bridge_log(om, 1.0 - om, [s // 2], 0.0)[0][0]
             continue
-        for _, mass, scale, _ in _propagate(om, 1.0 - om, om.size // 2, s, leap=_LEAP):
+        for _, mass, scale, _ in _propagate(om, 1.0 - om, om.size // 2, [s], leap=_LEAP):
             pass
         rows[s] = _final_log(mass, scale, None)
     return [rows[s] for s in steps]
@@ -837,7 +822,7 @@ def hitting_cdf(env: Environment, target: int, horizon: int) -> np.ndarray:
     first = np.zeros(horizon)
     steps = horizon - 1 - (horizon - 1 - end + start) % 2
     if steps >= 0:
-        for k, mass, scale, _ in _propagate(om, 1.0 - om, start, steps):
+        for k, mass, scale, _ in _propagate(om, 1.0 - om, start, [steps]):
             first[k] = out * mass[end // 2] * math.exp(scale)
     cdf[1:] = np.cumsum(first)
     return cdf

@@ -167,6 +167,47 @@ def backward_log_table(env, n: int) -> np.ndarray:
     return h
 
 
+def full_width_truncated_bridge(env, n: int, floor: float) -> tuple[float, float]:
+    """``(log P~, log d)`` for a ``2n``-step bridge by ``n`` steps of the
+    symmetric walk over every site of ``[-n, n]``, truncated at the
+    relative ``floor``.
+
+    The walk crosses the edge ``(x, x + 1)`` either way with weight
+    ``sqrt(omega_x (1 - omega_{x+1}))`` and is killed on leaving ``[-n,
+    n]``.  After ``k`` steps, for each ``k`` of the parity of ``n``, each
+    tail of the sites loses its cells up to the first one at or above
+    ``floor`` times the largest, and ``d`` sums the mass so lost.  ``P~``
+    is the sum of the squared masses after ``n`` steps.  Scalar linear
+    arithmetic, one step at a time, with no rescaling: valid while every
+    kept mass stays a normal double.
+    """
+    om = [env.omega(x) for x in range(-n, n + 1)]
+    w = len(om)
+    edge = [math.sqrt(om[i] * (1.0 - om[i + 1])) for i in range(w - 1)]
+    mass = [0.0] * w
+    mass[n] = 1.0
+    dropped = 0.0
+    for k in range(n + 1):
+        if k:
+            new = [0.0] * w
+            for i in range(w - 1):
+                new[i + 1] += mass[i] * edge[i]
+                new[i] += mass[i + 1] * edge[i]
+            mass = new
+        if (n - k) % 2:
+            continue
+        cut = floor * max(mass)
+        for order in (range(w), range(w - 1, -1, -1)):
+            for i in order:
+                if mass[i] >= cut:
+                    break
+                dropped += mass[i]
+                mass[i] = 0.0
+    total = sum(v * v for v in mass)
+    return (math.log(total) if total > 0.0 else -math.inf,
+            math.log(dropped) if dropped > 0.0 else -math.inf)
+
+
 def exit_prob_dp(
     env, a: int, x: int, b: int, horizon: int = 10_000, tail_tol: float = 1e-13
 ) -> float:

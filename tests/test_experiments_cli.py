@@ -89,6 +89,16 @@ class TestConfigErrors:
         assert code == 2
         assert "[kappa]" in err
 
+    def test_subtract_rate_is_not_a_key(self, workdir, capsys):
+        dist = write_dist(workdir, NON_NESTLING)
+        cfg = write_config(workdir, "scaling", {
+            "distribution": dist.name, "n_grid": "8,16", "seeds": "0", "mode": "lnln",
+            "subtract_rate": "false",
+        })
+        code, _, err = run_cli(capsys, "scaling", cfg, workdir / "runs")
+        assert code == 2
+        assert "subtract_rate" in err
+
     def test_missing_required_key(self, workdir, capsys):
         dist = write_dist(workdir, FIG1)
         cfg = write_config(
@@ -1105,17 +1115,39 @@ class TestScalingExperiment:
         # fair-site weight 1/2: target -|pi ln 2|^2 / 4 (no exponential part)
         assert float(rows[0][4]) == pytest.approx(-1.1854702951709319, abs=1e-12)
 
+    def test_lnln_mode_on_non_nestling_law_removes_the_rate(self, workdir, capsys):
+        law = Path(__file__).resolve().parents[1] / "demos" / "dists" / "non_nestling.txt"
+        cfg = write_config(
+            workdir,
+            "scaling",
+            {"distribution": str(law), "n_grid": "8,16,32", "seeds": "0", "mode": "lnln"},
+        )
+        out_root = workdir / "runs"
+        assert run_cli(capsys, "scaling", cfg, out_root)[0] == 0
+        (run_dir,) = out_root.iterdir()
+        dist = rwre.load_distribution(law)
+        rate0 = rwre.rate_I0(dist)
+        assert rate0 > 0.0
+        target = rwre.lnln_target(rwre.classify(dist).alpha, None, rate_removed=True)
+        _, rows = read_rows(run_dir / "fit-s0.csv")
+        assert [int(r[0]) for r in rows] == [8, 16, 32]
+        for n, raw, transformed, tgt, _ in rows:
+            n, raw = int(n), float(raw)
+            want = math.log(n) ** 2 / n * (raw + 2.0 * n * rate0)
+            assert float(transformed) == pytest.approx(want, rel=1e-14)
+            assert float(tgt) == target
+
 
 class TestBridgeGridPasses:
     """``bridge-prob`` and the bridge ``scaling`` run one bridge pass per
-    seed for each leap grid of ``n_grid``."""
+    seed for each truncation floor and parity of ``n_grid``."""
 
     def passes(self, monkeypatch, capsys, experiment, cfg, out):
         steps = []
         real = rwre.kernel._propagate
 
         def counted(*args, **kwargs):
-            steps.append(args[3])
+            steps.append(args[3])  # the pass's stops
             return real(*args, **kwargs)
 
         monkeypatch.setattr(rwre.kernel, "_propagate", counted)
@@ -1127,17 +1159,17 @@ class TestBridgeGridPasses:
         # 2048 runs untruncated; 4096 and 6144 share the truncated pass
         cfg = small_config(workdir, "bridge-prob", n_grid="2048, 4096, 6144", seeds="0,1")
         steps = self.passes(monkeypatch, capsys, "bridge-prob", cfg, workdir / "runs")
-        assert steps == [2048, 6144] * 2
+        assert steps == [[2048], [4096, 6144]] * 2
 
     def test_shipped_scaling_grid_runs_one_pass_per_seed(self, workdir, capsys, monkeypatch):
         cfg = Path(__file__).resolve().parents[1] / "demos" / "configs" / "scaling_nestling.ini"
         steps = self.passes(monkeypatch, capsys, "scaling", cfg, workdir / "runs")
-        assert steps == [2048] * 3
+        assert steps == [[128, 256, 512, 1024, 2048]] * 3
 
-    def test_small_n_of_distinct_residues_run_one_pass_each(self, workdir, capsys, monkeypatch):
+    def test_small_n_run_one_pass_per_parity(self, workdir, capsys, monkeypatch):
         cfg = small_config(workdir, "bridge-prob", n_grid="1..4", seeds="0,1")
         steps = self.passes(monkeypatch, capsys, "bridge-prob", cfg, workdir / "runs")
-        assert steps == [1, 2, 3, 4] * 2
+        assert steps == [[1, 3], [2, 4]] * 2
 
 
 class TestSrwSmallDevExperiment:
@@ -1430,7 +1462,7 @@ def test_tasks_run_on_the_calling_thread(workdir, capsys, monkeypatch):
         idents.append(threading.get_ident())
         return real(*args, **kwargs)
 
-    # one bridge pass per n: the residues of 1..4 mod 16 differ
+    # two bridge passes per seed, one per parity of 1..4
     monkeypatch.setattr(rwre.kernel, "_bridge_log", spy)
     dist = write_dist(workdir, FIG1)
     cfg = write_config(
@@ -1440,7 +1472,7 @@ def test_tasks_run_on_the_calling_thread(workdir, capsys, monkeypatch):
         capsys, "bridge-prob", cfg, workdir / "runs", extra=("--threads", "2")
     )
     assert code == 0, err
-    assert idents == [threading.get_ident()] * 8
+    assert idents == [threading.get_ident()] * 4
 
 
 def test_confined_thread_config_reaches_the_squaring_path(workdir, capsys, monkeypatch):

@@ -238,7 +238,7 @@ def dp_log(om: np.ndarray, steps: int, bridge: bool) -> float:
     """The confined (bridge) log probability by the propagation DP alone,
     looked up on the module so that a patched ``kernel._propagate`` runs."""
     start = om.size // 2
-    for _, mass, scale, _ in kernel._propagate(om, 1.0 - om, start, steps):
+    for _, mass, scale, _ in kernel._propagate(om, 1.0 - om, start, [steps]):
         pass
     return _final_log(mass, scale, start // 2 if bridge else None)
 
@@ -487,19 +487,20 @@ class TestUnderflowWitness:
             assert_close_log(oracles.confined_log_forward(env, steps, m, bridge), want)
 
 
-def full_rectangle(right_w, left_w, start, steps, trunc=0.0, leap=1):
+def full_rectangle(right_w, left_w, start, stops, trunc=0.0, leap=1):
     """The two-step propagation recursion by the step weights ``right_w``
     and ``left_w`` over every index of the parity of ``start + steps``,
-    after one plain step when ``steps`` is odd, truncating through a mask
-    over the whole vector.
+    ``steps`` the last of ``stops``, after one plain step when ``steps``
+    is odd, truncating through a mask over the whole vector.
     The reference the windowed :func:`_propagate` is held to: its weights
     come from the one-step weights, each two-step weight one product (two
     summed for staying), so they carry the same bits.  ``leap`` is taken,
     so that the reference can stand in for a leaping pass, and ignored:
-    every state is yielded, and without truncation a leap changes the
-    final state by rounding only.  Rescales are by the power of two that
-    puts the maximum in [1/2, 1), with the exponents summed as integers."""
-    w = right_w.size
+    every state is yielded, every stop among them, and without truncation
+    a leap changes the final state by rounding only.  Rescales are by the
+    power of two that puts the maximum in [1/2, 1), with the exponents
+    summed as integers."""
+    w, steps = right_w.size, stops[-1]
 
     def right(i):  # one step right from index i; 0 off the weights
         return right_w[i] if 0 <= i < w else 0.0
@@ -543,7 +544,7 @@ def full_rectangle(right_w, left_w, start, steps, trunc=0.0, leap=1):
 
 def parity_sites(w: int, start: int, steps: int) -> np.ndarray:
     """The indices of a ``w``-site ``om`` that the entries of a
-    ``_propagate(om, 1 - om, start, steps)`` state stand for."""
+    ``_propagate(om, 1 - om, start, [steps])`` state stand for."""
     return np.arange((start + steps) % 2, w, 2)
 
 
@@ -559,8 +560,8 @@ class TestWindowedCore:
         start = data.draw(st.integers(0, w - 1))
         om = env_for(law, seed, 0, w - 1).slice(0, w - 1)
         # states are compared as they come: later steps overwrite them
-        states = zip_longest(_propagate(om, 1.0 - om, start, steps),
-                             full_rectangle(om, 1.0 - om, start, steps))
+        states = zip_longest(_propagate(om, 1.0 - om, start, [steps]),
+                             full_rectangle(om, 1.0 - om, start, [steps]))
         for got, want in states:
             assert got is not None and want is not None
             assert got[0] == want[0]
@@ -622,10 +623,30 @@ class TestWindowedCore:
     def test_truncation_trims_both_tails(self, law, seed, n, floor):
         # every state's support starts and ends at or above the floor
         om = env_for(law, seed, -n, n).slice(-n, n)
-        for _, mass, _, _ in _propagate(om, 1.0 - om, n, 2 * n, floor):
+        for _, mass, _, _ in _propagate(om, 1.0 - om, n, [2 * n], floor):
             support = mass[np.flatnonzero(mass)]
             least = floor * support.max() * (1.0 - 1e-12)
             assert support[0] >= least and support[-1] >= least
+
+    def test_truncated_windows_against_the_full_width_reference(self):
+        # short stretches of near-0 and near-1 omegas make the truncated
+        # window shrink and move, so any cell the core fails to clear
+        # behind it lands in a later state; below n = 16 the pass takes
+        # plain two-steps only, as the reference does
+        rng = np.random.default_rng(20)
+        for _ in range(800):
+            n = int(rng.integers(1, 16))
+            om = rng.uniform(0.05, 0.95, 2 * n + 1)
+            for _ in range(int(rng.integers(1, 4))):
+                at = int(rng.integers(0, 2 * n + 1))
+                om[at : at + int(rng.integers(1, 6))] = rng.choice([1e-6, 1e-3, 0.999999])
+            floor = float(rng.choice([0.1, 1e-3]))
+            env = Environment(-n, om)
+            lp, bound = bridge_log_prob(env, n, truncation=floor, with_error_bound=True)
+            want, log_d = oracles.full_width_truncated_bridge(env, n, floor)
+            assert_close_log(lp, want)
+            root = np.logaddexp(log_d, 0.5 * np.logaddexp(2.0 * log_d, want))
+            assert_close_log(bound, math.log(2.0) + log_d + min(root, 0.0))
 
     @pytest.mark.parametrize("w,start,target,steps", [
         (1, 0, 0, 0), (1, 0, 0, 5), (2, 0, 1, 1), (2, 1, 0, 9), (5, 0, 4, 4),
@@ -637,11 +658,11 @@ class TestWindowedCore:
         # steps) is never occupied, so its mass is the total, 0
         om = random_env(w + steps, 0, w - 1).slice(0, w - 1)
         index = target // 2 if (start + steps - target) % 2 == 0 else None
-        *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, start, steps)
-        *_, (_, ref, ref_scale, _) = full_rectangle(om, 1.0 - om, start, steps)
+        *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, start, [steps])
+        *_, (_, ref, ref_scale, _) = full_rectangle(om, 1.0 - om, start, [steps])
         assert _final_log(mass, scale, index) == _final_log(ref, ref_scale, index)
-        for got, want in zip_longest(_propagate(om, 1.0 - om, start, steps),
-                                     full_rectangle(om, 1.0 - om, start, steps)):
+        for got, want in zip_longest(_propagate(om, 1.0 - om, start, [steps]),
+                                     full_rectangle(om, 1.0 - om, start, [steps])):
             assert got[0] == want[0]
             assert np.array_equal(got[1], want[1]) and got[2] == want[2]
 
@@ -682,7 +703,7 @@ class TestLeap:
     def test_final_state_matches_the_full_rectangle(self, law, seed, w, steps, floor, data):
         start = w // 2 if data is None else data.draw(st.integers(0, w - 1))
         om = env_for(law, seed, 0, w - 1).slice(0, w - 1)
-        args = (om, 1.0 - om, start, steps)
+        args = (om, 1.0 - om, start, [steps])
         *_, got = _propagate(*args, floor, leap=kernel._LEAP)
         *_, exact = full_rectangle(*args)
         index = start // 2 if steps % 2 == 0 else None
@@ -769,7 +790,7 @@ class TestTwoStepEdges:
         om = env.slice(0, w - 1)
         stays = inside(w, start)
         ks = []
-        for k, mass, scale, _ in _propagate(om, 1.0 - om, start, steps):
+        for k, mass, scale, _ in _propagate(om, 1.0 - om, start, [steps]):
             ks.append(k)
             for j, x in enumerate(parity_sites(w, start, steps)):
                 exact = oracles.event_probability(
@@ -788,7 +809,7 @@ class TestTwoStepEdges:
         env = random_env(w + start + target + steps, -12, 12)
         om = env.slice(0, w - 1)
         stays = inside(w, start)
-        *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, start, steps)
+        *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, start, [steps])
         exact = oracles.event_probability(
             env.shift(start), steps, lambda s: stays(s) and s[-1] + start == target
         )
@@ -816,7 +837,7 @@ class TestTwoStepEdges:
         stays = inside(w, 0)
         steps = 10
         exits = np.zeros(steps + 2)
-        for k, mass, scale, _ in _propagate(om, 1.0 - om, 0, steps):
+        for k, mass, scale, _ in _propagate(om, 1.0 - om, 0, [steps]):
             exits[k + 1] = ((1.0 - om[0]) * mass[0] + om[-1] * mass[-1]) * math.exp(scale)
         for t in range(1, steps + 2):
             exact = oracles.event_probability(
@@ -922,7 +943,7 @@ class TestHalfLengthBridge:
                 got = call()
             spy.assert_called_once()
             args, kwargs = spy.call_args
-            assert args[2:4] == (width, half) and kwargs == {"leap": kernel._LEAP}
+            assert args[2:4] == (width, [half]) and kwargs == {"leap": kernel._LEAP}
             assert_close_log(got, dp_log(env.slice(-width, width), 2 * half, True))
 
     def test_truncation_bound_at_a_deep_floor(self):
@@ -1053,44 +1074,88 @@ class TestBridgeGrid:
             assert got == self.own_rows(env, grid, 0.0)
             assert got[-1] == (-np.inf, -np.inf)
 
-    def test_a_shortened_leap_runs_its_own_pass(self):
+    @pytest.mark.parametrize("stops", [[3, 4], [4, 2], [2, 2]])
+    def test_stops_must_ascend_by_even_counts(self, stops):
+        om = sample_environment(NESTLING_K2, 0, -4, 4).omegas
+        with pytest.raises(ValueError, match="ascend"):
+            next(_propagate(om, 1.0 - om, 4, stops))
+
+    def test_a_shortened_leap_shares_the_pass(self):
         # omega = 1e-40 at 40 <= x <= 45 puts two-step weights near 1e-40
-        # there: the pass over [-64, 64] leaps 7 two-steps, so 32 is off
-        # its grid, while the pass over [-32, 32] leaps 8
+        # there: the pass over [-64, 64] leaps 7 two-steps, the pass over
+        # [-32, 32] of 32's own call 8, and the stop at 32 moves the plain
+        # two-steps toward 64, so both rows agree with their calls to rounding
         om = sample_environment(NESTLING_K2, 0, -64, 64).omegas.copy()
         om[64 + 40 : 64 + 46] = 1e-40
         env = Environment(-64, om)
-        with pytest.raises(ValueError, match="leap grid"):
-            kernel._bridge_log(om, 1.0 - om, [32, 64], 0.0)
         with mock.patch.object(kernel, "_bridge_log", wraps=kernel._bridge_log) as passes:
             got = kernel._bridge_rows(env, [32, 64], 0.0)
-        assert passes.call_count == 2
-        assert got == self.own_rows(env, [32, 64], 0.0)
+        assert passes.call_count == 1
+        for (lp, bound), (want, _) in zip(got, self.own_rows(env, [32, 64], 0.0)):
+            assert bound == -np.inf
+            assert_close_log(lp, want)
+
+    @pytest.mark.parametrize("law", DEMO_LAWS)
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("truncation", [None, 1e-30])
+    def test_mixed_residues_share_one_pass_per_parity(self, law, seed, truncation):
+        # rows within rounding of their own calls, bounds that still
+        # sandwich the untruncated value; 4097 and 4100 cross the default
+        # truncation threshold
+        grid = [5, 16, 37, 40, 101, 254, 255, 4097, 4100]
+        env = sample_environment(demo_law(law), seed, -grid[-1], grid[-1])
+        with mock.patch.object(kernel, "_bridge_log", wraps=kernel._bridge_log) as passes:
+            got = kernel._bridge_rows(env, grid, truncation)
+        groups = [c.args[2] for c in passes.call_args_list]
+        if truncation is None:
+            assert groups == [[5, 37, 101, 255], [16, 40, 254], [4097], [4100]]
+        else:
+            assert groups == [[5, 37, 101, 255, 4097], [16, 40, 254, 4100]]
+        exact = kernel._bridge_rows(env, grid, 0.0)
+        for n, (lp, bound), (want, _), (truth, _) in zip(
+            grid, got, self.own_rows(env, grid, truncation), exact
+        ):
+            assert_close_log(lp, want)
+            tol = 1e-12 * abs(truth)
+            assert lp <= truth + tol, n
+            assert truth <= np.logaddexp(lp, bound) + tol, n
 
 
 class TestBenchmarkReference:
     """The package against the reference outputs of the repository benchmark."""
 
-    @pytest.mark.parametrize("slot", [str(k) for k in range(16)])
-    def test_bridge_wide_reference(self, slot, tmp_path, capsys):
-        # the workload's own bridge-prob run of this slot, through the command line
-        want = benchmark_reference("bridge_wide", slot)["bridge_prob.csv"]
-        config = tmp_path / "bridge_wide.ini"
-        config.write_text(perfbench_workload("bridge_wide").config_text(ROOT / "demos" / "dists"),
-                          encoding="utf-8")
+    @staticmethod
+    def assert_cli_matches(workload: str, csv: str, slot: str, tmp_path) -> None:
+        """The workload's own run of this slot, through the command line,
+        against its reference rows at 1e-12 relative in the last column."""
+        want = benchmark_reference(workload, slot)[csv]
+        spec = perfbench_workload(workload)
+        config = tmp_path / f"{workload}.ini"
+        config.write_text(spec.config_text(ROOT / "demos" / "dists"), encoding="utf-8")
         out = tmp_path / "runs"
-        argv = ["bridge-prob", "--config", str(config), "--out", str(out), "--seed-offset", slot]
+        argv = [spec.experiment, "--config", str(config), "--out", str(out), "--seed-offset", slot]
         assert rwre.cli.main(argv) == 0
-        capsys.readouterr()
         (run_dir,) = out.iterdir()
-        header, *rows = (run_dir / "bridge_prob.csv").read_text(encoding="utf-8").splitlines()
+        header, *rows = (run_dir / csv).read_text(encoding="utf-8").splitlines()
         assert header == want["header"]
-        assert len(rows) == len(want["rows"]) == 3
+        assert len(rows) == len(want["rows"]) > 0
         for got_row, want_row in zip(rows, want["rows"]):
             *got_key, got = got_row.split(",")
             *want_key, value = want_row.split(",")
             assert got_key == want_key
-            assert abs(float(got) - float(value)) <= 1e-12 * abs(float(value))
+            assert abs(float(got) - float(value)) <= 1e-12 * abs(float(value)), want_row
+
+    @pytest.mark.parametrize("slot", [str(k) for k in range(16)])
+    def test_bridge_wide_reference(self, slot, tmp_path, capsys):
+        self.assert_cli_matches("bridge_wide", "bridge_prob.csv", slot, tmp_path)
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("slot", [str(k) for k in range(16)])
+    def test_corridor_long_cli_reference(self, slot, tmp_path, capsys):
+        # one task per (seed, M), one environment draw per seed and one
+        # squaring chain per task, against the reference of every slot
+        self.assert_cli_matches("corridor_long", "confined.csv", slot, tmp_path)
+        capsys.readouterr()
 
     @pytest.mark.parametrize("slot", [str(k) for k in range(16)])
     def test_maxdisp_probe_reference(self, slot):
@@ -1161,7 +1226,7 @@ def occupation(env: Environment, lo: int, hi: int, start: int, steps: int) -> np
     om = env.slice(lo, hi)
     rows = np.zeros((steps + 1, om.size))
     for k in range(steps + 1):
-        *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, start - lo, k)
+        *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, start - lo, [k])
         rows[k, parity_sites(om.size, start - lo, k)] = mass * math.exp(scale)
     return rows
 
@@ -1251,7 +1316,7 @@ class TestHittingCdf:
             for seed in range(20):
                 env = sample_environment(NESTLING_K2, seed, -1, m).reflect_plus()
                 om = env.slice(0, m - 1)
-                *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, 0, n)
+                *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, 0, [n])
                 lp = _final_log(mass, scale, None)
                 vals.append(math.log(-lp))
             lnln.append(float(np.mean(vals)))
