@@ -69,9 +69,9 @@ from .environment import (
 )
 from .errors import ConfigError, DomainError, RegimeError, RwreError
 from .io import load_distribution
-# bridge_log_prob, bridge_max_quantile and max_disp_bridge_cdf are no
-# longer called here, but perfbench's tracer patches the layers under
-# these names
+# bridge_log_prob, bridge_max_quantile, confined_log_prob and
+# max_disp_bridge_cdf are no longer called here, but perfbench's tracer
+# patches the layers under these names
 from .kernel import (
     _BridgeLaw,
     _bridge_rows,
@@ -554,8 +554,10 @@ def _run_bridge_prob(cfg: ExperimentConfig, out: _Outputs) -> None:
     out.truncation_bound(row[2:] for row in rows)
 
 
-def _run_confined(cfg: ExperimentConfig, out: _Outputs) -> None:
-    bridge = cfg.params.get("bridge", False)
+def _corridor_sweep(cfg: ExperimentConfig, bridge: bool) -> list[tuple]:
+    """``(seed, n, M, log P)`` of ``confined_log_prob`` over ``2n`` steps
+    (``bridge``) or ``n``, seed-major: one task per seed and ``M``, whose
+    corridor serves every ``n`` that probes that ``M`` from one chain."""
     gamma = cfg.params.get("gamma")
     n_grid = cfg.params["n_grid"]
 
@@ -564,8 +566,6 @@ def _run_confined(cfg: ExperimentConfig, out: _Outputs) -> None:
             return [max(2, round(n**gamma))]
         return cfg.params["m_grid"]
 
-    # one task per (seed, M): its corridor serves every n that probes
-    # that M, from one squaring chain
     ns_of: dict[int, list[int]] = {}
     for n in n_grid:
         for m in m_values(n):
@@ -579,7 +579,11 @@ def _run_confined(cfg: ExperimentConfig, out: _Outputs) -> None:
     tasks = [(s, m) for s in seeds for m in ns_of]
     # the corridor reads the sites inside (-M, M) only
     logs = dict(zip(tasks, _map_seeded(cfg, work, tasks, window=lambda seed, m: (1 - m, m - 1))))
-    rows = [(s, n, m, logs[s, m][n]) for s in seeds for n in n_grid for m in m_values(n)]
+    return [(s, n, m, logs[s, m][n]) for s in seeds for n in n_grid for m in m_values(n)]
+
+
+def _run_confined(cfg: ExperimentConfig, out: _Outputs) -> None:
+    rows = _corridor_sweep(cfg, cfg.params.get("bridge", False))
     out.csv("confined.csv", "seed,n,M,log_prob", rows)
 
 
@@ -654,11 +658,9 @@ def _run_scaling(cfg: ExperimentConfig, out: _Outputs) -> None:
     n_grid = cfg.params["n_grid"]
     regime = classify(dist)
 
-    def corridor(env, seed: int, n: int) -> tuple:
-        m = max(2, round(n**gamma))
-        return seed, n, confined_log_prob(env, 2 * n, m, require_bridge=True), -math.inf
-
-    rows = _bridge_sweep(cfg) if gamma is None else _map_seeded(cfg, corridor)
+    rows = _bridge_sweep(cfg) if gamma is None else [
+        (s, n, lp, -math.inf) for s, n, _, lp in _corridor_sweep(cfg, True)
+    ]
     out.csv("data.csv", "seed,n,log_prob", [row[:3] for row in rows])
     out.truncation_bound(row[2:] for row in rows)
 

@@ -22,10 +22,10 @@ A ``2n``-step bridge propagates only ``n`` steps of a symmetric walk
 with the same bridge paths, and sums the squares of its masses
 (:func:`_bridge_log`); one such pass serves every ``n`` of a grid that
 shares its parity and truncation floor (:func:`_bridge_rows`).
-Confined corridors that run many more steps than they have sites may
-instead take guarded binary powers of a transfer matrix (see
-:func:`confined_log_prob`); one chain of squarings serves every step
-count of a corridor (:func:`_confined_rows`).
+A bridge corridor propagates that walk too, and a corridor that runs
+many more steps than it has sites may take guarded binary powers of its
+walk's transfer matrix instead (see :func:`confined_log_prob`), one
+chain of squarings for every step count (:func:`_confined_rows`).
 
 Step-count conventions: :func:`bridge_log_prob` and
 :func:`max_disp_bridge_cdf` take the half length ``n`` of a ``2n``-step
@@ -304,20 +304,21 @@ def _leap_band(stay, from_left, from_right, i: int, j: int, m: int) -> np.ndarra
     return band.T
 
 
-def _final_log(mass: np.ndarray, scale: float, index: int | None) -> float:
-    if index is None:
-        total = float(mass.sum())
-        return -np.inf if total == 0.0 else float(np.log(total)) + scale
-    v = float(mass[index])
-    return -np.inf if v == 0.0 else float(np.log(v)) + scale
+def _final_log(mass: np.ndarray, scale: float, power: int = 1) -> float:
+    """``log sum(mass**power) + power * scale`` for a final state ``(mass,
+    scale)``: its log total (``power`` 1) or its log squared 2-norm (2)."""
+    total = float(np.sum(mass**power))
+    return -np.inf if total == 0.0 else float(np.log(total)) + power * scale
 
 
 def _symmetric(right: np.ndarray, left: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The step weights ``(up, down)`` of the symmetric walk that crosses
     each edge ``(x, x + 1)`` of ``right`` and ``left`` either way with
-    weight ``sqrt(right[x] left[x + 1])``, killed on leaving them."""
-    s = np.sqrt(right[:-1] * left[1:])
-    return np.append(s, 0.0), np.insert(s, 0, 0.0)
+    weight ``sqrt(right[x] left[x + 1])``, killed on leaving them: two
+    views of one buffer ``0, s, 0``."""
+    s = np.zeros(right.size + 1)
+    np.sqrt(np.multiply(right[:-1], left[1:], out=s[1:-1]), out=s[1:-1])
+    return s[1:], s[:-1]
 
 
 def _bridge_log(
@@ -368,7 +369,7 @@ def _bridge_log(
 
     def row(k, mass, scale, disc_log):
         cone = slice(max(start - k, 0) // 2, (start + k) // 2 + 1) if k < top else slice(None)
-        log_p = _final_log(np.square(mass[cone]), 2.0 * scale, None)
+        log_p = _final_log(mass[cone], scale, 2)
         log_root = np.logaddexp(disc_log, 0.5 * np.logaddexp(2.0 * disc_log, log_p))
         return log_p, float(_LN2 + disc_log + min(log_root, 0.0))
 
@@ -490,17 +491,18 @@ def confined_log_prob(
 
     Notes
     -----
-    A corridor usually runs far more steps than its ``2M - 1`` sites.
-    Where a cost model predicts it pays, the probability comes from
-    binary powering of the corridor's two-step transfer matrix (about
-    ``M^3 log2(steps)`` work instead of ``steps * M``), with no BLAS call.
-    A guard falls back to the DP, and its exact bits, whenever
-    an entry the result needs could leave the normal double range.  Both
-    agree to about 1e-13 relative in the log; the a-priori bound of the
-    squaring path is about ``steps * (2M - 1) * 2**-53`` relative in P.
-    The DP of a bridge corridor propagates ``steps / 2`` steps of the
-    symmetric walk and sums the squared masses, as :func:`bridge_log_prob`
-    does; both DPs leap several two-steps per iteration (``_propagate``).
+    A plain corridor propagates ``k = steps`` steps of the walk; a bridge
+    corridor ``k = steps / 2`` steps of the symmetric walk, and sums the
+    squared masses, as :func:`bridge_log_prob` does.  A corridor usually
+    runs far more steps than its ``2M - 1`` sites: where a cost model
+    predicts it pays, the ``k`` steps come from binary powering of the
+    two-step transfer matrix (about ``M^3 log2(k)`` work instead of ``k
+    M``), with no BLAS call, else from a DP that leaps several two-steps
+    per iteration (``_propagate``).  A guard falls back to the DP, and
+    its exact bits, whenever an entry the result needs could leave the
+    normal double range, as the drift of ``omega = 0.99`` does in a plain
+    corridor.  Both agree to about 1e-13 relative in the log; the
+    a-priori bound of squaring is about ``k (2M - 1) 2**-53`` relative.
     """
     steps, M = _check_site("steps", steps), _check_site("M", M)
     if steps < 0:
@@ -515,49 +517,46 @@ def confined_log_prob(
 def _confined_rows(om: np.ndarray, steps: list[int], bridge: bool) -> list[float]:
     """Log mass that survives ``s`` killing steps from the centre of
     ``om`` (only the mass back at the centre when ``bridge``), for each
-    count ``s`` of ``steps``: by squaring where the cost model prefers it
-    and its guard holds, else by the DP.
+    count ``s`` of ``steps``.
 
-    Each entry has the same bits whatever other counts share the call.
-    The counts that the cost model sends to squaring share one chain of
-    matrix squarings per parity class (:func:`_squared_log`); the rest, and
-    every count whose guard trips, run the DP one count at a time.
+    A plain corridor propagates ``k = s`` steps of the walk ``(om, 1 -
+    om)`` and sums the final mass; a bridge corridor ``k = s / 2`` steps
+    of its symmetric walk (:func:`_symmetric`) and sums the squares, as
+    :func:`_bridge_log` does.  The ``k`` that the cost model prefers share
+    one squaring chain (:func:`_squared_log`); the rest, and those whose
+    guard trips, run the DP one at a time.  Each entry has the same bits
+    whatever other counts share the call.
     """
-    counts = sorted(set(steps))
-    chosen = [s for s in counts if _prefers_squaring(om.size, s, bridge)]
-    rows = dict(zip(chosen, _squared_log(om, chosen, bridge)))
-    for s in counts:
-        if rows.get(s) is not None:
-            continue
-        if bridge:
-            rows[s] = _bridge_log(om, 1.0 - om, [s // 2], 0.0)[0][0]
-            continue
-        for _, mass, scale, _ in _propagate(om, 1.0 - om, om.size // 2, [s], leap=_LEAP):
-            pass
-        rows[s] = _final_log(mass, scale, None)
-    return [rows[s] for s in steps]
+    right, left = _symmetric(om, 1.0 - om) if bridge else (om, 1.0 - om)
+    power = 2 if bridge else 1
+    ks = sorted({s // power for s in steps})
+    chosen = [k for k in ks if _prefers_squaring(om.size, k)]
+    finals = dict(zip(chosen, _squared_log(right, left, chosen)))
+    for k in ks:
+        if finals.get(k) is None:
+            for _, mass, scale, _ in _propagate(right, left, om.size // 2, [k], leap=_LEAP):
+                pass
+            finals[k] = mass, scale
+    return [_final_log(*finals[s // power], power) for s in steps]
 
 
-def _prefers_squaring(w: int, steps: int, bridge: bool) -> bool:
-    """Whether squaring is predicted to beat the DP over ``w`` sites.
+def _prefers_squaring(w: int, k: int) -> bool:
+    """Whether squaring is predicted to beat the DP for ``k`` steps over ``w`` sites.
 
     Seconds per call on a 2-vCPU x86-64 host (numpy 2.4), fitted to
     alternating timings of both paths on every corridor that the
     ``maxdisp_probe`` and ``corridor_long`` benchmarks probe and on a grid
-    of 15-1023 sites by 512-32768 steps.  The DP takes ``t = steps / 2``
-    two-steps of a plain corridor and ``t = steps / 4`` of a bridge
-    corridor (:func:`_bridge_log`), ``_LEAP`` at a time, and costs about
-    ``2e-4 + 1e-6 h + (t / _LEAP) (7e-6 + 1.2e-8 h)``: the set-up, the
-    band rows, and one leap over the ``h = (w + 1) / 2`` sites of one
-    parity.
-    Squaring costs about ``1.3e-5 + 3.5e-10 h^3`` per bit of ``steps //
-    2``, one matrix product plus the vector's.
+    of 15-1023 sites by 512-32768 steps.  The DP takes ``k / 2``
+    two-steps, ``_LEAP`` at a time, and costs about ``2e-4 + 1e-6 h +
+    (k / 2 / _LEAP) (7e-6 + 1.2e-8 h)``: the set-up, the band rows, and
+    one leap over the ``h = (w + 1) / 2`` sites of one parity.  Squaring
+    costs about ``1.3e-5 + 3.5e-10 h^3`` per bit of ``k // 2``, one matrix
+    product plus the vector's.
     """
-    if w < 3 or steps < 2:
+    if w < 3 or k < 2:
         return False
     h = (w + 1) // 2
-    bits = (steps // 2).bit_length()
-    leaps = (steps // 4 if bridge else steps // 2) / _LEAP
+    bits, leaps = (k // 2).bit_length(), k // 2 / _LEAP
     return bits * (1.3e-5 + 3.5e-10 * h**3) < 2e-4 + 1e-6 * h + leaps * (7e-6 + 1.2e-8 * h)
 
 
@@ -586,79 +585,76 @@ def _band_size(h: int, reach: int) -> int:
     return h + r * (2 * h - r - 1)
 
 
-def _squared_log(om: np.ndarray, steps: list[int], bridge: bool) -> list[float | None]:
-    """:func:`_confined_rows` by binary powering of a transfer matrix,
-    with ``None`` for each count whose guard trips.
+def _squared_log(right: np.ndarray, left: np.ndarray, ks: list[int]) -> list:
+    """The final state ``(mass, log_scale)`` of the :func:`_propagate` of
+    ``k`` steps from the centre of the ``w >= 3`` step weights ``right``
+    and ``left``, for each count ``k`` of ``ks``, by binary powering of a
+    transfer matrix, or ``None`` where its guard trips.
 
-    After each even number of steps the walk sits on the sites of one
-    parity, so ``e_start P^s`` (``P`` the killing transfer matrix over
-    the ``w >= 3`` sites of ``om``) is one plain step when ``s`` is
-    odd, then ``s // 2`` products with the tridiagonal two-step matrix
-    ``B`` on the ``h`` sites of the final parity, the operator that
-    :func:`_propagate` applies (:func:`_two_step`).  ``B^r`` can be positive
-    only on ``|i - l| <= r``, and the vector after ``k`` two-steps only on
-    the sites within ``k`` of its first support; every other entry is an
-    exact zero.  After each product every operand is multiplied by the
-    power of two that puts its maximum in [1/2, 1), which rounds nothing,
-    with the exponents summed as integers, and all the entries its
-    pattern allows must stay at or above ``_SQUARING_FLOOR`` (they are
-    all positive when every ``om`` lies strictly inside (0, 1)), so the
-    guard counts them against the pattern's size.  Products go through
-    ``np.einsum`` without ``optimize``, never BLAS, so the bits do not
-    depend on the BLAS build or its thread count.
+    That is one plain step when ``k`` is odd, then ``k // 2`` products
+    with the tridiagonal two-step matrix ``B`` (:func:`_two_step`) on the
+    ``h`` sites of the final parity.  ``B^r`` can be positive only on
+    ``|i - l| <= r``, and the vector after ``j`` two-steps only within
+    ``j`` of its first support; every other entry is an exact zero.  After
+    each product every operand is multiplied by the power of two that
+    puts its maximum in [1/2, 1), which rounds nothing, with the exponents
+    summed as integers, and all the entries its pattern allows must stay
+    at or above ``_SQUARING_FLOOR`` (all are positive when every weight
+    is), so the guard counts them against the pattern's size.  Products go
+    through ``np.einsum`` without ``optimize``, never BLAS, so the bits do
+    not depend on the BLAS build or its thread count.
 
     The counts of one parity share ``B`` and the start vector, so one
     chain ``B, B^2, B^4, ...`` serves them all, squared only as far as the
-    longest ``s // 2`` needs.  Each count multiplies its own vector by the
+    longest ``k // 2`` needs.  Each count multiplies its own vector by the
     powers of its set bits in increasing order, the products and rescales
-    that a one-count call makes, so each entry equals that call's bit for
-    bit.  ``None`` means: for every count of the parity, a trip on the
-    first ``B`` or start vector; for the counts with more than ``j`` bits
-    in ``s // 2``, a trip on ``B^(2^j)``; for one count alone, a trip on
-    its own vector.
+    that a one-count call makes, so each state equals that call's bit for
+    bit.  ``None`` is a trip on the first ``B`` or start vector (every
+    count of the parity), on ``B^(2^j)`` (the counts with more than ``j``
+    bits in ``k // 2``) or on one count's own vector.
     """
-    rows: dict[int, float | None] = {}
-    start = om.size // 2
+    finals = {}
+    start = right.size // 2
     for odd in (0, 1):
-        todo = [s for s in steps if s % 2 == odd]
+        todo = [k for k in ks if k % 2 == odd]
         if not todo:
             continue
         parity = (start + odd) % 2
-        stay, from_left, from_right = _two_step(om, 1.0 - om, parity)
+        stay, from_left, from_right = _two_step(right, left, parity)
         h = stay.size
         a = np.diag(stay) + np.diag(from_left[1:], 1) + np.diag(from_right[:-1], -1)
         v = np.zeros(h)
         if odd:  # one plain step first, onto start - 1 and start + 1
             lo = (start - 1 - parity) // 2
             hi = lo + 1
-            v[lo], v[hi] = 1.0 - om[start], om[start]
+            v[lo], v[hi] = left[start], right[start]
         else:
             lo = hi = (start - parity) // 2
             v[lo] = 1.0
         scale = _rescaled(v, hi - lo + 1)
         a_log = _rescaled(a, _band_size(h, 1))
         if scale is None or a_log is None:
-            rows.update(dict.fromkeys(todo))
+            finals.update(dict.fromkeys(todo))
             continue
         # a = B^reach / 2**a_log, reach a power of two; each count's vector
-        # holds k two-steps and is scaled by 2**-scale
-        live = [(s, s // 2, v, scale, 0) for s in todo]
+        # holds j two-steps and is scaled by 2**-e
+        live = [(k, k // 2, v, scale, 0) for k in todo]
         reach = 1
         while True:
             going = []
-            for s, m, u, e, k in live:
+            for k, m, u, e, j in live:
                 if m & reach:
                     u = np.einsum("j,jk->k", u, a)
-                    k += reach
-                    u_log = _rescaled(u, min(hi + k, h - 1) - max(lo - k, 0) + 1)
+                    j += reach
+                    u_log = _rescaled(u, min(hi + j, h - 1) - max(lo - j, 0) + 1)
                     if u_log is None:
-                        rows[s] = None
+                        finals[k] = None
                         continue
                     e += a_log + u_log
                 if m < 2 * reach:
-                    rows[s] = _final_log(u, e * _LN2, lo if bridge else None)
+                    finals[k] = u, e * _LN2
                 else:
-                    going.append((s, m, u, e, k))
+                    going.append((k, m, u, e, j))
             live = going
             if not live:
                 break
@@ -666,10 +662,10 @@ def _squared_log(om: np.ndarray, steps: list[int], bridge: bool) -> list[float |
             reach *= 2
             sq_log = _rescaled(a, _band_size(h, reach))
             if sq_log is None:
-                rows.update(dict.fromkeys(s for s, *_ in live))
+                finals.update(dict.fromkeys(k for k, *_ in live))
                 break
             a_log = 2 * a_log + sq_log
-    return [rows[s] for s in steps]
+    return [finals[k] for k in ks]
 
 
 class _BridgeLaw:

@@ -764,8 +764,8 @@ class TestOneDrawPerSeed:
         monkeypatch.setattr(experiments, "sample_environment", spy)
         dist = write_dist(workdir, FIG1)
         # the M = 60 corridor runs n = 64 by the DP and n = 2000 by squaring
-        assert not rwre.kernel._prefers_squaring(119, 64, False)
-        assert rwre.kernel._prefers_squaring(119, 2000, False)
+        assert not rwre.kernel._prefers_squaring(119, 64)
+        assert rwre.kernel._prefers_squaring(119, 2000)
         cfg = write_config(
             workdir,
             "confined",
@@ -1486,6 +1486,24 @@ def test_confined_thread_config_reaches_the_squaring_path(workdir, capsys, monke
     monkeypatch.setattr(rwre.kernel, "_squared_log", spy)
     run_once(capsys, workdir, "confined", small_config(workdir, "confined"), "runs")
     assert any(r is not None for rows in results for r in rows)
+
+
+def test_scaling_corridor_rows_equal_one_call_per_row(workdir, capsys):
+    # n = 100 and 110 share the corridor M = 10, which serves both
+    dist = write_dist(workdir, FIG1)
+    keys = {"distribution": dist.name, "n_grid": "16,100,110", "seeds": "0,1",
+            "mode": "exponent", "gamma": "0.5"}
+    run_once(capsys, workdir, "scaling", write_config(workdir, "scaling", keys), "runs")
+    (run_dir,) = (workdir / "runs").iterdir()
+    _, rows = read_rows(run_dir / "data.csv")
+    law = rwre.load_distribution(dist)
+    want = []
+    for seed in (0, 1):
+        for n in (16, 100, 110):
+            env = rwre.sample_environment(law, seed, -n, n)
+            lp = rwre.confined_log_prob(env, 2 * n, max(2, round(n**0.5)), require_bridge=True)
+            want.append([str(seed), str(n), "%.17g" % lp])
+    assert rows == want
 
 
 class TestTruncationBound:

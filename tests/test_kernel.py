@@ -240,7 +240,16 @@ def dp_log(om: np.ndarray, steps: int, bridge: bool) -> float:
     start = om.size // 2
     for _, mass, scale, _ in kernel._propagate(om, 1.0 - om, start, [steps]):
         pass
-    return _final_log(mass, scale, start // 2 if bridge else None)
+    return _final_log(mass[start // 2 : start // 2 + 1] if bridge else mass, scale)
+
+
+def squared_logs(om: np.ndarray, steps: list[int], bridge: bool) -> list[float | None]:
+    """The corridor log probabilities of ``_squared_log``, reduced as
+    ``_confined_rows`` reduces them, with ``None`` for each guard trip."""
+    right, left = kernel._symmetric(om, 1.0 - om) if bridge else (om, 1.0 - om)
+    power = 2 if bridge else 1
+    finals = _squared_log(right, left, [s // power for s in steps])
+    return [None if f is None else _final_log(*f, power) for f in finals]
 
 
 def assert_close_log(got: float, want: float, rel: float = 1e-12) -> None:
@@ -269,32 +278,37 @@ class TestSquaringPath:
         want = dp_log(om, steps, bridge)
         assert_close_log(confined_log_prob(env, steps, m, require_bridge=bridge), want)
         if om.size >= 3:
-            [got] = _squared_log(om, [steps], bridge)
+            [got] = squared_logs(om, [steps], bridge)
             assert got is not None
             assert_close_log(got, want)
 
     @pytest.mark.parametrize("omega", [0.99, 0.999])
-    def test_deep_drift_trips_the_guard_and_returns_the_dp_bits(self, omega):
-        # the bridge's mass spans more than 2^500 across the corridor, so an
-        # unguarded product would flush entries that the answer needs
+    def test_drift_trips_the_guard_of_plain_corridors_only(self, omega):
+        # the walk's mass spans more than 2^500 across the corridor, so an
+        # unguarded product would flush entries that the answer needs; a
+        # bridge corridor powers its symmetric walk, which has no drift
         env = Environment(-64, np.full(129, omega))
         om = env.slice(-63, 63)
-        assert _prefers_squaring(om.size, 20000, True)
-        assert _squared_log(om, [20000], True) == [None]
-        got = confined_log_prob(env, 20000, 64, require_bridge=True)
+        assert _prefers_squaring(om.size, 10000) and _prefers_squaring(om.size, 20000)
+        [got] = squared_logs(om, [20000], True)
+        assert got == confined_log_prob(env, 20000, 64, require_bridge=True)
         assert got == kernel._bridge_log(om, 1.0 - om, [10000], 0.0)[0][0]
-        assert_close_log(got, dp_log(om, 20000, True))
+        assert_close_log(got, oracles.confined_log_forward(env, 20000, 64, require_bridge=True))
+        assert squared_logs(om, [20000], False) == [None]
+        *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, 63, [20000], leap=kernel._LEAP)
+        assert confined_log_prob(env, 20000, 64) == _final_log(mass, scale)
 
     def test_dispatch_points(self):
-        assert _prefers_squaring(127, 65536, True)
-        assert not _prefers_squaring(2049, 4096, True)
-        assert not _prefers_squaring(1, 10**6, False)
-        assert not _prefers_squaring(127, 0, False)
+        # a bridge corridor of s steps propagates k = s / 2
+        assert _prefers_squaring(127, 32768)
+        assert not _prefers_squaring(2049, 2048)
+        assert not _prefers_squaring(1, 10**6)
+        assert not _prefers_squaring(127, 0)
         # the corridor_long corridors stay on squaring, while the widest
         # maxdisp_probe corridors leap (measured 1.3-1.8 ms against 8-15 ms)
-        assert _prefers_squaring(15, 16384, True) and _prefers_squaring(127, 16384, True)
-        assert not _prefers_squaring(233, 2048, True)
-        assert not _prefers_squaring(291, 2048, True)
+        assert _prefers_squaring(15, 8192) and _prefers_squaring(127, 8192)
+        assert not _prefers_squaring(233, 1024)
+        assert not _prefers_squaring(291, 1024)
 
     @pytest.mark.parametrize("bridge", [False, True])
     @pytest.mark.parametrize("m,steps", [(1, 0), (1, 6), (1, 4000), (5, 0), (64, 0),
@@ -316,8 +330,8 @@ class TestSquaringPath:
         for m, steps in calls:
             env = sample_environment(rwre.load_distribution(law), 0, -m, m)
             om = env.slice(-(m - 1), m - 1)
-            assert _prefers_squaring(om.size, steps, True)
-            assert _squared_log(om, [steps], True)[0] is not None
+            assert _prefers_squaring(om.size, steps // 2)
+            assert squared_logs(om, [steps], True)[0] is not None
         code = (
             "import rwre\n"
             f"law = rwre.load_distribution({str(law)!r})\n"
@@ -376,8 +390,8 @@ class TestSquaringChain:
     def test_chain_equals_one_count_calls(self, data, bridge):
         om = corridor_with_trap(data.draw)
         steps = step_counts(data.draw, bridge, 70000)
-        want = [_squared_log(om, [s], bridge)[0] for s in steps]
-        assert bits(_squared_log(om, steps, bridge)) == bits(want)
+        want = [squared_logs(om, [s], bridge)[0] for s in steps]
+        assert bits(squared_logs(om, steps, bridge)) == bits(want)
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data(), bridge=st.booleans())
@@ -390,7 +404,8 @@ class TestSquaringChain:
         # 119 sites: the middle count runs the DP, the others squaring
         om = random_env(3, -59, 59).slice(-59, 59)
         steps = [4, 64, 8000]
-        assert [_prefers_squaring(119, s, bridge) for s in steps] == [True, False, True]
+        ks = [s // 2 if bridge else s for s in steps]
+        assert [_prefers_squaring(119, k) for k in ks] == [True, False, True]
         self.check_rows(om, steps, bridge)
 
     @staticmethod
@@ -407,16 +422,16 @@ class TestSquaringChain:
         # B^(2^j) loses entries to the guard once its band reaches the
         # trap: the counts that need that power read None, shorter ones not
         om = np.full(127, 0.5)
-        om[2:5] = 1e-40
+        om[2:9] = 1e-40
         steps = sorted({(3 if bridge else 1) + 2**k for k in range(1, 17)} | {2**k for k in range(1, 17)})
         steps = [s - s % 2 if bridge else s for s in steps]
-        got = _squared_log(om, steps, bridge)
-        assert bits(got) == bits([_squared_log(om, [s], bridge)[0] for s in steps])
+        got = squared_logs(om, steps, bridge)
+        assert bits(got) == bits([squared_logs(om, [s], bridge)[0] for s in steps])
         for odd in (0, 1):
             nones = [r is None for s, r in zip(steps, got) if s % 2 == odd]
             assert nones == sorted(nones)  # once a count trips, every longer one does
         assert None in got and any(r is not None for r in got)
-        assert _squared_log(om, steps[-1:], bridge) == [None]
+        assert squared_logs(om, steps[-1:], bridge) == [None]
 
     def test_a_trip_on_one_vector_spares_the_other_counts(self, monkeypatch):
         # no natural case is known, so trip the vector that holds three
@@ -429,14 +444,29 @@ class TestSquaringChain:
         monkeypatch.setattr(kernel, "_rescaled", tripping)
         om = random_env(5, -31, 31).slice(-31, 31)
         steps = [6, 8, 10, 12, 14, 22]
-        got = _squared_log(om, steps, True)
+        got = squared_logs(om, steps, False)
         assert [r is None for r in got] == [True, False, False, False, True, True]
-        assert bits(got) == bits([_squared_log(om, [s], True)[0] for s in steps])
+        assert bits(got) == bits([squared_logs(om, [s], False)[0] for s in steps])
 
     def test_a_trip_on_the_first_operands_gives_none_for_the_class(self):
         om = np.full(31, 0.5)
         om[20] = 1.0  # a one-way site: B has a zero inside its band
-        assert _squared_log(om, [4, 5, 1000, 1001], False) == [None] * 4
+        assert _squared_log(om, 1.0 - om, [4, 5, 1000, 1001]) == [None] * 4
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), bridge=st.booleans(), bit=st.integers(3, 12))
+    def test_admitted_counts_match_the_log_domain_oracle(self, data, bridge, bit):
+        # the chain on its own, at every count the guard admits, against a
+        # recursion that holds each cell's log mass and never rescales
+        om = corridor_with_trap(data.draw)
+        om = om[: om.size - 1 + om.size % 2]  # 2M - 1 sites
+        m = (om.size + 1) // 2
+        steps = data.draw(st.integers(2**bit, min(2 ** (bit + 1), 8000)))
+        steps -= steps % 2 if bridge else 0
+        [got] = squared_logs(om, [steps], bridge)
+        if got is not None:
+            env = Environment(1 - m, om)
+            assert_close_log(got, oracles.confined_log_forward(env, steps, m, bridge))
 
 
 def barrier_window(last: int) -> Environment:
@@ -658,9 +688,9 @@ class TestWindowedCore:
         # steps) is never occupied, so its mass is the total, 0
         om = random_env(w + steps, 0, w - 1).slice(0, w - 1)
         index = target // 2 if (start + steps - target) % 2 == 0 else None
-        *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, start, [steps])
-        *_, (_, ref, ref_scale, _) = full_rectangle(om, 1.0 - om, start, [steps])
-        assert _final_log(mass, scale, index) == _final_log(ref, ref_scale, index)
+        *_, got = _propagate(om, 1.0 - om, start, [steps])
+        *_, want = full_rectangle(om, 1.0 - om, start, [steps])
+        assert log_total(got, index) == log_total(want, index)
         for got, want in zip_longest(_propagate(om, 1.0 - om, start, [steps]),
                                      full_rectangle(om, 1.0 - om, start, [steps])):
             assert got[0] == want[0]
@@ -683,8 +713,10 @@ class TestWindowedCore:
 
 
 def log_total(state, index=None) -> float:
-    """``_final_log`` of a yielded ``(k, mass, scale, disc_log)`` state."""
-    return _final_log(state[1], state[2], index)
+    """``_final_log`` of a yielded ``(k, mass, scale, disc_log)`` state, or
+    of its entry ``index``."""
+    mass = state[1] if index is None else state[1][index : index + 1]
+    return _final_log(mass, state[2])
 
 
 class TestLeap:
@@ -813,7 +845,7 @@ class TestTwoStepEdges:
         exact = oracles.event_probability(
             env.shift(start), steps, lambda s: stays(s) and s[-1] + start == target
         )
-        got = _final_log(mass, scale, target // 2)
+        got = _final_log(mass[target // 2 : target // 2 + 1], scale)
         assert math.exp(got) == pytest.approx(exact, abs=1e-12)
         assert (got == -np.inf) == (exact == 0.0)
 
@@ -935,7 +967,7 @@ class TestHalfLengthBridge:
         env = random_env(7, -2 * m, 2 * m)
         if omega is not None:
             env = with_omega(env, 3, omega)
-        assert not _prefers_squaring(2 * m - 1, steps, True)
+        assert not _prefers_squaring(2 * m - 1, steps // 2)
         for call, half, width in [(lambda: bridge_log_prob(env, n), n, n),
                                   (lambda: confined_log_prob(env, steps, m, require_bridge=True),
                                    steps // 2, m - 1)]:
@@ -1317,7 +1349,7 @@ class TestHittingCdf:
                 env = sample_environment(NESTLING_K2, seed, -1, m).reflect_plus()
                 om = env.slice(0, m - 1)
                 *_, (_, mass, scale, _) = _propagate(om, 1.0 - om, 0, [n])
-                lp = _final_log(mass, scale, None)
+                lp = _final_log(mass, scale)
                 vals.append(math.log(-lp))
             lnln.append(float(np.mean(vals)))
         slope = float(np.polyfit(np.log(ns), lnln, 1)[0])
