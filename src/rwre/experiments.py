@@ -470,7 +470,8 @@ def _map_seeded(
     ``env`` is the seed's environment on the sites ``window(*task)``, by
     default ``[-n, n]``, the sites a ``2n``-step bridge can reach.  The
     default tasks are seeds x ``n_grid``, seed-major; the bridge sweeps
-    (:func:`_bridge_sweep`) pass one task ``(seed,)`` per seed instead.
+    (:func:`_bridge_sweep`) and ``max-disp-exact`` pass one task
+    ``(seed,)`` per seed instead.
     Each seed's environment is drawn once for each run of consecutive
     tasks of that seed (once per seed, since every runner's tasks are
     seed-major), over the hull of their windows; each task gets a view of
@@ -588,21 +589,40 @@ def _run_confined(cfg: ExperimentConfig, out: _Outputs) -> None:
 
 
 def _run_max_disp_exact(cfg: ExperimentConfig, out: _Outputs) -> None:
-    cdf_points = cfg.params.get("cdf_points", 33)
+    """One task per seed over ``[-max n, max n]``, one law per ``n``.  The
+    CDF grids run in ascending ``M``, one corridor per ``M`` for every law
+    whose grid holds ``M`` below its strip (``kernel._confined_rows``);
+    then each law's quantile searches run as they would alone."""
+    ns, cdf_points = cfg.params["n_grid"], cfg.params.get("cdf_points", 33)
+    # a set, not np.unique, which would import numpy.ma
+    grids = {
+        n: sorted(set(np.round(np.geomspace(1, n, cdf_points)).astype(np.int64).tolist()))
+        for n in ns
+    }
+    ns_of: dict[int, list[int]] = {}
+    for n in ns:
+        for m in grids[n]:
+            ns_of.setdefault(m, []).append(n)
 
-    def work(env, seed: int, n: int):
-        law = _BridgeLaw(env, n)
-        grid = []
-        if cdf_points > 0:
-            grid = np.unique(
-                np.round(np.geomspace(1, max(n, 1), cdf_points)).astype(np.int64)
-            ).tolist()
-        # the grid's probes bracket each quantile's search
-        cdf_rows = [(seed, n, m, law.cdf(m)) for m in grid]
-        q05, med, q95 = [law.quantile(q) for q in (0.05, 0.5, 0.95)]
-        return (seed, n, med, q05, q95), cdf_rows, law.bridge
+    def work(env, seed: int) -> list[tuple]:
+        laws = {n: _BridgeLaw(env, n) for n in ns}
+        for m in sorted(ns_of):
+            due = [laws[n] for n in ns_of[m] if laws[n].needs_probe(m)]
+            if due:
+                joints = _confined_rows(env.slice(1 - m, m - 1), [2 * law.n for law in due], True)
+                for law, joint in zip(due, joints):
+                    law.record(m, joint)
+        results = []
+        for n, law in laws.items():
+            cdf_rows = [(seed, n, m, law.cdf(m)) for m in grids[n]]
+            # the grid's probes bracket each quantile's search
+            q05, med, q95 = [law.quantile(q) for q in (0.05, 0.5, 0.95)]
+            results.append(((seed, n, med, q05, q95), cdf_rows, law.bridge))
+        return results
 
-    results = _map_seeded(cfg, work)
+    tasks = [(s,) for s in cfg.effective_seeds()]
+    chunks = _map_seeded(cfg, work, tasks, window=lambda seed: (-ns[-1], ns[-1]))
+    results = [r for chunk in chunks for r in chunk]
     out.csv("maxdisp_summary.csv", "seed,n,median,q05,q95", [r[0] for r in results])
     if cdf_points > 0:
         out.csv("maxdisp_cdf.csv", "seed,n,m,cdf", [row for r in results for row in r[1]])

@@ -681,6 +681,12 @@ class _BridgeLaw:
     skipped value errs by at most as much as that probe; which probes run,
     and so the last bits below 1.0, may depend on the order of the
     queries, within that error.
+
+    A caller that serves several laws from one corridor asks
+    ``needs_probe(M)`` and hands each law its row of ``_confined_rows``
+    through ``record(M, joint)``; ``cdf`` is the two in turn.  A row has
+    the same bits whatever shares its call, so the law ends up as a
+    ``cdf(M)`` of its own would leave it.
     """
 
     def __init__(self, env: Environment, n: int) -> None:
@@ -695,14 +701,21 @@ class _BridgeLaw:
         self.strip = n + 1
 
     def cdf(self, m: int) -> float:
-        if m not in self.probes:
-            if m >= self.strip:
-                return 1.0
-            joint = confined_log_prob(self.env, 2 * self.n, m, require_bridge=True)
-            self.probes[m] = min(1.0, float(np.exp(joint - self.bridge[0])))
-            if self.probes[m] == 1.0:
-                self.strip = m
-        return self.probes[m]
+        if self.needs_probe(m):
+            self.record(m, confined_log_prob(self.env, 2 * self.n, m, require_bridge=True))
+        return self.probes.get(m, 1.0)
+
+    def needs_probe(self, m: int) -> bool:
+        """Whether ``cdf(m)`` would run a corridor: ``m`` is below the
+        strip and not probed yet."""
+        return m < self.strip and m not in self.probes
+
+    def record(self, m: int, joint: float) -> None:
+        """Keep the probe of ``M = m``, given ``joint``, the log
+        probability of the bridge confined to ``(-m, m)``."""
+        self.probes[m] = min(1.0, float(np.exp(joint - self.bridge[0])))
+        if self.probes[m] == 1.0:
+            self.strip = m
 
     def quantile(self, q: float) -> int:
         """Smallest ``m >= 1`` with ``cdf(m + 1) >= q``, for ``0 < q < 1``.

@@ -868,17 +868,23 @@ class TestMaxDispExperiment:
                            cdf_points="17")
         envs = {n: barrier_env(None, 0, -2 * n, 2 * n) for n in ns}
         bridge_lps = {n: rwre.bridge_log_prob(envs[n], n) for n in ns}
-        probes = []  # (n, M, cdf(M)) in the order the probes ran
-        real_probe = rwre.kernel.confined_log_prob
+        probes = []  # (n, M, cdf(M)) in the order the corridors ran, one per row
+        real_rows = rwre.kernel._confined_rows
 
-        def probe(env, steps, m, **kwargs):
-            joint = real_probe(env, steps, m, **kwargs)
-            n = steps // 2
-            probes.append((n, m, min(1.0, float(np.exp(joint - bridge_lps[n])))))
-            return joint
+        def rows(om, steps, bridge):
+            joints = real_rows(om, steps, bridge)
+            m = (om.size + 1) // 2
+            probes.extend((s // 2, m, min(1.0, float(np.exp(joint - bridge_lps[s // 2]))))
+                          for s, joint in zip(steps, joints))
+            return joints
 
-        monkeypatch.setattr(rwre.kernel, "confined_log_prob", probe)
+        # the grid calls the corridors itself, the quantile searches
+        # through confined_log_prob
+        monkeypatch.setattr(rwre.kernel, "_confined_rows", rows)
+        monkeypatch.setattr(experiments, "_confined_rows", rows)
         csv, _ = run_once(capsys, workdir, "max-disp-exact", cfg, "runs")
+        monkeypatch.undo()
+        real_probe = rwre.kernel.confined_log_prob
         rows = [r.split(",") for r in csv["maxdisp_cdf.csv"].decode().splitlines()[1:]]
         skipped = {}
         for n in ns:
@@ -936,6 +942,64 @@ class TestMaxDispExperiment:
         for n in ns:
             fewer = sum(1 for key in bracketed if key[0] == n)
             assert fewer < sum(1 for key in probes if key[0] == n)
+
+    @pytest.mark.parametrize("cdf_points", [17, 0])
+    def test_grouped_grid_matches_a_law_per_n(self, workdir, monkeypatch, cdf_points):
+        ns, seeds = [16, 52, 68], [0, 1]
+        dist = write_dist(workdir, FIG1)
+        cfg = write_config(workdir, "max-disp-exact", {
+            "distribution": dist.name, "n_grid": "16, 52, 68", "seeds": "0, 1",
+            "cdf_points": str(cdf_points),
+        })
+        config = ExperimentConfig("max-disp-exact", load_config(cfg, "max-disp-exact"), workdir)
+        calls = []  # (M, steps) of every grid corridor, in order
+        real_rows = experiments._confined_rows
+
+        def rows(om, steps, bridge):
+            assert bridge
+            calls.append(((om.size + 1) // 2, list(steps)))
+            return real_rows(om, steps, bridge)
+
+        class Captured:
+            def __init__(self):
+                self.files = {}
+
+            def csv(self, name, header, rows):
+                self.files[name] = list(rows)
+
+            def truncation_bound(self, bounded):
+                self.bridges = list(bounded)
+
+        monkeypatch.setattr(experiments, "_confined_rows", rows)
+        out = Captured()
+        experiments._run_max_disp_exact(config, out)
+
+        # the same laws, one per (seed, n), each on its own [-n, n]
+        summary, cdf_rows, bridges, want_calls = [], [], [], []
+        for seed in seeds:
+            due = {}  # M -> the steps of the laws that probe M on the grid
+            for n in ns:
+                env = rwre.sample_environment(rwre.load_distribution(dist), seed, -n, n)
+                law = rwre.kernel._BridgeLaw(env, n)
+                grid = np.unique(np.round(np.geomspace(1, n, cdf_points)).astype(np.int64))
+                cdf_rows += [(seed, n, int(m), law.cdf(int(m))) for m in grid]
+                for m in law.probes:
+                    due.setdefault(m, []).append(2 * n)
+                q05, med, q95 = [law.quantile(q) for q in (0.05, 0.5, 0.95)]
+                summary.append((seed, n, med, q05, q95))
+                bridges.append(law.bridge)
+            if cdf_points:
+                # the grids share points, and the law of n = 52 reads 1.0
+                # below M = 52, its last grid point, which n = 68 probes
+                assert any(len(steps) > 1 for steps in due.values())
+                assert due[52] == [2 * 68]
+            want_calls += sorted(due.items())
+        assert out.files["maxdisp_summary.csv"] == summary
+        assert out.files.get("maxdisp_cdf.csv", []) == cdf_rows
+        assert out.bridges == bridges
+        # one corridor per seed and grid M, serving exactly the laws that
+        # probe M
+        assert calls == want_calls
 
 
 class TestSampleBridgeExperiment:
@@ -1768,9 +1832,10 @@ def test_installed_console_script(tmp_path):
     assert proc.stdout.strip()
 
 
-def test_runs_on_small_windows_leave_numpy_random_unimported(tmp_path):
+def test_runs_on_small_windows_leave_numpy_random_and_numpy_ma_unimported(tmp_path):
     # numpy >= 2.0 imports numpy.random on first use; the environment draw
-    # must not be that use, while sample-bridge still draws its own streams
+    # must not be that use, while sample-bridge still draws its own streams.
+    # np.unique imports numpy.ma; no run may import it.
     dist = write_dist(tmp_path, FIG1)
     bodies = {
         "bridge-prob": {"n_grid": "8, 16", "seeds": "0, 1"},
@@ -1789,7 +1854,7 @@ def test_runs_on_small_windows_leave_numpy_random_unimported(tmp_path):
         "codes, loaded = [], []\n"
         f"for argv in {argvs!r}:\n"
         "    codes.append(rwre.cli.main(argv))\n"
-        "    loaded.append('numpy.random' in sys.modules)\n"
+        "    loaded.append(['numpy.random' in sys.modules, 'numpy.ma' in sys.modules])\n"
         "print(json.dumps([codes, loaded]))\n"
     )
     src = str(Path(rwre.__file__).resolve().parents[1])
@@ -1800,7 +1865,7 @@ def test_runs_on_small_windows_leave_numpy_random_unimported(tmp_path):
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
-    assert loaded == [False, False, False, True]
+    assert loaded == [[False, False], [False, False], [False, False], [True, False]]
 
 
 class TestOneSubparser:
