@@ -13,22 +13,26 @@ with a message on stderr.
 ``--threads`` is accepted and validated (K must be at least 1) but
 ignored: every experiment runs its tasks serially on one thread.
 
-To keep the fixed cost of a run small, only the subparser of the
-experiment named by the first argument is built; any other first
-argument gets the full tree, for top-level help and errors.  Small
-environment windows are drawn without importing ``numpy.random`` (see
+To keep the fixed cost of a run small, a plain run (the experiment,
+then each flag at most once as two tokens, ``--config`` among them) is
+read without importing :mod:`argparse`.  Every other argument list goes
+to argparse, which builds the whole parser tree, so help, usage errors
+and their exit codes are argparse's own.  Small environment windows are
+drawn without importing ``numpy.random`` (see
 :func:`rwre.environment.sample_environment`).
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from collections.abc import Sequence
 from pathlib import Path
+from typing import TYPE_CHECKING, Any
 
 from .errors import ConfigError, RwreError
 from .experiments import EXPERIMENT_NAMES, ExperimentConfig, load_config, run
+
+if TYPE_CHECKING:
+    import argparse
 
 _HELP = {
     "kappa": "regime classification, tail exponent, speed, and zero-velocity rate",
@@ -45,15 +49,21 @@ _HELP = {
 }
 
 
-def build_parser(names: Sequence[str] = EXPERIMENT_NAMES) -> argparse.ArgumentParser:
-    """The ``rwre`` parser, with one subparser per experiment in ``names``."""
+_FLAGS = {"--config": "config", "--out": "out", "--threads": "threads",
+          "--seed-offset": "seed_offset"}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The ``rwre`` parser, with one subparser per experiment."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="rwre",
         description="Exact quenched computations and conditioned-path "
         "sampling for 1-D random walks in random environment.",
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name in names:
+    for name in EXPERIMENT_NAMES:
         p = sub.add_parser(name, help=_HELP[name], description=_HELP[name])
         p.add_argument("--config", required=True, metavar="PATH",
                        help="config file with a [%s] section" % name)
@@ -67,19 +77,46 @@ def build_parser(names: Sequence[str] = EXPERIMENT_NAMES) -> argparse.ArgumentPa
     return parser
 
 
+def _read_plain(argv: list[str]) -> dict[str, Any] | None:
+    """The parsed fields of ``<experiment> --flag value ...``, or None.
+
+    Returns what ``vars(build_parser().parse_args(argv))`` would, for an
+    experiment followed by flags of :data:`_FLAGS`, each at most once and
+    with a value that does not start with ``-``, ``--config`` among them,
+    and integers where argparse's ``type=int`` wants them.  Any other
+    ``argv`` gets None, and is left to argparse.
+    """
+    if not argv or argv[0] not in EXPERIMENT_NAMES or len(argv) % 2 == 0:
+        return None
+    read = {}
+    for flag, value in zip(argv[1::2], argv[2::2]):
+        key = _FLAGS.get(flag)
+        if key is None or key in read or value.startswith("-"):
+            return None
+        read[key] = value
+    if "config" not in read:
+        return None
+    try:
+        for key in ("threads", "seed_offset"):
+            if key in read:
+                read[key] = int(read[key])
+    except ValueError:
+        return None
+    return {"experiment": argv[0], "out": "runs", "threads": 1, "seed_offset": 0, **read}
+
+
 def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    names = argv[:1] if argv[:1] and argv[0] in EXPERIMENT_NAMES else EXPERIMENT_NAMES
-    args = build_parser(names).parse_args(argv)
+    args = _read_plain(argv) or vars(build_parser().parse_args(argv))
     try:
-        if args.threads < 1:
+        if args["threads"] < 1:
             raise ConfigError("threads must be at least 1")
-        params = load_config(args.config, args.experiment)
+        params = load_config(args["config"], args["experiment"])
         config = ExperimentConfig(
-            experiment=args.experiment,
+            experiment=args["experiment"],
             params=params,
-            out_root=Path(args.out),
-            seed_offset=args.seed_offset,
+            out_root=Path(args["out"]),
+            seed_offset=args["seed_offset"],
         )
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,7 +2,9 @@
 config parsing and exit codes, CSV schemas and 17-digit float formatting,
 manifest sidecars, deterministic reruns, and thread-count invariance."""
 
+import contextlib
 import importlib.util
+import io
 import itertools
 import json
 import math
@@ -1835,7 +1837,8 @@ def test_installed_console_script(tmp_path):
 def test_runs_on_small_windows_leave_numpy_random_and_numpy_ma_unimported(tmp_path):
     # numpy >= 2.0 imports numpy.random on first use; the environment draw
     # must not be that use, while sample-bridge still draws its own streams.
-    # np.unique imports numpy.ma; no run may import it.
+    # np.unique imports numpy.ma; no run may import it.  A plain run is read
+    # without argparse, which would import gettext, and locale with it.
     dist = write_dist(tmp_path, FIG1)
     bodies = {
         "bridge-prob": {"n_grid": "8, 16", "seeds": "0, 1"},
@@ -1854,7 +1857,8 @@ def test_runs_on_small_windows_leave_numpy_random_and_numpy_ma_unimported(tmp_pa
         "codes, loaded = [], []\n"
         f"for argv in {argvs!r}:\n"
         "    codes.append(rwre.cli.main(argv))\n"
-        "    loaded.append(['numpy.random' in sys.modules, 'numpy.ma' in sys.modules])\n"
+        "    loaded.append([m in sys.modules for m in\n"
+        "                   ('numpy.random', 'numpy.ma', 'argparse', 'gettext', 'locale')])\n"
         "print(json.dumps([codes, loaded]))\n"
     )
     src = str(Path(rwre.__file__).resolve().parents[1])
@@ -1865,12 +1869,23 @@ def test_runs_on_small_windows_leave_numpy_random_and_numpy_ma_unimported(tmp_pa
     assert proc.returncode == 0, proc.stderr
     codes, loaded = json.loads(proc.stdout.splitlines()[-1])
     assert codes == [0, 0, 0, 0]
-    assert loaded == [[False, False], [False, False], [False, False], [True, False]]
+    assert loaded == [[False] * 5, [False] * 5, [False] * 5, [True] + [False] * 4]
 
 
-class TestOneSubparser:
-    """``main`` builds only the named experiment's subparser; every usage
-    message, error and exit code must equal the full tree's."""
+def full_tree(argv):
+    """The fields the whole argparse tree reads from ``argv``, or
+    ``(code, stdout, stderr)`` where it exits instead."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit as exc:
+            return exc.code, out.getvalue(), err.getvalue()
+
+
+class TestPlainRunReader:
+    """``main`` reads a plain run without argparse; every other argument
+    list, and every usage message, error and exit code, is argparse's."""
 
     @staticmethod
     def outcome(capsys, argv):
@@ -1885,7 +1900,12 @@ class TestOneSubparser:
         dist = write_dist(workdir, FIG1)
         cfg = str(write_config(workdir, "bridge-prob",
                                {"distribution": dist.name, "n_grid": "4", "seeds": "0"}))
-        argvs = [
+        plain = [
+            ["bridge-prob", "--config", cfg, "--threads", "0"],
+            ["kappa", "--config", cfg],  # no [kappa] section: exit 2
+            ["kappa", "--out", "elsewhere", "--seed-offset", " 1_0", "--config", cfg],
+        ]
+        argvs = plain + [
             [],
             ["--help"],
             ["bridge-prob", "--help"],
@@ -1894,27 +1914,88 @@ class TestOneSubparser:
             ["bridge-prob"],
             ["bridge-prob", "--config", cfg, "--bogus"],
             ["bridge-prob", "--config", cfg, "kappa"],
-            ["bridge-prob", "--config", cfg, "--threads", "0"],
             ["bridge-prob", "--config", cfg, "--seed-offset", "1.5"],
-            ["kappa", "--config", cfg],
+            ["kappa", "--config", cfg, "--threads=2"],
+            ["kappa", "--conf", cfg],
+            ["kappa", "--config", cfg, "--out", "a", "--out", "b"],
+            ["kappa", "--config", cfg, "--seed-offset", "-1"],
         ]
+        assert [argv for argv in argvs if cli._read_plain(argv) is not None] == plain
         build_parser = cli.build_parser
         built = []
 
-        def spy(names=EXPERIMENT_NAMES):
-            built.append(tuple(names))
-            return build_parser(names)
+        def spy():
+            built.append(1)
+            return build_parser()
 
         monkeypatch.setattr(cli, "build_parser", spy)
         for argv in argvs:
             built.clear()
             one = self.outcome(capsys, argv)
-            named = bool(argv) and argv[0] in EXPERIMENT_NAMES
-            assert built == [(argv[0],) if named else EXPERIMENT_NAMES]
+            assert len(built) == (0 if argv in plain else 1), argv
             with monkeypatch.context() as m:
-                m.setattr(cli, "build_parser", lambda names: build_parser())
+                m.setattr(cli, "_read_plain", lambda argv: None)
                 full = self.outcome(capsys, argv)
             assert one == full, argv
+
+
+PLAIN_VALUES = ["a.ini", "runs", "dir/b c", "", "kappa", "3", " 3", "1_0", "0"]
+ARGV_TOKENS = st.sampled_from(
+    list(EXPERIMENT_NAMES[:3]) + list(cli._FLAGS) + PLAIN_VALUES + [
+        "--config=a.ini", "--out=d", "--threads=2", "--seed-offset=3",
+        "--conf", "--o", "--th", "--seed", "-h", "--help", "--",
+        "-1", "1.5", "x", "frobnicate",
+    ]
+)
+
+
+@st.composite
+def plain_argvs(draw):
+    """An experiment, then distinct flags in any order, ``--config`` among them."""
+    optional = draw(st.lists(st.sampled_from(list(cli._FLAGS)[1:]), unique=True))
+    argv = [draw(st.sampled_from(EXPERIMENT_NAMES))]
+    for flag in draw(st.permutations(["--config"] + optional)):
+        numeric = flag in ("--threads", "--seed-offset")
+        argv += [flag, draw(st.sampled_from(["3", " 3", "1_0", "0"] if numeric
+                                            else PLAIN_VALUES))]
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(argv=plain_argvs())
+def test_plain_reader_reads_every_documented_argv(argv):
+    assert cli._read_plain(argv) == full_tree(argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(
+    plain_argvs(),
+    st.tuples(st.sampled_from(list(EXPERIMENT_NAMES) + ["frobnicate", "-h"]),
+              st.lists(ARGV_TOKENS, max_size=9)).map(lambda t: [t[0], *t[1]]),
+))
+@example(argv=["kappa", "--config", "a.ini", "--seed-offset", "-1"])
+@example(argv=["kappa", "--config", "a.ini", "--threads", "1.5"])
+@example(argv=["kappa", "--config", "a.ini", "--", "--out", "d"])
+@example(argv=["kappa", "--out", "d"])
+def test_plain_reader_defers_or_equals_the_full_tree(argv):
+    read = cli._read_plain(argv)
+    assert read is None or read == full_tree(argv), argv
+
+
+def test_help_and_usage_errors_through_the_module_runner(tmp_path):
+    src = str(Path(rwre.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    run = [sys.executable, "-m", "rwre"]
+    helped = subprocess.run(run + ["--help"], capture_output=True, text=True,
+                            cwd=tmp_path, env=env)
+    assert helped.returncode == 0, helped.stderr
+    assert all(name in helped.stdout for name in EXPERIMENT_NAMES)
+    assert len(EXPERIMENT_NAMES) == 11
+    missing = subprocess.run(run + ["confined"], capture_output=True, text=True,
+                             cwd=tmp_path, env=env)
+    assert missing.returncode == 2
+    assert "the following arguments are required: --config" in missing.stderr
 
 
 def test_benchmark_tracer_patch_sites_exist():
