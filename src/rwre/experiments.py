@@ -82,7 +82,9 @@ from .kernel import (
     max_disp_bridge_cdf,
 )
 from .measure_change import verify_com_identity
-from .sampling import backward_table, max_disp_samples, sample_bridge
+# max_disp_samples and sample_bridge are no longer called here either, for
+# the same reason
+from .sampling import _sample_batch, backward_table, max_disp_samples, sample_bridge
 
 __all__ = ["ExperimentConfig", "EXPERIMENT_NAMES", "load_config", "run"]
 
@@ -636,16 +638,13 @@ def _run_sample_bridge(cfg: ExperimentConfig, out: _Outputs) -> None:
     seeds = cfg.effective_seeds()
 
     def work(env, seed: int, n: int):
-        table = backward_table(env, n)
-        draws = max_disp_samples(
-            env, n, n_samples, _derived_seed(base, seed, n, 0), table=table
+        # one pass draws the batch and the first seed's exported paths, each
+        # path from its own stream, so they are sample_bridge's paths
+        exported = range(export) if seed == seeds[0] else ()
+        paths, *draws = _sample_batch(
+            env, n, n_samples, _derived_seed(base, seed, n, 0), backward_table(env, n),
+            False, tuple(_derived_seed(base, seed, n, 1 + i) for i in exported),
         )
-        paths = []
-        if seed == seeds[0]:
-            paths = [
-                sample_bridge(env, n, _derived_seed(base, seed, n, 1 + i), table=table)
-                for i in range(export)
-            ]
         return seed, n, draws, paths
 
     # seed-major, so the first seed's paths come first, in n order

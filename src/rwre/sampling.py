@@ -13,18 +13,20 @@ beyond floating point.
 One loop runs the recursion, over one block of B = round(sqrt(2n)) steps
 down from the log row that ends it.  :func:`backward_table` runs it over
 the bridge's double cone, in O(n^2) time once per (environment, n), and
-keeps the log row of every B-th step: about sqrt(2n) rows of n + 2 cells
-(1 MB at n = 2048) instead of the n^2 + 2n step probabilities.  When a
-sampler enters a block, the same loop refills the block's step
-probabilities from its checkpoint, cell by cell as the build computed
-them, but only over the cells that its draws can reach from where they
-stand; the table keeps each fill for later draws and widens it when one
-starts outside it (checkpointing in the sense of Griewank, "Achieving
-logarithmic growth of temporal and spatial complexity in reverse
-automatic differentiation", Optim. Methods Softw. 1, 1992).  Every
-sampler takes the table as ``table=``, so each further path costs O(n)
-steps plus the fills of cells no earlier draw reached, with batches
-vectorized across samples.
+keeps the cone cells of every B-th step's log row: about sqrt(2n) rows
+of n / 2 cells on average (0.5 MB at n = 2048) instead of the n^2 + 2n
+step probabilities.  When a sampler enters a block, the same loop
+refills the block's step probabilities from its checkpoint, cell by cell
+as the build computed them, but only over the cells that its draws can
+reach from where they stand (checkpointing in the sense of Griewank,
+"Achieving logarithmic growth of temporal and spatial complexity in
+reverse automatic differentiation", Optim. Methods Softw. 1, 1992).  A
+batch walks all its samples, and any single paths drawn with it, through
+one pass that fills each block once and drops the fill when it leaves
+the block, so the table keeps nothing for it.  A single path keeps its
+fills in the table, widening them when a later path starts outside them,
+so repeated single draws cost O(n) steps each plus the fills of cells no
+earlier draw reached.  Every sampler takes the table as ``table=``.
 """
 
 from __future__ import annotations
@@ -47,29 +49,43 @@ __all__ = [
 
 
 # Most cells a step table keeps, its checkpoints and kept fills together.
-# The checkpoints alone, ceil(2n / B) rows of n + 2 cells, fit for
-# n <= 88860 (300 MB).
+# The checkpoints alone, the cone cells of ceil(2n / B) rows, fit for
+# n <= 141110 (300 MB).
 _MAX_TABLE_ENTRIES = 37_500_000
 
 
 def _block_length(n: int) -> int:
     """Steps per block of a 2n-step table, round(sqrt(2n)): the checkpoints
-    and one block's fill then both take about sqrt(2n) * n cells."""
+    then take about n * sqrt(2n) / 2 cells, and a fill of one block over
+    the whole cone twice that."""
     return max(1, round(math.sqrt(2 * n)))
 
 
+def _checkpoint_offsets(n: int, block: int) -> list[int]:
+    """Where each packed checkpoint row starts, and their total at the end.
+
+    Row c holds the cone of the step ``k = min((c + 1) * block, 2n)`` that
+    ends block c: the right-step counts ``max(0, k - n) <= j <= min(k, n)``.
+    """
+    offsets = [0]
+    for end in range(block, 2 * n + block, block):
+        k = min(end, 2 * n)
+        offsets.append(offsets[-1] + min(k, n) - max(0, k - n) + 1)
+    return offsets
+
+
 def _check_table_size(n: int) -> None:
-    rows = -(-2 * n // _block_length(n))
-    if rows * (n + 2) > _MAX_TABLE_ENTRIES:
+    if _checkpoint_offsets(n, _block_length(n))[-1] > _MAX_TABLE_ENTRIES:
         raise DomainError(
             f"a bridge of 2n = {2 * n} steps exceeds the sampler's "
             f"materialization cap of {_MAX_TABLE_ENTRIES} table cells"
         )
 
 
-# Batch uniforms are drawn this many steps per rng call.  A (block,
-# n_samples) draw fills row by row, so paths do not depend on the block
-# size; a small block keeps the draw buffer, and peak memory, small.
+# Batch uniforms are drawn this many steps per rng call, and so are those
+# of each single path a batch pass walks.  A (block, n_samples) draw fills
+# row by row, so paths do not depend on the block size; a small block
+# keeps the draw buffer, and peak memory, small.
 _DRAW_BLOCK = 8
 
 
@@ -97,22 +113,24 @@ class _StepTable:
     Cells are indexed by right-step counts: after ``j`` right steps, step
     ``k`` starts at site ``2j - k``, and the double cone of the bridge is
     ``max(0, k - n) <= j <= min(k, n)``.  Steps fall into blocks of
-    ``block`` steps.  ``checkpoints[c, j]`` is ``log P(X_{2n} = 0 | X_k =
-    2j - k)`` at the step ``k = min((c + 1) * block, 2n)`` that ends block
-    c, and ``-inf`` off the cone and in the guard column ``j = n + 1``.
+    ``block`` steps, and block c ends at the step ``k = min((c + 1) *
+    block, 2n)``.  ``checkpoints[offsets[c] + j - max(0, k - n)]`` is
+    ``log P(X_{2n} = 0 | X_k = 2j - k)`` for every j on that step's cone,
+    and the rows hold nothing else (see :func:`_checkpoint_offsets`).
     ``log_p`` and ``log_q`` are the logs of ``omega`` and ``1 - omega``,
     where ``omega`` is the environment's slice over ``[-n, n]`` that the
     table was built from; the samplers accept the table only for that
     slice.  :meth:`_rows` runs the recursion over one block, both for the
-    build of the checkpoints and for the fills.  ``fills[c]`` is block c's
-    kept :class:`_Fill`, or None, and ``kept`` counts the cells of the
-    checkpoints and the kept fills; a lock guards both, so threads may
-    share a table.
+    build of the checkpoints and for the fills.  ``fills[c]`` is the fill
+    of block c that single paths keep (:meth:`cover`), or None, and
+    ``kept`` counts the cells of the checkpoints and the kept fills; a
+    lock guards both, so threads may share a table.  Batches keep no fill.
     """
 
     n: int
     block: int
     checkpoints: np.ndarray
+    offsets: list[int]
     log_p: np.ndarray
     log_q: np.ndarray
     omega: np.ndarray
@@ -121,13 +139,13 @@ class _StepTable:
     lock: threading.Lock = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.fills = [None] * len(self.checkpoints)
+        self.fills = [None] * (len(self.offsets) - 1)
         self.kept = self.checkpoints.size
         self.lock = threading.Lock()
 
     def cover(self, c: int, a: int, b: int) -> _Fill:
-        """Block c's step probabilities over the cells that walks with
-        ``a`` to ``b`` right steps at the block's first step can reach.
+        """Block c's step probabilities over the cells that a single path
+        with ``a`` to ``b`` right steps at the block's first step can reach.
 
         A kept fill that covers ``[a, b]`` is returned as it is.  Otherwise
         the block is refilled over ``[a, b]`` joined with the kept range,
@@ -162,7 +180,11 @@ class _StepTable:
         # cone, and column n + 1, stay -inf
         width = min(b + self.block, n) - a + 2
         rows, up = tuple(np.full((2, width), -np.inf)), np.empty(width)
-        rows[steps % 2][:] = self.checkpoints[c, a : a + width]
+        # the checkpoint's cone cells from a on, at its step k = start + steps
+        k = start + steps
+        first = max(0, k - n)
+        lo, hi, o = max(a, first), min(k, n, a + width - 1), self.offsets[c] - first
+        rows[steps % 2][lo - a : hi - a + 1] = self.checkpoints[o + lo : o + hi + 1]
         for i in range(steps - 1, -1, -1):
             k = start + i
             lo, hi = max(a, k - n), min(b + i, n)
@@ -194,14 +216,16 @@ def backward_table(env: Environment, n: int) -> _StepTable:
 
     Runs the backward recursion for ``log P(X_{2n} = 0 | X_k = x)`` over
     the bridge's double cone in O(n^2) time, one block of B =
-    round(sqrt(2n)) steps at a time from the last, and keeps the row of
-    every B-th step (see :class:`_StepTable`): ``ceil(2n / B) * (n + 2)``
-    cells, 1 MB at n = 2048.  The samplers accept it as ``table=``, and the
-    same recursion refills each block's step probabilities from its
-    checkpoint as their draws reach it: at most about ``(b - a + B) * B``
-    cells per block for draws spread over ``b - a`` right-step counts.  The
-    table keeps those fills while checkpoints and fills stay within
-    37,500,000 cells.  The checkpoints alone cap n at 88860.
+    round(sqrt(2n)) steps at a time from the last, and keeps the cone
+    cells of every B-th step's row (see :class:`_StepTable`): about
+    ``n * sqrt(2n) / 2`` cells, 0.5 MB at n = 2048.  The samplers accept
+    it as ``table=``, and the same recursion refills each block's step
+    probabilities from its checkpoint as their draws reach it: at most
+    about ``(b - a + B) * B`` cells per block for draws spread over
+    ``b - a`` right-step counts.  A batch drops each fill when it leaves
+    the block; single paths keep theirs in the table while checkpoints and
+    fills stay within 37,500,000 cells.  The checkpoints alone cap n at
+    141110.
 
     The environment window must cover ``[-n, n]``, the sites a bridge can
     reach.
@@ -212,17 +236,22 @@ def backward_table(env: Environment, n: int) -> _StepTable:
     om = env.slice(-n, n)
     _check_table_size(n)
     block = _block_length(n)
-    checkpoints = np.full((-(-2 * n // block), n + 2), -np.inf)
-    checkpoints[-1, n] = 0.0
+    offsets = _checkpoint_offsets(n, block)
+    checkpoints = np.empty(offsets[-1])
+    # the last row is the cone of step 2n, the origin alone
+    checkpoints[-1] = 0.0
     with np.errstate(divide="ignore"):
-        table = _StepTable(n, block, checkpoints, np.log(om), np.log1p(-om), om.copy())
-    for c in range(len(checkpoints) - 1, -1, -1):
-        # a block's last row, at its first step, ends the block before
+        table = _StepTable(
+            n, block, checkpoints, offsets, np.log(om), np.log1p(-om), om.copy()
+        )
+    for c in range(len(offsets) - 2, -1, -1):
+        # a block's last row, at its first step, is the cone that ends the
+        # block before
         start = c * block
-        for _, lo, _, here in table._rows(c, max(0, start - n), min(start, n)):
+        for _, _, _, here in table._rows(c, max(0, start - n), min(start, n)):
             pass
         if c > 0:
-            checkpoints[c - 1, lo : lo + here.size] = here
+            checkpoints[offsets[c - 1] : offsets[c]] = here
     if here[0] == -np.inf:
         raise DegenerateBridgeError(
             "conditioning event X_{2n} = 0 has zero probability"
@@ -256,41 +285,62 @@ def _sample_batch(
     seed: int,
     table: _StepTable | None,
     keep_paths: bool,
+    path_seeds: tuple[int, ...] = (),
 ):
-    """Vectorized forward pass; returns (paths or None, max_abs, b_counts).
+    """Vectorized forward pass; returns ``(paths, max_abs, b_counts)``.
 
-    Step k consumes draws ``[k * n_samples, (k + 1) * n_samples)`` of the
-    seed's stream, so results for a given (env, n, n_samples, seed) are
-    reproducible and independent of batching by the caller.
+    The pass walks ``n_samples`` batch columns and one column per entry of
+    ``path_seeds``.  Step k of the batch consumes draws ``[k * n_samples,
+    (k + 1) * n_samples)`` of the seed's stream, so results for a given
+    (env, n, n_samples, seed) are reproducible and independent of batching
+    by the caller.  The column of ``path_seeds[i]`` draws step k from the
+    k-th uniform of that seed's own stream, as :func:`sample_bridge` does,
+    so it walks that function's path bit for bit.  ``paths`` holds one row
+    of sites per batch column if ``keep_paths``, then one per path seed;
+    ``max_abs`` and ``b_counts`` cover the batch columns.
+
+    Each block is filled once, over the right-step counts of every column,
+    and the fill is dropped when the pass leaves the block: the table keeps
+    nothing.
     """
     rng, table = _sampler_inputs(env, n, seed, table)
-    block = table.block
+    streams = [
+        np.random.Generator(np.random.Philox(key=_check_seed(s))) for s in path_seeds
+    ]
+    cols, block = n_samples + len(streams), table.block
     # trap[x + n] flags the sites whose transition probability exceeds the
     # law's minimal support value
     trap = table.omega > env.omega_min
     # right-step counts, as offsets from the current block's fill.a
-    right, a = np.zeros(n_samples, dtype=np.int64), 0
-    site = np.zeros(n_samples, dtype=np.int64)
-    max_abs = np.zeros(n_samples, dtype=np.int64)
-    b_counts = np.zeros(n_samples, dtype=np.int64)
-    paths = None
-    if keep_paths:
-        paths = np.zeros((n_samples, 2 * n + 1), dtype=np.int32)
+    right, a = np.zeros(cols, dtype=np.int64), 0
+    site = np.zeros(cols, dtype=np.int64)
+    max_abs = np.zeros(cols, dtype=np.int64)
+    b_counts = np.zeros(cols, dtype=np.int64)
+    # the first column whose sites go into paths
+    first = 0 if keep_paths else n_samples
+    paths = np.zeros((cols - first, 2 * n + 1), dtype=np.int32)
     for k in range(2 * n):
         i = k % block
         if i == 0:
-            fill = table.cover(k // block, a + int(right.min()), a + int(right.max()))
-            right += a - fill.a
-            a, p_right, base = fill.a, fill.p, fill.base
+            # the last block's fill goes before this block's is made
+            fill = p_right = None
+            low = int(right.min())
+            right -= low
+            a += low
+            fill = table._fill(k // block, a, a + int(right.max()))
+            p_right, base = fill.p, fill.base
         if k % _DRAW_BLOCK == 0:
-            u = rng.random((min(_DRAW_BLOCK, 2 * n - k), n_samples))
+            rows = min(_DRAW_BLOCK, 2 * n - k)
+            u = rng.random((rows, n_samples))
+            if streams:
+                u = np.column_stack((u, *(s.random(rows) for s in streams)))
         b_counts += trap[site + n]
         right += u[k % _DRAW_BLOCK] < p_right[base[i] :].take(right)
         site = 2 * right + (2 * a - k - 1)
         np.maximum(max_abs, np.abs(site), out=max_abs)
-        if keep_paths:
-            paths[:, k + 1] = site
-    return paths, max_abs, b_counts
+        if len(paths):
+            paths[:, k + 1] = site[first:]
+    return paths, max_abs[:n_samples], b_counts[:n_samples]
 
 
 def sample_bridge(
@@ -314,9 +364,10 @@ def sample_bridge(
         The step table ``backward_table(env, n)``.  Built once, it makes
         each further draw cost O(n), plus a refill of each block of about
         sqrt(2n) steps that it enters outside the walks of the table's
-        earlier draws; without it every call builds one in O(n^2).  A
-        table built for another ``n``, or for an environment with other
-        omegas on ``[-n, n]``, raises :class:`DomainError`.
+        earlier single draws, whose fills the table keeps; without it
+        every call builds one in O(n^2).  A table built for another
+        ``n``, or for an environment with other omegas on ``[-n, n]``,
+        raises :class:`DomainError`.
     """
     rng, table = _sampler_inputs(env, n, seed, table)
     block = table.block
@@ -342,7 +393,7 @@ def sample_bridge_paths(
 ) -> np.ndarray:
     """Draw a batch of bridges and return their full site sequences.
 
-    Returns an ``(n_samples, 2n + 1)`` integer matrix whose row ``i`` is
+    Returns an ``(n_samples, 2n + 1)`` int32 matrix whose row ``i`` is
     one bridge (``[:, 0]`` and ``[:, -1]`` are zero).  The draw stream for
     a given ``(env, n, n_samples, seed)`` is shared with
     :func:`max_disp_samples`, so the displacement summary and the paths of
@@ -352,8 +403,7 @@ def sample_bridge_paths(
     n_samples = _check_site("n_samples", n_samples)
     if n_samples < 1:
         raise DomainError("n_samples must be at least 1")
-    paths, _, _ = _sample_batch(env, n, n_samples, seed, table, True)
-    return paths
+    return _sample_batch(env, n, n_samples, seed, table, True)[0]
 
 
 def max_disp_samples(

@@ -31,8 +31,8 @@ def homogeneous_env(p: float, lo: int, hi: int):
 def step_table_cells(table) -> np.ndarray:
     """Every cell a step table gives: its checkpoints, then each block's
     right-step probabilities filled over the whole double cone."""
-    n, cells = table.n, [table.checkpoints.ravel()]
-    for c in range(len(table.checkpoints)):
+    n, cells = table.n, [table.checkpoints]
+    for c in range(len(table.fills)):
         start = c * table.block
         cells.append(table.cover(c, max(0, start - n), min(start, n)).p)
     return np.concatenate(cells)

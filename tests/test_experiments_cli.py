@@ -3,6 +3,7 @@ config parsing and exit codes, CSV schemas and 17-digit float formatting,
 manifest sidecars, deterministic reruns, and thread-count invariance."""
 
 import contextlib
+import hashlib
 import importlib.util
 import io
 import itertools
@@ -375,7 +376,7 @@ class TestRuntimeErrors:
             {
                 "distribution": dist.name,
                 # the first n past the checkpoints' cap
-                "n_grid": "88861",
+                "n_grid": "141111",
                 "seeds": "0",
             },
         )
@@ -1046,8 +1047,8 @@ class TestSampleBridgeExperiment:
         assert experiments._path_text(path) == want
 
     def test_builds_no_backward_log_table(self, workdir, capsys, monkeypatch):
-        # one step table per task, keeping a log row every round(sqrt(2n))
-        # steps: no whole log table is built
+        # one step table per task, keeping the cone cells of a log row every
+        # round(sqrt(2n)) steps: no whole log table is built
         built = []
         build = rwre.sampling.backward_table
 
@@ -1072,8 +1073,30 @@ class TestSampleBridgeExperiment:
         )
         out_root = workdir / "runs"
         assert run_cli(capsys, "sample-bridge", cfg, out_root)[0] == 0
-        # n = 3: blocks of 2 steps; n = 5: blocks of 3 steps, the last of 1
-        assert sorted(built) == [(3, (3, 5))] * 2 + [(5, (4, 7))] * 2
+        # n = 3: blocks of 2 steps, cones of 3, 3 and 1 cells; n = 5: blocks
+        # of 3 steps, the last of 1, cones of 4, 5, 2 and 1 cells
+        assert sorted(built) == [(3, (7,))] * 2 + [(5, (12,))] * 2
+
+    def test_shipped_config_writes_the_recorded_bytes(self, tmp_path, capsys):
+        # SHA-256 of each CSV that demos/configs/sample_bridge.ini wrote
+        # when the exported paths were drawn one sample_bridge call at a
+        # time; the one pass that draws them with the batch writes the same
+        want = {
+            "path-s0-n256-0.csv": "099d11ede637385d8367fed57b0942bb7cccde2a9ed1d0d18c46e46d46f4066b",
+            "path-s0-n256-1.csv": "0f06a8f4490104960a7c7980282747aad995d2528946f1ca819a9f7e98b31b2f",
+            "path-s0-n256-2.csv": "dff515330fce4e19dda4cc0a3c856ec48c03debb2dea9c474f19181d168bce78",
+            "path-s0-n64-0.csv": "2513c6b8b1c9b3d1f05c695d92fb0754bbdb6c2dff10ff3aacb0a21509bfab26",
+            "path-s0-n64-1.csv": "f0a15d04d0186fb6171231ad68f321fe20630dfa0890c9f2f013a233f70cf8bd",
+            "path-s0-n64-2.csv": "8d09c58baaf166fbdf4962e2b5fd5b105268d51c65ebed21cfca023d2a4a663e",
+            "sampler_summary.csv": "e9167c7720e43a05c6c2f5905134d82cb5481894a370f8af4861a939062410dc",
+        }
+        cfg = Path(__file__).resolve().parents[1] / "demos" / "configs" / "sample_bridge.ini"
+        out_root = tmp_path / "runs"
+        assert run_cli(capsys, "sample-bridge", cfg, out_root)[0] == 0
+        (run_dir,) = out_root.iterdir()
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in run_dir.glob("*.csv")}
+        assert got == want
 
     def test_runs_past_the_whole_cone_tables_cap(self, workdir, capsys):
         # n^2 + 2n step probabilities would not fit in 37,500,000 cells

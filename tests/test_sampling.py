@@ -87,9 +87,10 @@ class TestBackwardTable:
         table = backward_table(env, n)
         assert table.n == n
         # blocks of round(sqrt(6)) = 2 steps end at steps 2, 4 and 6, and
-        # each keeps that step's log row over n + 2 cells
+        # each keeps that step's cone cells: j = 0..2, 1..3 and 3
         assert table.block == 2
-        assert table.checkpoints.shape == (3, n + 2)
+        assert table.offsets == [0, 3, 6, 7]
+        assert table.checkpoints.shape == (7,)
         assert_checkpoints_match_the_backward_table(env, table)
         # no step probability is kept before a sampler asks for it
         assert table.fills == [None] * 3
@@ -140,26 +141,36 @@ def filled_rows(table, c, fill):
         yield k, lo, hi, fill.p[row + lo - fill.a : row + hi - fill.a + 1]
 
 
+def cone_widths(n, block):
+    """Cells of the cone of the step that ends each block of a 2n-step
+    table, counted site by site."""
+    ends = [min((c + 1) * block, 2 * n) for c in range(-(-2 * n // block))]
+    return [sum(abs(x) <= min(k, 2 * n - k) and (x - k) % 2 == 0
+                for x in range(-n, n + 1)) for k in ends]
+
+
 def assert_checkpoints_match_the_backward_table(env, table):
-    """Every checkpoint row equals the row of the reference log table that
-    ends its block, bit for bit, and reads -inf off the cone and in the
-    guard column ``j = n + 1``."""
+    """The packed checkpoints hold, row after row, the cone cells of the
+    reference log table's row that ends each block, bit for bit, and
+    nothing else."""
     n, block = table.n, table.block
     h = oracles.backward_log_table(env, n)
-    j = np.arange(n + 2)
-    for c, row in enumerate(table.checkpoints):
+    assert np.diff(table.offsets).tolist() == cone_widths(n, block)
+    assert table.offsets[0] == 0 and table.offsets[-1] == table.checkpoints.size
+    for c in range(len(table.offsets) - 1):
         k = min((c + 1) * block, 2 * n)
-        cone = (j >= max(0, k - n)) & (j <= min(k, n))
-        want = np.where(cone, h[k, np.clip(2 * j - k + n + 1, 0, 2 * n + 2)], -np.inf)
-        assert np.array_equal(row, want), (block, c)
+        j = np.arange(max(0, k - n), min(k, n) + 1)
+        row = table.checkpoints[table.offsets[c] : table.offsets[c + 1]]
+        assert np.array_equal(row, h[k, 2 * j - k + n + 1]), (block, c)
 
 
-def assert_fills_match_the_backward_table(env, table):
-    """Every cell the table's fills hold equals the fold of the reference
-    log table, bit for bit (NaN where a one-way site makes 0/0)."""
+def assert_fills_match_the_backward_table(env, table, fills=None):
+    """Every cell of the fills ``(c, fill)``, by default those the table
+    keeps, equals the fold of the reference log table, bit for bit (NaN
+    where a one-way site makes 0/0)."""
     n = table.n
     h = oracles.backward_log_table(env, n)
-    for c, fill in enumerate(table.fills):
+    for c, fill in enumerate(table.fills) if fills is None else fills:
         if fill is None:
             continue
         for k, lo, hi, cells in filled_rows(table, c, fill):
@@ -202,7 +213,7 @@ class TestStepTable:
                 assert table.block == length
                 assert_checkpoints_match_the_backward_table(env, table)
                 # fill every block over the whole cone
-                for c in range(len(table.checkpoints)):
+                for c in range(len(table.fills)):
                     start = c * length
                     table.cover(c, max(0, start - n), min(start, n))
                 cells = sum(hi - lo + 1 for c, f in enumerate(table.fills)
@@ -219,17 +230,91 @@ class TestStepTable:
             max_disp_samples(env, n, 50, 4, table=table)
             assert_fills_match_the_backward_table(env, table)
 
+    @pytest.mark.parametrize("n", [5, 40])
+    def test_batch_fills_match_the_backward_table_bit_for_bit(
+        self, n, block_length, monkeypatch
+    ):
+        made = []
+        fill = rwre.sampling._StepTable._fill
+
+        def record(table, c, a, b):
+            made.append((c, fill(table, c, a, b)))
+            return made[-1][1]
+
+        monkeypatch.setattr(rwre.sampling._StepTable, "_fill", record)
+        for length in (1, 3, 2 * n):
+            block_length(length)
+            for env in one_way_envs(n):
+                table = backward_table(env, n)
+                blocks = list(range(len(table.fills)))
+                for run in (
+                    lambda: max_disp_samples(env, n, 50, 4, table=table),
+                    lambda: sample_bridge_paths(env, n, 30, 5, table=table),
+                    lambda: rwre.sampling._sample_batch(
+                        env, n, 20, 6, table, False, (7, 8, 9)
+                    ),
+                ):
+                    made.clear()
+                    run()
+                    # one transient fill per block, in order, none kept
+                    assert [c for c, _ in made] == blocks
+                    assert table.fills == [None] * len(blocks)
+                    assert table.kept == table.checkpoints.size
+                    assert_fills_match_the_backward_table(env, table, made)
+
+    @pytest.mark.parametrize("n", [1, 6, 50])
+    def test_one_pass_draws_the_batch_and_the_single_paths(self, n, block_length):
+        seeds = (3, 2**64 - 1, 3, 0)
+        for length in sorted({1, 3, round(math.sqrt(2 * n)), 2 * n}):
+            block_length(length)
+            for env in one_way_envs(n):
+                for n_samples, path_seeds in ((1, ()), (1, seeds), (40, ()), (40, seeds)):
+                    table = backward_table(env, n)
+                    passes = [
+                        rwre.sampling._sample_batch(
+                            env, n, n_samples, 11, table, keep, path_seeds
+                        )
+                        for keep in (False, True)
+                    ]
+                    assert table.fills == [None] * len(table.fills)
+                    want = max_disp_samples(env, n, n_samples, 11, table=table)
+                    batch = sample_bridge_paths(env, n, n_samples, 11, table=table)
+                    singles = [sample_bridge(env, n, s, table=table) for s in path_seeds]
+                    for keep, (paths, max_abs, b_counts) in zip((False, True), passes):
+                        assert np.array_equal(max_abs, want[0])
+                        assert np.array_equal(b_counts, want[1])
+                        assert paths.dtype == np.int32
+                        rows = [*batch] * keep + singles
+                        assert paths.shape == (len(rows), 2 * n + 1)
+                        assert all(np.array_equal(g, w) for g, w in zip(paths, rows))
+
     @pytest.mark.parametrize("n", [1, 2, 7, 256])
     def test_keeps_a_log_row_every_block(self, n):
         env = random_env(n, -2 * n, 2 * n)
         table = backward_table(env, n)
         length = round(math.sqrt(2 * n))
         assert table.block == length
-        assert table.checkpoints.shape == (-(-2 * n // length), n + 2)
+        # one row of cone cells per block, nothing off the cone
+        widths = cone_widths(n, length)
+        assert len(table.fills) == len(widths) == -(-2 * n // length)
+        assert table.checkpoints.shape == (sum(widths),)
+        # a batch keeps nothing
+        sample_bridge_paths(env, n, 20, 0, table=table)
         max_disp_samples(env, n, 20, 0, table=table)
+        assert table.fills == [None] * len(widths)
+        assert table.kept == table.checkpoints.size
+        # a single path keeps one fill per block
+        sample_bridge(env, n, 0, table=table)
         fills = [f for f in table.fills if f is not None]
-        assert len(fills) == len(table.checkpoints)
+        assert len(fills) == len(widths)
         assert table.kept == table.checkpoints.size + sum(f.p.size for f in fills)
+
+    def test_checkpoints_hold_the_cone_cells_only(self):
+        # n = 2048: 64 rows of 64 to 2049 cone cells, where rows of n + 2
+        # cells took 131,200
+        n = 2048
+        table = backward_table(sample_environment(NESTLING_K2, 0, -n, n), n)
+        assert table.checkpoints.size == sum(cone_widths(n, table.block)) == 65_600
 
     def test_sampling_peaks_far_below_the_packed_table(self):
         # the whole-cone table of the earlier sampler held n^2 + 2n float64
@@ -246,6 +331,56 @@ class TestStepTable:
         finally:
             tracemalloc.stop()
         assert peak < (n * n + 2 * n) * 8 / 4
+
+    def test_one_pass_peaks_at_the_table_plus_one_fill(self, monkeypatch):
+        # the build, 1000 draws and 8 exported paths in one pass, as the
+        # sample-bridge experiment runs them
+        n, n_samples, seeds = 2048, 1000, tuple(range(8))
+        env = sample_environment(NESTLING_K2, 0, -n, n)
+        sizes = []
+        fill = rwre.sampling._StepTable._fill
+
+        def record(table, c, a, b):
+            made = fill(table, c, a, b)
+            sizes.append(made.p.nbytes)
+            return made
+
+        monkeypatch.setattr(rwre.sampling._StepTable, "_fill", record)
+        # a pass at n = 2 first, so that the trace counts no module that
+        # the pass imports (numpy.random) when the test runs alone
+        small = sample_environment(NESTLING_K2, 0, -2, 2)
+        rwre.sampling._sample_batch(small, 2, 1, 0, None, False, (0,))
+        sizes.clear()
+        tracemalloc.start()
+        try:
+            table = backward_table(env, n)
+            paths, _, _ = rwre.sampling._sample_batch(
+                env, n, n_samples, 0, table, False, seeds
+            )
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert table.fills == [None] * len(table.fills)
+        cols, sites, block = n_samples + len(seeds), 2 * n + 1, table.block
+        # the layout: the checkpoints; log_p, log_q and omega; the largest
+        # fill; the recursion's three working rows of at most n + 2 cells
+        # and its block bases; 16 arrays of 8 bytes over the columns (four
+        # of state and the step's temporaries) and the _DRAW_BLOCK rows of
+        # uniforms twice (as drawn, and joined with the paths' own); the
+        # trap mask; the exported paths as int32
+        bound = (
+            table.checkpoints.nbytes
+            + 3 * 8 * sites
+            + max(sizes)
+            + 8 * (3 * (n + 2) + block + 1)
+            + 8 * cols * (16 + 2 * rwre.sampling._DRAW_BLOCK)
+            + sites
+            + 4 * len(seeds) * sites
+        )
+        assert peak < bound
+        # keeping every block's fill, as batches once did, would not fit
+        assert peak + sum(sizes) - max(sizes) > bound
+        assert paths.shape == (len(seeds), sites)
 
     def test_build_peaks_at_the_checkpoints_plus_working_rows(self):
         # the whole-cone table, n^2 + 2n cells, would take eight times the
@@ -290,15 +425,16 @@ class TestStepTable:
                 sample_bridge(env, 2, 0)
 
     def test_size_cap_matches_backward_table(self, monkeypatch):
-        # the cap counts checkpoint cells, ceil(2n / B) rows of n + 2
-        rwre.sampling._check_table_size(88860)  # 212 rows: 37,499,764 cells
+        # the cap counts checkpoint cells, the cones of ceil(2n / B) rows
+        rwre.sampling._check_table_size(141110)  # 532 rows: 37,499,616 cells
         with pytest.raises(DomainError, match="materialization cap"):
-            rwre.sampling._check_table_size(88861)
+            rwre.sampling._check_table_size(141111)  # 37,500,148 cells
         env = random_env(3, -16, 16)
-        # n = 8: four blocks of 4 steps, four rows of 10 cells
-        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 40)
+        # n = 8: four blocks of 4 steps, rows of 5, 9, 5 and 1 cone cells
+        assert cone_widths(8, 4) == [5, 9, 5, 1]
+        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 20)
         backward_table(env, 8)
-        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 39)
+        monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", 19)
         with pytest.raises(DomainError, match="2n = 16 steps .* materialization cap"):
             backward_table(env, 8)
         with pytest.raises(DomainError, match="materialization cap"):
@@ -307,52 +443,80 @@ class TestStepTable:
     def test_fills_past_the_cap_are_used_and_not_kept(self, monkeypatch):
         env = sample_environment(NESTLING_K2, 5, -40, 40)
         n = 40
-        want = max_disp_samples(env, n, 100, 1), sample_bridge(env, n, 2)
+        want = [sample_bridge(env, n, seed) for seed in range(4)]
         full = backward_table(env, n)
-        max_disp_samples(env, n, 100, 1, table=full)
+        sample_bridge(env, n, 0, table=full)
         sizes = [f.p.size for f in full.fills]
         # room for the checkpoints and the first two blocks' fills only
         room = full.checkpoints.size + sizes[0] + sizes[1]
         monkeypatch.setattr(rwre.sampling, "_MAX_TABLE_ENTRIES", room)
         table = backward_table(env, n)
-        got = max_disp_samples(env, n, 100, 1, table=table)
-        assert all(np.array_equal(g, w) for g, w in zip(got, want[0]))
-        assert [f is not None for f in table.fills[:3]] == [True, True, False]
+        assert np.array_equal(sample_bridge(env, n, 0, table=table), want[0])
+        assert [f is not None for f in table.fills] == [True, True] + [False] * (
+            len(sizes) - 2
+        )
         assert table.kept == room
-        assert np.array_equal(sample_bridge(env, n, 2, table=table), want[1])
+        kept = list(table.fills)
+        # later paths widen no fill past the cap, and still draw their paths
+        for seed in range(1, 4):
+            assert np.array_equal(sample_bridge(env, n, seed, table=table), want[seed])
+        assert all(f is g for f, g in zip(table.fills, kept))
+        assert table.kept == room
+        # a batch keeps nothing either
+        draws = max_disp_samples(env, n, 100, 1, table=table)
+        fresh = max_disp_samples(env, n, 100, 1)
+        assert all(np.array_equal(g, w) for g, w in zip(draws, fresh))
+        assert all(f is g for f, g in zip(table.fills, kept))
         assert table.kept == room
 
     def test_fills_widen_to_later_draws(self):
         env = sample_environment(NESTLING_K2, 7, -40, 40)
         n = 40
         table = backward_table(env, n)
-        # one path keeps narrow fills; a batch then starts outside them
-        single = sample_bridge(env, n, 0, table=table)
+        # one path keeps narrow fills; a second path then starts outside them
+        first = sample_bridge(env, n, 0, table=table)
         narrow = [(f.a, f.b) for f in table.fills]
         assert all(a == b for a, b in narrow)
-        batch = max_disp_samples(env, n, 200, 1, table=table)
+        second = sample_bridge(env, n, 1, table=table)
         wide = [(f.a, f.b) for f in table.fills]
         assert all(a <= x <= y <= b for (x, y), (a, b) in zip(narrow, wide))
         assert any(b - a > 0 for a, b in wide)
+        # each kept range is the hull of the two paths' right-step counts
+        for c, (a, b) in enumerate(wide):
+            k = c * table.block
+            starts = [(k + int(p[k])) // 2 for p in (first, second)]
+            assert (a, b) == (min(starts), max(starts))
         assert_fills_match_the_backward_table(env, table)
-        assert np.array_equal(single, sample_bridge(env, n, 0))
+        assert np.array_equal(first, sample_bridge(env, n, 0))
+        assert np.array_equal(second, sample_bridge(env, n, 1))
+        # draws inside the kept fills change nothing, and a batch keeps none
+        kept = list(table.fills)
+        assert np.array_equal(first, sample_bridge(env, n, 0, table=table))
+        batch = max_disp_samples(env, n, 200, 1, table=table)
+        assert all(f is g for f, g in zip(table.fills, kept))
         fresh = max_disp_samples(env, n, 200, 1)
         assert np.array_equal(batch[0], fresh[0])
         assert np.array_equal(batch[1], fresh[1])
-        # draws inside the kept fills change nothing
-        kept = list(table.fills)
-        max_disp_samples(env, n, 200, 1, table=table)
-        assert all(f is g for f, g in zip(table.fills, kept))
 
     def test_threads_may_share_a_table(self):
         env = sample_environment(NESTLING_K2, 3, -40, 40)
         n = 40
-        want = [max_disp_samples(env, n, 50, seed) for seed in range(8)]
+
+        def draws(seed, table=None):
+            # single paths, which keep fills, between batches, which do not
+            return [
+                sample_bridge(env, n, seed, table=table),
+                *max_disp_samples(env, n, 50, seed, table=table),
+                sample_bridge(env, n, seed + 8, table=table),
+                sample_bridge_paths(env, n, 5, seed, table=table),
+            ]
+
+        want = [draws(seed) for seed in range(8)]
         table = backward_table(env, n)
         got = [None] * 8
 
         def draw(seed):
-            got[seed] = max_disp_samples(env, n, 50, seed, table=table)
+            got[seed] = draws(seed, table)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -366,8 +530,9 @@ class TestStepTable:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         for g, w in zip(got, want):
-            assert np.array_equal(g[0], w[0]) and np.array_equal(g[1], w[1])
+            assert all(np.array_equal(x, y) for x, y in zip(g, w))
         # a lost update would leave the count off the kept fills
+        assert all(f is not None for f in table.fills)
         assert table.kept == table.checkpoints.size + sum(f.p.size for f in table.fills)
         assert_fills_match_the_backward_table(env, table)
 
@@ -587,6 +752,7 @@ class TestSampleBridgePaths:
         env = random_env(21, -10, 10)
         n = 4
         paths = sample_bridge_paths(env, n, 64, seed=5)
+        assert paths.dtype == np.int32
         assert paths.shape == (64, 2 * n + 1)
         assert np.all(paths[:, 0] == 0) and np.all(paths[:, -1] == 0)
         assert np.all(np.abs(np.diff(paths, axis=1)) == 1)
